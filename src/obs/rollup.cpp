@@ -80,62 +80,111 @@ NameUnion union_names(const std::vector<FleetRollup::DeviceEntry>& devices) {
   return u;
 }
 
+/// Sweeps the per-device trajectories of one series metric (sources in
+/// ascending device id) in time order and calls `sink(t, sum)` once per
+/// distinct event time, where `sum` is 0.0 + v(dev0) + v(dev1) + ... over
+/// the values in effect at `t`. One cursor per source and no sort: each
+/// step takes the minimum head time, advances the cursors sitting on it and
+/// re-adds every in-effect value in source order. Re-adding (rather than a
+/// running `sum += new - old`) keeps the rounding, and so every exported
+/// byte, identical to evaluating each instant from scratch.
+template <typename Sink>
+void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
+                      Sink&& sink) {
+  struct Cursor {
+    const Series::Point* next;
+    const Series::Point* end;
+    double value = 0.0;  ///< in effect before the first point
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(sources.size());
+  bool more = false;
+  TimeNs t = 0;
+  for (const MetricsRegistry::Entry* e : sources) {
+    const auto& pts = std::get<Series>(e->metric).points();
+    cursors.push_back(Cursor{pts.data(), pts.data() + pts.size()});
+    if (!pts.empty()) {
+      t = more ? std::min(t, pts.front().time) : pts.front().time;
+      more = true;
+    }
+  }
+  while (more) {
+    // Series times strictly increase, so at most one point per cursor sits
+    // on `t`; the next step's time is the minimum of the new heads.
+    double sum = 0.0;
+    TimeNs next = 0;
+    more = false;
+    for (Cursor& c : cursors) {
+      if (c.next != c.end && c.next->time == t) c.value = (c.next++)->value;
+      sum += c.value;
+      if (c.next != c.end) {
+        next = more ? std::min(next, c.next->time) : c.next->time;
+        more = true;
+      }
+    }
+    sink(t, sum);
+    t = next;
+  }
+}
+
+/// Last and peak of a merged series without storing its points: the same
+/// values Series::sample would report (peak starts at 0.0; an empty merge
+/// reads 0/0).
+struct SeriesSummary {
+  double last = 0.0;
+  double peak = 0.0;
+  void operator()(TimeNs /*t*/, double v) {
+    last = v;
+    peak = std::max(peak, v);
+  }
+};
+
+/// Folds one metric's per-device entries (ascending id) into `out`.
+void merge_into(MetricsRegistry& out, const std::string& name,
+                const std::vector<const MetricsRegistry::Entry*>& sources) {
+  const MetricsRegistry::Entry& first = *sources.front();
+  switch (first.kind) {
+    case MetricKind::Counter: {
+      Counter& c = out.counter(name, first.help);
+      for (const MetricsRegistry::Entry* e : sources) {
+        c.add(std::get<Counter>(e->metric).value());
+      }
+      break;
+    }
+    case MetricKind::Gauge: {
+      double sum = 0.0;
+      for (const MetricsRegistry::Entry* e : sources) {
+        sum += std::get<Gauge>(e->metric).value();
+      }
+      out.gauge(name, first.help).set(sum);
+      break;
+    }
+    case MetricKind::Histogram: {
+      Histogram& h = out.histogram(
+          name, std::get<Histogram>(first.metric).bounds(), first.help);
+      for (const MetricsRegistry::Entry* e : sources) {
+        h.merge(std::get<Histogram>(e->metric));
+      }
+      break;
+    }
+    case MetricKind::Series: {
+      // Point-wise sum of the per-device piecewise-constant trajectories:
+      // an event exists wherever any device's series has one, and the value
+      // there is the sum of every device's value in effect at that instant.
+      Series& s = out.series(name, first.help);
+      sweep_series_sum(sources, [&s](TimeNs t, double v) { s.sample(t, v); });
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 MetricsRegistry FleetRollup::merged() const {
   MetricsRegistry out;
   const NameUnion u = union_names(devices());
   for (const std::string& name : u.names) {
-    const auto& sources = u.entries.at(name);
-    const MetricsRegistry::Entry& first = *sources.front();
-    switch (first.kind) {
-      case MetricKind::Counter: {
-        Counter& c = out.counter(name, first.help);
-        for (const MetricsRegistry::Entry* e : sources) {
-          c.add(std::get<Counter>(e->metric).value());
-        }
-        break;
-      }
-      case MetricKind::Gauge: {
-        double sum = 0.0;
-        for (const MetricsRegistry::Entry* e : sources) {
-          sum += std::get<Gauge>(e->metric).value();
-        }
-        out.gauge(name, first.help).set(sum);
-        break;
-      }
-      case MetricKind::Histogram: {
-        Histogram& h = out.histogram(
-            name, std::get<Histogram>(first.metric).bounds(), first.help);
-        for (const MetricsRegistry::Entry* e : sources) {
-          h.merge(std::get<Histogram>(e->metric));
-        }
-        break;
-      }
-      case MetricKind::Series: {
-        // Point-wise sum of the per-device piecewise-constant
-        // trajectories: an event exists wherever any device's series has
-        // one, and the value there is the sum of every device's value in
-        // effect at that instant.
-        Series& s = out.series(name, first.help);
-        std::vector<TimeNs> times;
-        for (const MetricsRegistry::Entry* e : sources) {
-          for (const Series::Point& p : std::get<Series>(e->metric).points()) {
-            times.push_back(p.time);
-          }
-        }
-        std::sort(times.begin(), times.end());
-        times.erase(std::unique(times.begin(), times.end()), times.end());
-        for (const TimeNs t : times) {
-          double sum = 0.0;
-          for (const MetricsRegistry::Entry* e : sources) {
-            sum += series_value_at(std::get<Series>(e->metric), t);
-          }
-          s.sample(t, sum);
-        }
-        break;
-      }
-    }
+    merge_into(out, name, u.entries.at(name));
   }
   return out;
 }
@@ -165,6 +214,13 @@ void write_registry_entries(std::ostream& os, const MetricsRegistry& registry,
   os << "]";
 }
 
+/// The two samples a gauge or series exports: its value and its peak.
+void emit_last_and_peak(std::ostream& os, const std::string& name,
+                        const std::string& inst, double last, double peak) {
+  os << name << inst << " " << format_double(last) << "\n";
+  os << name << "_peak" << inst << " " << format_double(peak) << "\n";
+}
+
 /// One Prometheus sample group for an entry, with an optional label
 /// (`device="3"`, no braces). Byte-compatible with obs::write_prometheus
 /// when the label is empty and the prefix is "hq_".
@@ -179,8 +235,7 @@ void emit_prometheus_entry(std::ostream& os, const std::string& name,
       break;
     case MetricKind::Gauge: {
       const Gauge& g = std::get<Gauge>(e.metric);
-      os << name << inst << " " << format_double(g.value()) << "\n";
-      os << name << "_peak" << inst << " " << format_double(g.peak()) << "\n";
+      emit_last_and_peak(os, name, inst, g.value(), g.peak());
       break;
     }
     case MetricKind::Histogram: {
@@ -200,8 +255,7 @@ void emit_prometheus_entry(std::ostream& os, const std::string& name,
     }
     case MetricKind::Series: {
       const Series& s = std::get<Series>(e.metric);
-      os << name << inst << " " << format_double(s.last()) << "\n";
-      os << name << "_peak" << inst << " " << format_double(s.peak()) << "\n";
+      emit_last_and_peak(os, name, inst, s.last(), s.peak());
       break;
     }
   }
@@ -279,13 +333,23 @@ void write_fleet_prometheus(std::ostream& os, const FleetRollup& rollup) {
   }
   // Fleet-scope metrics, unlabeled under their own (fleet_-prefixed) names.
   write_prometheus(os, rollup.fleet());
-  // Merged per-device metrics as hq_fleet_<name>.
-  const MetricsRegistry merged = rollup.merged();
-  merged.for_each([&](const MetricsRegistry::Entry& e) {
-    const std::string name = "hq_fleet_" + e.name;
-    emit_prometheus_meta(os, name, e);
-    emit_prometheus_entry(os, name, "", e);
-  });
+  // Merged per-device metrics as hq_fleet_<name>, in merged() order. A
+  // series exports only its last and peak values, so the sweep folds into a
+  // summary instead of materializing the fleet-wide trajectory.
+  for (const std::string& raw : u.names) {
+    const auto& sources = u.entries.at(raw);
+    const std::string name = "hq_fleet_" + raw;
+    emit_prometheus_meta(os, name, *sources.front());
+    if (sources.front()->kind == MetricKind::Series) {
+      SeriesSummary summary;
+      sweep_series_sum(sources, summary);
+      emit_last_and_peak(os, name, "", summary.last, summary.peak);
+    } else {
+      MetricsRegistry merged;
+      merge_into(merged, raw, sources);
+      emit_prometheus_entry(os, name, "", *merged.find(raw));
+    }
+  }
 }
 
 std::string fleet_prometheus_text(const FleetRollup& rollup) {

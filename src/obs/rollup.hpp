@@ -77,6 +77,13 @@ class FleetRollup {
   /// histogram buckets sum, gauges sum (peak == final sum), series become
   /// the point-wise sum of the per-device piecewise-constant trajectories.
   /// Recomputed on each call from the current device set.
+  ///
+  /// Series merge in one linear sweep, O(T * D) for T distinct event times
+  /// over D devices: a cursor per device, advanced to the minimum head time,
+  /// and at each time the in-effect values added afresh in ascending device
+  /// order (0.0 + v(dev0) + v(dev1) + ...). That fixed summation order, not
+  /// a running sum, is what keeps every merged value and export byte
+  /// identical to evaluating each instant independently.
   MetricsRegistry merged() const;
 
  private:
@@ -86,8 +93,8 @@ class FleetRollup {
 };
 
 /// Value of a piecewise-constant series at time `t`: the value of the last
-/// point at or before `t`, or 0 before the first point. The primitive the
-/// series merge and the fleet snapshot reporter share.
+/// point at or before `t`, or 0 before the first point. The fleet snapshot
+/// reporter's primitive; merged() gives the same sums for every event time.
 double series_value_at(const Series& series, TimeNs t);
 
 /// Versioned fleet metrics JSON: {"schema_version", "fleet", "devices"
@@ -100,7 +107,8 @@ std::string fleet_metrics_json(const FleetInfo& info,
 /// Prometheus text exposition of the rollup: per-device metrics carry a
 /// device="<id>" label ("hq_" prefix as usual, grouped name-major so TYPE
 /// and HELP render once per metric); fleet-scope metrics render unlabeled;
-/// merged per-device metrics render as hq_fleet_<name>.
+/// merged per-device metrics render as hq_fleet_<name>. Merged series need
+/// only their last and peak values, so they are never materialized here.
 void write_fleet_prometheus(std::ostream& os, const FleetRollup& rollup);
 std::string fleet_prometheus_text(const FleetRollup& rollup);
 

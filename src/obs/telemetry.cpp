@@ -20,70 +20,82 @@ TelemetryObserver::TelemetryObserver(const gpu::DeviceSpec& spec)
     : spec_(spec) {
   // Register every metric up front so the export order (registration order)
   // is fixed by construction, independent of which events a run produces.
-  registry_.counter("ops_submitted_kernel", "kernel launches submitted");
-  registry_.counter("ops_submitted_copy", "memory copies submitted");
-  registry_.counter("ops_submitted_marker", "markers/events submitted");
-  registry_.counter("ops_completed", "operations retired from streams");
-  registry_.counter("copies_htod", "host-to-device transfers enqueued");
-  registry_.counter("copies_dtoh", "device-to-host transfers enqueued");
-  registry_.counter("bytes_htod", "host-to-device bytes enqueued");
-  registry_.counter("bytes_dtoh", "device-to-host bytes enqueued");
-  registry_.counter("kernels_completed", "kernels fully retired");
-  registry_.counter("blocks_placed", "thread blocks placed on SMXs");
-  registry_.histogram("copy_queue_wait_htod_ns", wait_bounds(),
-                      "HtoD enqueue-to-service-begin wait (ns)");
-  registry_.histogram("copy_queue_wait_dtoh_ns", wait_bounds(),
-                      "DtoH enqueue-to-service-begin wait (ns)");
-  registry_.series("copy_queue_depth_htod",
-                   "HtoD engine queue depth incl. in-service transaction");
-  registry_.series("copy_queue_depth_dtoh",
-                   "DtoH engine queue depth incl. in-service transaction");
-  registry_.series("resident_blocks",
-                   "device-wide resident thread blocks (cap 208 on K20)");
-  registry_.series("thread_occupancy",
-                   "resident threads / device maximum, in [0,1]");
-  registry_.series("power_watts",
-                   "instantaneous board power, piecewise constant");
+  const auto op = [](gpu::ObservedOp kind) { return static_cast<int>(kind); };
+  const int htod = static_cast<int>(gpu::CopyDirection::HtoD);
+  const int dtoh = static_cast<int>(gpu::CopyDirection::DtoH);
+  ops_submitted_[op(gpu::ObservedOp::Kernel)] =
+      &registry_.counter("ops_submitted_kernel", "kernel launches submitted");
+  ops_submitted_[op(gpu::ObservedOp::Copy)] =
+      &registry_.counter("ops_submitted_copy", "memory copies submitted");
+  ops_submitted_[op(gpu::ObservedOp::Marker)] =
+      &registry_.counter("ops_submitted_marker", "markers/events submitted");
+  ops_completed_ =
+      &registry_.counter("ops_completed", "operations retired from streams");
+  copies_[htod] =
+      &registry_.counter("copies_htod", "host-to-device transfers enqueued");
+  copies_[dtoh] =
+      &registry_.counter("copies_dtoh", "device-to-host transfers enqueued");
+  bytes_[htod] =
+      &registry_.counter("bytes_htod", "host-to-device bytes enqueued");
+  bytes_[dtoh] =
+      &registry_.counter("bytes_dtoh", "device-to-host bytes enqueued");
+  kernels_completed_ =
+      &registry_.counter("kernels_completed", "kernels fully retired");
+  blocks_placed_ =
+      &registry_.counter("blocks_placed", "thread blocks placed on SMXs");
+  queue_wait_[htod] =
+      &registry_.histogram("copy_queue_wait_htod_ns", wait_bounds(),
+                           "HtoD enqueue-to-service-begin wait (ns)");
+  queue_wait_[dtoh] =
+      &registry_.histogram("copy_queue_wait_dtoh_ns", wait_bounds(),
+                           "DtoH enqueue-to-service-begin wait (ns)");
+  queue_depth_series_[htod] = &registry_.series(
+      "copy_queue_depth_htod",
+      "HtoD engine queue depth incl. in-service transaction");
+  queue_depth_series_[dtoh] = &registry_.series(
+      "copy_queue_depth_dtoh",
+      "DtoH engine queue depth incl. in-service transaction");
+  resident_blocks_series_ = &registry_.series(
+      "resident_blocks", "device-wide resident thread blocks (cap 208 on K20)");
+  thread_occupancy_series_ = &registry_.series(
+      "thread_occupancy", "resident threads / device maximum, in [0,1]");
+  power_series_ = &registry_.series(
+      "power_watts", "instantaneous board power, piecewise constant");
   registry_.gauge("energy_joules", "energy integral over the whole run");
   // Fault-injection accounting (all zero without a fault plan; registered
   // unconditionally so the export schema never depends on the plan).
-  registry_.counter("faults_copy_stall", "injected copy-engine stalls");
-  registry_.counter("faults_copy_slowdown", "injected per-transfer slowdowns");
-  registry_.counter("faults_copy_throttle",
-                    "copies stretched by a power-cap throttle window");
-  registry_.counter("faults_launch_failure",
-                    "transient kernel-launch submission failures");
-  registry_.counter("faults_launch_abort",
-                    "launches abandoned after exhausting retries");
-  registry_.counter("faults_host_alloc",
-                    "injected pinned host-allocation failures");
-  registry_.counter("fault_penalty_ns",
-                    "total extra service time injected (ns)");
-  registry_.series("fault_events",
-                   "cumulative injected fault events over virtual time");
+  const auto fault = [this](gpu::ObservedFault kind) -> Counter*& {
+    return fault_counters_[static_cast<int>(kind)];
+  };
+  fault(gpu::ObservedFault::CopyStall) =
+      &registry_.counter("faults_copy_stall", "injected copy-engine stalls");
+  fault(gpu::ObservedFault::CopySlowdown) = &registry_.counter(
+      "faults_copy_slowdown", "injected per-transfer slowdowns");
+  fault(gpu::ObservedFault::CopyThrottle) = &registry_.counter(
+      "faults_copy_throttle", "copies stretched by a power-cap throttle window");
+  fault(gpu::ObservedFault::LaunchFailure) = &registry_.counter(
+      "faults_launch_failure", "transient kernel-launch submission failures");
+  fault(gpu::ObservedFault::LaunchAbort) = &registry_.counter(
+      "faults_launch_abort", "launches abandoned after exhausting retries");
+  fault(gpu::ObservedFault::HostAllocFailure) = &registry_.counter(
+      "faults_host_alloc", "injected pinned host-allocation failures");
+  fault_penalty_ = &registry_.counter("fault_penalty_ns",
+                                      "total extra service time injected (ns)");
+  fault_events_series_ = &registry_.series(
+      "fault_events", "cumulative injected fault events over virtual time");
 }
 
 void TelemetryObserver::on_op_submitted(TimeNs /*now*/, gpu::OpId /*op*/,
                                         gpu::StreamId /*stream*/,
                                         gpu::ObservedOp kind) {
   ++events_observed_;
-  switch (kind) {
-    case gpu::ObservedOp::Kernel:
-      registry_.counter("ops_submitted_kernel").add();
-      break;
-    case gpu::ObservedOp::Copy:
-      registry_.counter("ops_submitted_copy").add();
-      break;
-    case gpu::ObservedOp::Marker:
-      registry_.counter("ops_submitted_marker").add();
-      break;
-  }
+  ops_submitted_[static_cast<int>(kind)]->add();
 }
 
 void TelemetryObserver::on_op_completed(TimeNs /*now*/, gpu::OpId /*op*/,
                                         gpu::StreamId /*stream*/) {
   ++events_observed_;
-  registry_.counter("ops_completed").add();
+  ops_completed_->add();
 }
 
 void TelemetryObserver::on_copy_enqueued(TimeNs now, gpu::CopyDirection dir,
@@ -91,47 +103,38 @@ void TelemetryObserver::on_copy_enqueued(TimeNs now, gpu::CopyDirection dir,
                                          gpu::StreamId /*stream*/,
                                          std::int32_t /*app*/, Bytes bytes) {
   ++events_observed_;
-  const bool htod = dir == gpu::CopyDirection::HtoD;
-  registry_.counter(htod ? "copies_htod" : "copies_dtoh").add();
-  registry_.counter(htod ? "bytes_htod" : "bytes_dtoh").add(bytes);
+  const int d = static_cast<int>(dir);
+  copies_[d]->add();
+  bytes_[d]->add(bytes);
   enqueue_time_.emplace(op, now);
-  auto& depth = queue_depth_[static_cast<int>(dir)];
-  ++depth;
-  registry_.series(htod ? "copy_queue_depth_htod" : "copy_queue_depth_dtoh")
-      .sample(now, static_cast<double>(depth));
+  ++queue_depth_[d];
+  queue_depth_series_[d]->sample(now, static_cast<double>(queue_depth_[d]));
 }
 
 void TelemetryObserver::on_copy_served(TimeNs now, gpu::CopyDirection dir,
                                        gpu::OpId op, std::int32_t app,
                                        TimeNs begin, TimeNs end, Bytes bytes) {
   ++events_observed_;
-  const bool htod = dir == gpu::CopyDirection::HtoD;
+  const int d = static_cast<int>(dir);
   if (const auto it = enqueue_time_.find(op); it != enqueue_time_.end()) {
-    registry_
-        .histogram(htod ? "copy_queue_wait_htod_ns" : "copy_queue_wait_dtoh_ns",
-                   wait_bounds())
-        .record(static_cast<double>(begin - it->second));
+    queue_wait_[d]->record(static_cast<double>(begin - it->second));
     enqueue_time_.erase(it);
   }
-  auto& depth = queue_depth_[static_cast<int>(dir)];
-  --depth;
-  registry_.series(htod ? "copy_queue_depth_htod" : "copy_queue_depth_dtoh")
-      .sample(now, static_cast<double>(depth));
-  if (htod) htod_served_.push_back(CopyRec{app, begin, end, bytes});
+  --queue_depth_[d];
+  queue_depth_series_[d]->sample(now, static_cast<double>(queue_depth_[d]));
+  if (dir == gpu::CopyDirection::HtoD) {
+    htod_served_.push_back(CopyRec{app, begin, end, bytes});
+  }
 }
 
 void TelemetryObserver::on_blocks_placed(TimeNs now, gpu::OpId /*op*/,
                                          int /*smx*/, int count,
                                          const gpu::BlockDemand& demand) {
   ++events_observed_;
-  registry_.counter("blocks_placed").add(static_cast<std::uint64_t>(count));
+  blocks_placed_->add(static_cast<std::uint64_t>(count));
   resident_blocks_ += count;
   resident_threads_ += static_cast<std::int64_t>(count) * demand.threads;
-  registry_.series("resident_blocks")
-      .sample(now, static_cast<double>(resident_blocks_));
-  registry_.series("thread_occupancy")
-      .sample(now, static_cast<double>(resident_threads_) /
-                       spec_.max_resident_threads());
+  sample_occupancy(now);
 }
 
 void TelemetryObserver::on_blocks_released(TimeNs now, gpu::OpId /*op*/,
@@ -140,17 +143,20 @@ void TelemetryObserver::on_blocks_released(TimeNs now, gpu::OpId /*op*/,
   ++events_observed_;
   resident_blocks_ -= count;
   resident_threads_ -= static_cast<std::int64_t>(count) * demand.threads;
-  registry_.series("resident_blocks")
-      .sample(now, static_cast<double>(resident_blocks_));
-  registry_.series("thread_occupancy")
-      .sample(now, static_cast<double>(resident_threads_) /
-                       spec_.max_resident_threads());
+  sample_occupancy(now);
+}
+
+void TelemetryObserver::sample_occupancy(TimeNs now) {
+  resident_blocks_series_->sample(now, static_cast<double>(resident_blocks_));
+  thread_occupancy_series_->sample(
+      now, static_cast<double>(resident_threads_) /
+               spec_.max_resident_threads());
 }
 
 void TelemetryObserver::on_kernel_completed(TimeNs /*now*/,
                                             const gpu::KernelExec& /*exec*/) {
   ++events_observed_;
-  registry_.counter("kernels_completed").add();
+  kernels_completed_->add();
 }
 
 void TelemetryObserver::on_power_integrated(TimeNs now, Watts power,
@@ -158,8 +164,7 @@ void TelemetryObserver::on_power_integrated(TimeNs now, Watts power,
   ++events_observed_;
   // `power` was in effect over [power_segment_begin_, now]: sample it at the
   // segment *begin* so the series is the true piecewise-constant trajectory.
-  registry_.series("power_watts")
-      .sample(power_segment_begin_, static_cast<double>(power));
+  power_series_->sample(power_segment_begin_, static_cast<double>(power));
   energy_j_ += power * static_cast<double>(now - power_segment_begin_) * 1e-9;
   power_segment_begin_ = now;
 }
@@ -168,36 +173,18 @@ void TelemetryObserver::on_fault_injected(TimeNs now, gpu::ObservedFault kind,
                                           std::uint64_t /*key*/,
                                           DurationNs penalty) {
   ++events_observed_;
-  switch (kind) {
-    case gpu::ObservedFault::CopyStall:
-      registry_.counter("faults_copy_stall").add();
-      break;
-    case gpu::ObservedFault::CopySlowdown:
-      registry_.counter("faults_copy_slowdown").add();
-      break;
-    case gpu::ObservedFault::CopyThrottle:
-      registry_.counter("faults_copy_throttle").add();
-      break;
-    case gpu::ObservedFault::LaunchFailure:
-      registry_.counter("faults_launch_failure").add();
-      break;
-    case gpu::ObservedFault::LaunchAbort:
-      registry_.counter("faults_launch_abort").add();
-      break;
-    case gpu::ObservedFault::HostAllocFailure:
-      registry_.counter("faults_host_alloc").add();
-      break;
-    case gpu::ObservedFault::SdcCopyCorruption:
-      registry_.counter("faults_sdc_copy").add();
-      break;
-    case gpu::ObservedFault::SdcKernelCorruption:
-      registry_.counter("faults_sdc_kernel").add();
-      break;
+  Counter*& counter = fault_counters_[static_cast<int>(kind)];
+  if (counter == nullptr) {
+    // Only the SDC counters are left unregistered; the first SDC fault of
+    // each kind appends it to the export.
+    counter = &registry_.counter(kind == gpu::ObservedFault::SdcCopyCorruption
+                                     ? "faults_sdc_copy"
+                                     : "faults_sdc_kernel");
   }
-  registry_.counter("fault_penalty_ns").add(penalty);
+  counter->add();
+  fault_penalty_->add(penalty);
   ++fault_events_seen_;
-  registry_.series("fault_events")
-      .sample(now, static_cast<double>(fault_events_seen_));
+  fault_events_series_->sample(now, static_cast<double>(fault_events_seen_));
 }
 
 void TelemetryObserver::finalize() {

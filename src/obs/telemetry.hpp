@@ -50,6 +50,9 @@ struct AppAttribution {
 class TelemetryObserver final : public gpu::DeviceObserver {
  public:
   explicit TelemetryObserver(const gpu::DeviceSpec& spec);
+  // The instrument handles below point into registry_.
+  TelemetryObserver(const TelemetryObserver&) = delete;
+  TelemetryObserver& operator=(const TelemetryObserver&) = delete;
 
   // --- gpu::DeviceObserver -------------------------------------------------
   void on_op_submitted(TimeNs now, gpu::OpId op, gpu::StreamId stream,
@@ -83,6 +86,9 @@ class TelemetryObserver final : public gpu::DeviceObserver {
   std::uint64_t events_observed() const { return events_observed_; }
 
  private:
+  /// Samples the resident-block and thread-occupancy series at `now`.
+  void sample_occupancy(TimeNs now);
+
   struct CopyRec {
     std::int32_t app = -1;
     TimeNs begin = 0;
@@ -92,6 +98,28 @@ class TelemetryObserver final : public gpu::DeviceObserver {
 
   gpu::DeviceSpec spec_;
   MetricsRegistry registry_;
+
+  // Instruments resolved once in the constructor, so no callback looks a
+  // name up (the registry's deque keeps the references stable). Per-kind
+  // and per-direction arrays are indexed by ObservedOp / CopyDirection.
+  Counter* ops_submitted_[3] = {};
+  Counter* ops_completed_ = nullptr;
+  Counter* copies_[2] = {};
+  Counter* bytes_[2] = {};
+  Counter* kernels_completed_ = nullptr;
+  Counter* blocks_placed_ = nullptr;
+  Histogram* queue_wait_[2] = {};
+  Series* queue_depth_series_[2] = {};
+  Series* resident_blocks_series_ = nullptr;
+  Series* thread_occupancy_series_ = nullptr;
+  Series* power_series_ = nullptr;
+  /// Indexed by ObservedFault. The two SDC counters stay null until the
+  /// first SDC fault registers them, so their export position depends on
+  /// the run and runs without one never list them.
+  Counter* fault_counters_[gpu::kNumObservedFaults] = {};
+  Counter* fault_penalty_ = nullptr;
+  Series* fault_events_series_ = nullptr;
+
   std::uint64_t events_observed_ = 0;
   std::uint64_t fault_events_seen_ = 0;
   bool finalized_ = false;

@@ -13,10 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/units.hpp"
+#include "fault/fault.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "fleet/telemetry.hpp"
+#include "rodinia/registry.hpp"
 #include "tests/common/json_check.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 
@@ -321,6 +324,70 @@ TEST(FleetObsTest, SnapshotsAreClampedDeterministicJsonLines) {
   EXPECT_EQ(line_count, snaps.size());
 
   EXPECT_ANY_THROW(sample_fleet_snapshots(result, 0));
+}
+
+/// Small chaos fleet for the export golden: four devices running the
+/// rodinia gaussian/needle mix with a crash, a flap and a kernel-SDC plan,
+/// stealing, failover, hedging and spot checks on. Exercises every
+/// TelemetryObserver callback and every rollup merge rule in ~20 ms of
+/// simulated time.
+FleetConfig export_golden_config() {
+  FleetConfig config;
+  rodinia::AppParams params;
+  params.size = 64;
+  config.base.classes.push_back({rodinia::make_app("gaussian", params), 0});
+  config.base.classes.push_back({rodinia::make_app("needle", params), 0});
+  config.base.window = 20 * kMillisecond;
+  config.base.mean_interarrival = 60 * kMicrosecond;
+  config.base.num_streams = 4;
+  config.base.max_inflight = 3;
+  config.base.queue_cap = 24;
+  config.base.deadline = 4 * kMillisecond;
+  config.base.seed = 1;
+  config.base.collect_metrics = true;
+  config.resize_homogeneous(4);
+  config.placement = PlacementPolicy::LeastLoaded;
+  config.work_stealing = true;
+  config.failover_budget = 2;
+  config.hedging = true;
+  config.integrity = IntegrityPolicy::SpotCheck;
+  config.spotcheck_rate = 0.25;
+  for (const char* text :
+       {"crash-at-us=12000,seed=3",
+        "flap-period-us=4000,flap-down-us=1000,flap-jitter=0.5,seed=5",
+        "sdc-kernel-rate=0.2,seed=7", "disabled"}) {
+    std::string error;
+    const auto plan = fault::parse_fault_plan(text, &error);
+    EXPECT_TRUE(plan.has_value()) << text << ": " << error;
+    config.device_fault_plans.push_back(plan.value_or(fault::FaultPlan{}));
+  }
+  return config;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  Fnv1a64 h;
+  for (const char c : bytes) h.mix_byte(static_cast<std::uint8_t>(c));
+  return h.value();
+}
+
+// Export goldens: the FNV-1a of the fleet Prometheus text and of the fleet
+// metrics JSON for the chaos scenario above. Any change to the telemetry
+// observer or the rollup merge that moves a single export byte fails here.
+constexpr std::uint64_t kPinnedChaosPrometheusFnv = 0xa6cebfab3dda77faULL;
+constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0x919393c1fbf06a7aULL;
+
+TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {
+  const FleetResult result = FleetService(export_golden_config()).run();
+  ASSERT_GT(result.report.failed_over, 0u);
+  ASSERT_GT(result.report.sdc_injected, 0u);
+  const std::string prom = fleet_prometheus_text(result);
+  const std::string json = fleet_metrics_json(result);
+  EXPECT_NE(prom.find("hq_device_sdc_injected{device=\"2\"}"),
+            std::string::npos);
+  EXPECT_EQ(fnv1a(prom), kPinnedChaosPrometheusFnv)
+      << std::hex << "fleet Prometheus bytes moved: 0x" << fnv1a(prom);
+  EXPECT_EQ(fnv1a(json), kPinnedChaosMetricsJsonFnv)
+      << std::hex << "fleet metrics JSON bytes moved: 0x" << fnv1a(json);
 }
 
 TEST(FleetObsTest, ExportsRequireMetricsCollection) {

@@ -1,15 +1,21 @@
 // FleetRollup semantics: per-metric merge rules (counter/gauge/histogram/
 // series), merge-order independence of every export byte, series_value_at,
-// and the export shape for edge cases (no devices, never-recorded
-// histograms).
+// the export shape for edge cases (no devices, never-recorded histograms),
+// and a differential test of the linear series merge against the original
+// sort-and-binary-search merge.
 #include "obs/rollup.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "obs/report.hpp"
 #include "tests/common/json_check.hpp"
 
@@ -131,6 +137,160 @@ TEST(FleetRollupTest, NoDevicesStillRendersWellFormedJson) {
   EXPECT_TRUE(hq::testing::json_well_formed(json)) << json;
   const std::string prom = fleet_prometheus_text(rollup);
   EXPECT_NE(prom.find("hq_fleet_only 7\n"), std::string::npos) << prom;
+}
+
+// ------------------------------------------------- differential series merge
+
+/// The series merge as originally written: every event time of every
+/// source, sorted and de-duplicated, then a binary search per source at each
+/// time, summed in source order from 0.0. The oracle for FleetRollup's
+/// linear sweep, which must match it bit for bit.
+Series reference_merge(const std::vector<const Series*>& sources) {
+  std::vector<TimeNs> times;
+  for (const Series* s : sources) {
+    for (const Series::Point& p : s->points()) times.push_back(p.time);
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  Series out;
+  for (const TimeNs t : times) {
+    double sum = 0.0;
+    for (const Series* s : sources) sum += series_value_at(*s, t);
+    out.sample(t, sum);
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Seeded random device registry: each of three series is present with
+/// probability 3/4, sampled on a coarse time grid (so devices share and
+/// coincide on timestamps, and one device may sample an instant twice) with
+/// small signed steps and non-dyadic values (so summation order shows in
+/// the rounding). A counter rides along so the merge interleaves kinds.
+std::shared_ptr<MetricsRegistry> random_registry(Rng& rng) {
+  auto reg = std::make_shared<MetricsRegistry>();
+  reg->counter("events", "events seen").add(rng.next_below(100));
+  for (const char* name : {"depth", "power", "occupancy"}) {
+    if (rng.next_below(4) == 0) continue;  // this device lacks the metric
+    Series& s = reg->series(name, std::string(name) + " help");
+    const std::uint64_t samples = rng.next_below(30);
+    TimeNs t = static_cast<TimeNs>(rng.next_below(5)) * 10;
+    double v = 0.0;
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      switch (rng.next_below(4)) {
+        case 0: v += 1.0; break;
+        case 1: v -= 1.0; break;  // negative steps, dips below zero
+        case 2: v = static_cast<double>(rng.next_in(-3, 3)) * 0.1; break;
+        default: v = rng.next_double_in(-2.0, 5.0); break;
+      }
+      s.sample(t, v);
+      t += static_cast<TimeNs>(rng.next_below(3)) * 10;  // 0: same instant
+    }
+  }
+  return reg;
+}
+
+/// Checks merged() and the Prometheus text of `rollup` against the oracle.
+void expect_matches_reference(const FleetRollup& rollup) {
+  // Metric names in first-encounter order over ascending device ids, and
+  // each name's sources in that order.
+  std::vector<std::string> names;
+  for (const FleetRollup::DeviceEntry& d : rollup.devices()) {
+    d.registry->for_each([&](const MetricsRegistry::Entry& e) {
+      if (std::find(names.begin(), names.end(), e.name) == names.end()) {
+        names.push_back(e.name);
+      }
+    });
+  }
+
+  const MetricsRegistry merged = rollup.merged();
+  ASSERT_EQ(merged.size(), names.size());
+  MetricsRegistry reference;  // merged metrics under their exported names
+  for (const std::string& name : names) {
+    const MetricsRegistry::Entry* got = merged.find(name);
+    ASSERT_NE(got, nullptr) << name;
+    if (got->kind != MetricKind::Series) {
+      std::uint64_t total = 0;
+      for (const FleetRollup::DeviceEntry& d : rollup.devices()) {
+        total += std::get<Counter>(d.registry->find(name)->metric).value();
+      }
+      EXPECT_EQ(std::get<Counter>(got->metric).value(), total);
+      reference.counter("fleet_" + name, got->help).add(total);
+      continue;
+    }
+    std::vector<const Series*> sources;
+    for (const FleetRollup::DeviceEntry& d : rollup.devices()) {
+      if (const auto* e = d.registry->find(name)) {
+        sources.push_back(&std::get<Series>(e->metric));
+      }
+    }
+    const Series want = reference_merge(sources);
+    const Series& have = std::get<Series>(got->metric);
+    ASSERT_EQ(have.points().size(), want.points().size()) << name;
+    for (std::size_t i = 0; i < want.points().size(); ++i) {
+      EXPECT_EQ(have.points()[i].time, want.points()[i].time) << name << i;
+      EXPECT_EQ(bits(have.points()[i].value), bits(want.points()[i].value))
+          << name << " point " << i;
+    }
+    EXPECT_EQ(bits(have.last()), bits(want.last())) << name;
+    EXPECT_EQ(bits(have.peak()), bits(want.peak())) << name;
+
+    Series& ref = reference.series("fleet_" + name, got->help);
+    for (const Series::Point& p : want.points()) ref.sample(p.time, p.value);
+  }
+
+  // The merged section closes the Prometheus text (the fleet-scope
+  // registry is empty here) and must equal the oracle's rendering.
+  const std::string prom = fleet_prometheus_text(rollup);
+  const std::string tail = prometheus_text(reference);
+  ASSERT_GE(prom.size(), tail.size());
+  EXPECT_EQ(prom.substr(prom.size() - tail.size()), tail);
+}
+
+TEST(FleetRollupDifferentialTest, LinearMergeMatchesReferenceBitForBit) {
+  for (std::size_t devices = 0; devices <= 9; ++devices) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("devices " + std::to_string(devices) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 1000 + devices);
+      // Sparse, shuffled ids: summation must follow ascending id, not
+      // registration order.
+      std::vector<int> ids;
+      for (std::size_t d = 0; d < devices; ++d) {
+        ids.push_back(static_cast<int>(d * 3 + rng.next_below(3)));
+      }
+      rng.shuffle(ids);
+      FleetRollup rollup;
+      for (const int id : ids) {
+        rollup.add_device(id, "dev" + std::to_string(id), random_registry(rng));
+      }
+      expect_matches_reference(rollup);
+    }
+  }
+}
+
+TEST(FleetRollupDifferentialTest, OffsettingStepsDropTheMergedPoint) {
+  // Device 0 steps up exactly when device 1 steps down: the fleet sum never
+  // changes after t=0, so the merged series keeps a single point.
+  auto a = std::make_shared<MetricsRegistry>();
+  auto b = std::make_shared<MetricsRegistry>();
+  Series& sa = a->series("depth");
+  Series& sb = b->series("depth");
+  for (TimeNs t = 0; t < 100; t += 10) {
+    const bool up = (t / 10) % 2 == 1;
+    sa.sample(t, up ? 1.0 : 0.0);
+    sb.sample(t, up ? 0.0 : 1.0);
+  }
+  FleetRollup rollup;
+  rollup.add_device(0, "a", a);
+  rollup.add_device(1, "b", b);
+  const MetricsRegistry merged = rollup.merged();
+  const Series& depth = std::get<Series>(merged.find("depth")->metric);
+  ASSERT_EQ(depth.points().size(), 1u);
+  EXPECT_EQ(depth.points()[0].time, 0);
+  EXPECT_EQ(depth.points()[0].value, 1.0);
+  expect_matches_reference(rollup);
 }
 
 }  // namespace

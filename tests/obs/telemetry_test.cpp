@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/hash.hpp"
+#include "fault/fault.hpp"
 #include "gpusim/device.hpp"
 #include "hyperq/harness.hpp"
+#include "obs/report.hpp"
 #include "rodinia/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
@@ -221,6 +226,89 @@ TEST(TelemetryTest, TelemetryOffLeavesResultEmpty) {
     EXPECT_EQ(m.htod_interleave_count, 0u);
     EXPECT_EQ(m.htod_interleave_bytes, 0u);
   }
+}
+
+/// Registration index of `name` in the registry's export order; -1 when
+/// the name was never registered.
+int export_position(const MetricsRegistry& reg, std::string_view name) {
+  int index = 0;
+  int found = -1;
+  reg.for_each([&](const MetricsRegistry::Entry& e) {
+    if (e.name == name) found = index;
+    ++index;
+  });
+  return found;
+}
+
+TEST(TelemetryTest, SdcCountersRegisterLazilyAfterFaultEvents) {
+  TelemetryObserver t = make_observer();
+  t.on_fault_injected(10, gpu::ObservedFault::CopyStall, 1, 100);
+  // No SDC fault yet: neither SDC counter exists in the export.
+  EXPECT_EQ(t.registry().find("faults_sdc_copy"), nullptr);
+  EXPECT_EQ(t.registry().find("faults_sdc_kernel"), nullptr);
+
+  // Each SDC counter appears on its first fault, in first-fault order,
+  // after every constructor-registered metric (fault_events is the last).
+  const int fault_events = export_position(t.registry(), "fault_events");
+  ASSERT_EQ(fault_events, static_cast<int>(t.registry().size()) - 1);
+  t.on_fault_injected(20, gpu::ObservedFault::SdcKernelCorruption, 2, 0);
+  t.on_fault_injected(30, gpu::ObservedFault::SdcCopyCorruption, 3, 0);
+  t.on_fault_injected(40, gpu::ObservedFault::SdcKernelCorruption, 4, 0);
+  EXPECT_EQ(export_position(t.registry(), "faults_sdc_kernel"),
+            fault_events + 1);
+  EXPECT_EQ(export_position(t.registry(), "faults_sdc_copy"),
+            fault_events + 2);
+  EXPECT_EQ(
+      std::get<Counter>(t.registry().find("faults_sdc_kernel")->metric).value(),
+      2u);
+  EXPECT_EQ(
+      std::get<Counter>(t.registry().find("faults_sdc_copy")->metric).value(),
+      1u);
+  EXPECT_EQ(series_of(t, "fault_events").last(), 4.0);
+}
+
+TEST(TelemetryTest, HarnessRunWithoutSdcHasNoSdcCounters) {
+  fw::HarnessConfig config;
+  config.num_streams = 2;
+  config.collect_telemetry = true;
+  rodinia::AppParams small;
+  small.size = 64;
+  const auto result = fw::Harness(config).run(
+      {rodinia::make_app("gaussian", small), rodinia::make_app("needle", small)});
+  ASSERT_NE(result.telemetry, nullptr);
+  EXPECT_EQ(result.telemetry->registry().find("faults_sdc_copy"), nullptr);
+  EXPECT_EQ(result.telemetry->registry().find("faults_sdc_kernel"), nullptr);
+}
+
+// Export golden: FNV-1a of the `hqrun --metrics` JSON for one telemetry run
+// with copy and launch faults injected. Pins every byte the observer writes.
+constexpr std::uint64_t kPinnedHarnessMetricsJsonFnv = 0xdefc4de7f601373dULL;
+
+TEST(TelemetryTest, HarnessMetricsJsonIsPinnedByteForByte) {
+  fw::HarnessConfig config;
+  config.num_streams = 4;
+  config.collect_telemetry = true;
+  std::string error;
+  const auto plan = fault::parse_fault_plan(
+      "copy-stall-rate=0.2,copy-stall-us=50,launch-fail-rate=0.2,seed=3",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  config.fault_plan = *plan;
+  rodinia::AppParams small;
+  small.size = 64;
+  const auto result = fw::Harness(config).run(
+      {rodinia::make_app("gaussian", small), rodinia::make_app("needle", small),
+       rodinia::make_app("gaussian", small),
+       rodinia::make_app("needle", small)});
+  ASSERT_NE(result.telemetry, nullptr);
+  ASSERT_GT(result.degraded.stats.total(), 0u);
+  const std::string json = metrics_json(
+      fw::telemetry_run_info(config, result, "gaussian+needle", "naive-fifo"),
+      result.telemetry->registry(), fw::telemetry_app_reports(result));
+  Fnv1a64 h;
+  for (const char c : json) h.mix_byte(static_cast<std::uint8_t>(c));
+  EXPECT_EQ(h.value(), kPinnedHarnessMetricsJsonFnv)
+      << std::hex << "harness metrics JSON bytes moved: 0x" << h.value();
 }
 
 // ------------------------------------------------------- zero perturbation

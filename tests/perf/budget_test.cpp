@@ -21,26 +21,21 @@
 #include "bench/common.hpp"
 #include "trace/trace.hpp"
 
+// Counting global allocator. Counts every successful allocation; the test
+// reads deltas around the measured region (single-threaded, so the deltas
+// are exact).
+//
+// Every replaced operator new and operator delete goes through one
+// out-of-line allocate/free pair. GCC's -Wmismatched-new-delete fires when
+// it can see a replaced operator delete hand new'd memory to std::free after
+// inlining; with a single noinline pair it never sees either side.
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_allocated_bytes{0};
 
-}  // namespace
-
-// Counting global allocator. Counts every successful allocation; the test
-// reads deltas around the measured region (single-threaded, so the deltas
-// are exact).
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc{};
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  void* p = std::malloc(size);
+[[gnu::noinline]] void* counted_alloc(std::size_t size) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
   if (p != nullptr) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
@@ -48,14 +43,35 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+void* counted_alloc_or_throw(std::size_t size) {
+  void* p = counted_alloc(size);
+  if (p == nullptr) throw std::bad_alloc{};
+  return p;
 }
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace hq {
 namespace {

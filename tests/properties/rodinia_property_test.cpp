@@ -4,6 +4,8 @@
 // read-back) in both serialized and concurrent configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "hyperq/harness.hpp"
@@ -19,23 +21,6 @@ struct FunctionalCase {
 };
 
 class RodiniaFunctional : public ::testing::TestWithParam<FunctionalCase> {};
-
-TEST_P(RodiniaFunctional, VerifiesSerialized) {
-  const FunctionalCase c = GetParam();
-  fw::HarnessConfig config;
-  config.functional = true;
-  config.num_streams = 1;
-  config.monitor_power = false;
-
-  AppParams params;
-  params.size = c.size;
-  params.seed = c.seed;
-  if (std::string(c.app) == "srad") params.iterations = 3;
-
-  fw::Harness harness(config);
-  const auto result = harness.run({make_app(c.app, params)});
-  EXPECT_TRUE(result.all_verified) << c.app << " size=" << c.size;
-}
 
 TEST_P(RodiniaFunctional, VerifiesConcurrentWithSelf) {
   // Two instances of the same app running concurrently must both verify:
@@ -105,6 +90,54 @@ INSTANTIATE_TEST_SUITE_P(SyncModes, MixedFunctional, ::testing::Bool(),
                          [](const auto& param_info) {
                            return param_info.param ? "memsync" : "default";
                          });
+
+// The serialized sweep runs the same matrix under a parameter type that
+// prints by value. A plain struct prints as its raw bytes, which hold the
+// address of `app`; that address moves with ASLR, and the printed parameter
+// is part of every ctest test name.
+struct SerializedCase : FunctionalCase {};
+
+void PrintTo(const SerializedCase& c, std::ostream* os) {
+  *os << c.app << " size=" << c.size << " seed=" << c.seed;
+}
+
+class RodiniaSerialized : public ::testing::TestWithParam<SerializedCase> {};
+
+TEST_P(RodiniaSerialized, Verifies) {
+  const FunctionalCase c = GetParam();
+  fw::HarnessConfig config;
+  config.functional = true;
+  config.num_streams = 1;
+  config.monitor_power = false;
+
+  AppParams params;
+  params.size = c.size;
+  params.seed = c.seed;
+  if (std::string(c.app) == "srad") params.iterations = 3;
+
+  fw::Harness harness(config);
+  const auto result = harness.run({make_app(c.app, params)});
+  EXPECT_TRUE(result.all_verified) << c.app << " size=" << c.size;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizeSeedSweep, RodiniaSerialized,
+    ::testing::Values(SerializedCase{{"gaussian", 16, 1}},
+                      SerializedCase{{"gaussian", 40, 2}},
+                      SerializedCase{{"gaussian", 96, 3}},
+                      SerializedCase{{"nn", 128, 4}},
+                      SerializedCase{{"nn", 1001, 5}},
+                      SerializedCase{{"nn", 4096, 6}},
+                      SerializedCase{{"needle", 32, 7}},
+                      SerializedCase{{"needle", 64, 8}},
+                      SerializedCase{{"needle", 160, 9}},
+                      SerializedCase{{"srad", 16, 10}},
+                      SerializedCase{{"srad", 32, 11}},
+                      SerializedCase{{"srad", 64, 12}}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.app) + "_" +
+             std::to_string(param_info.param.size);
+    });
 
 }  // namespace
 }  // namespace hq::rodinia
