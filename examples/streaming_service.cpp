@@ -6,23 +6,24 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "hyperq/streaming.hpp"
 #include "rodinia/registry.hpp"
+#include "serve/service.hpp"
 
 int main() {
   using namespace hq;
 
-  fw::StreamingHarness::Config base;
+  serve::ServiceConfig base;
   base.window = 100 * kMillisecond;
   base.mean_interarrival = 150 * kMicrosecond;
+  base.collect_metrics = false;
   rodinia::AppParams small = {256, 4, 1};
   rodinia::AppParams nn_params;
   nn_params.size = 20000;
-  base.mix = {
-      rodinia::make_app("nn", nn_params),
-      rodinia::make_app("needle", small),
-      rodinia::make_app("srad", small),
-      rodinia::make_app("hotspot", small),
+  base.classes = {
+      {rodinia::make_app("nn", nn_params), 0},
+      {rodinia::make_app("needle", small), 0},
+      {rodinia::make_app("srad", small), 0},
+      {rodinia::make_app("hotspot", small), 0},
   };
 
   TextTable table;
@@ -31,12 +32,12 @@ int main() {
   for (int ns : {1, 2, 4, 8, 16, 32}) {
     auto config = base;
     config.num_streams = ns;
-    const auto r = fw::StreamingHarness(config).run();
+    const serve::ServeReport r = serve::Service(config).run().report;
     table.add_row({std::to_string(ns), std::to_string(r.completed),
                    format_fixed(r.throughput_per_sec, 0),
                    format_duration(r.mean_turnaround),
                    format_duration(r.p95_turnaround),
-                   format_fixed(r.energy_per_task * 1000.0, 1) + " mJ"});
+                   format_fixed(r.energy_per_completed * 1000.0, 1) + " mJ"});
   }
   std::printf("streaming GPU service: Poisson arrivals (mean gap 150 us), "
               "mix = {nn, needle, srad, hotspot}\n\n%s\n",

@@ -11,7 +11,6 @@
 #include "exec/parallel.hpp"
 #include "fleet/telemetry.hpp"
 #include "serve/report.hpp"
-#include "serve/streaming.hpp"
 #include "trace/trace.hpp"
 
 namespace hq::check {
@@ -319,34 +318,6 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
     }
   }
 
-  // --- single-device equivalence ---------------------------------------------
-  // A 1-device fleet with every fleet-only feature off must emit a device-0
-  // report byte-identical to the single-device Service.
-  fleet::FleetConfig single;
-  single.base = c.config.base;
-  const auto single_run = run_with(single, "fleet-single");
-  if (single_run) {
-    try {
-      const serve::ServeResult plain = serve::Service(c.config.base).run();
-      const std::string fleet_json =
-          serve::report_json(single_run->report.devices[0].report);
-      const std::string serve_json = serve::report_json(plain.report);
-      if (fleet_json != serve_json) {
-        std::ostringstream os;
-        os << "fleet equivalence: 1-device fleet report diverges from the "
-           << "single-device Service (digests "
-           << serve::report_digest(single_run->report.devices[0].report)
-           << " vs " << serve::report_digest(plain.report) << ")";
-        fail(os);
-      }
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << "fleet equivalence: single-device Service run failed: "
-         << e.what();
-      fail(os);
-    }
-  }
-
   // --- placement permutation safety under injected faults --------------------
   // Every policy must preserve conservation even with a transient fault
   // plan and the device health breaker quarantining/rebalancing devices.
@@ -368,8 +339,12 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
   // Queueing noise can make a bigger fleet complete marginally less at a
   // fixed load, so a violation flags the case for inspection instead of
   // failing it.
-  if (c.config.num_devices() > 1 && single_run && summary_out != nullptr) {
-    if (fleet1->report.completed < single_run->report.completed) {
+  if (c.config.num_devices() > 1 && summary_out != nullptr) {
+    fleet::FleetConfig single;
+    single.base = c.config.base;
+    const auto single_run = run_with(single, "fleet-single");
+    if (single_run &&
+        fleet1->report.completed < single_run->report.completed) {
       std::ostringstream os;
       os << *summary_out << " [flag: n=" << c.config.num_devices()
          << " fleet completed " << fleet1->report.completed
@@ -857,7 +832,9 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
     }
   }
 
-  // --- legacy equivalence: features off + zero-rate plan == StreamingHarness -
+  // --- zero perturbation: features off, zero-rate plan == no plan ---------
+  // With every overload feature off, attaching a zero-rate fault plan and
+  // the metrics registry must leave the schedule untouched.
   serve::ServiceConfig bare = c.config;
   bare.queue_cap = 0;
   bare.max_inflight = 0;
@@ -867,35 +844,23 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   bare.controller = {};
   bare.breaker_enabled = false;
   bare.fault_plan = fault::FaultPlan::zero();
+  bare.collect_metrics = true;
+  serve::ServiceConfig plain = bare;
+  plain.fault_plan = {};
+  plain.collect_metrics = false;
   const auto bare_run = run_with(bare, "serve-bare");
-  if (bare_run) {
-    fw::StreamingHarness::Config legacy;
-    legacy.device = c.config.device;
-    legacy.num_streams = c.config.num_streams;
-    legacy.window = c.config.window;
-    legacy.mean_interarrival = c.config.mean_interarrival;
-    legacy.seed = c.config.seed;
-    for (const serve::ClassSpec& klass : c.config.classes) {
-      legacy.mix.push_back(klass.item);
-    }
-    try {
-      const fw::StreamingHarness::Result plain =
-          fw::StreamingHarness(legacy).run();
-      if (plain.trace_digest != bare_run->report.trace_digest ||
-          plain.admitted != static_cast<int>(bare_run->report.arrived)) {
-        std::ostringstream os;
-        os << "serve equivalence: bare service with a zero-rate plan "
-           << "diverges from StreamingHarness (digests "
-           << bare_run->report.trace_digest << " vs " << plain.trace_digest
-           << ", admitted " << bare_run->report.arrived << " vs "
-           << plain.admitted << ")";
-        fail(os);
-      }
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << "serve equivalence: StreamingHarness run failed: " << e.what();
-      fail(os);
-    }
+  const auto plain_run = run_with(plain, "serve-plain");
+  if (bare_run && plain_run &&
+      (bare_run->report.trace_digest != plain_run->report.trace_digest ||
+       bare_run->report.arrived != plain_run->report.arrived)) {
+    std::ostringstream os;
+    os << "serve zero-perturbation: bare service with a zero-rate plan "
+       << "diverges from the plan-free run (digests "
+       << bare_run->report.trace_digest << " vs "
+       << plain_run->report.trace_digest << ", arrived "
+       << bare_run->report.arrived << " vs " << plain_run->report.arrived
+       << ")";
+    fail(os);
   }
 
   return problems;

@@ -77,9 +77,9 @@ FuzzCase generate_case(std::uint64_t case_seed);
 ///   - Deadline monotonicity: with expiry off and drop-tail shedding,
 ///     deadlines are pure accounting — tightening one never increases
 ///     goodput and never perturbs the trace digest.
-///   - Legacy equivalence: with every overload feature off and a zero-rate
-///     fault plan attached, the service reproduces the plain
-///     StreamingHarness trace digest exactly.
+///   - Zero perturbation: with every overload feature off, attaching a
+///     zero-rate fault plan and the metrics registry leaves the trace
+///     digest and the arrivals unchanged.
 struct ServeFuzzCase {
   std::uint64_t seed = 0;
   serve::ServiceConfig config;
@@ -97,9 +97,6 @@ ServeFuzzCase generate_serve_case(std::uint64_t case_seed);
 ///
 ///   - Determinism: the same config twice yields a byte-identical
 ///     FleetReport (JSON and digest).
-///   - Single-device equivalence: a 1-device fleet with every fleet-only
-///     feature off emits a device-0 ServeReport byte-identical to the
-///     single-device Service for the same base config.
 ///   - Conservation: fleet arrivals equal the sum of every terminal state
 ///     (including the fleet-only shed_no_device), and per-device arrivals
 ///     plus shed_no_device reproduce the fleet total.

@@ -1,6 +1,6 @@
 // Serving-layer accounting invariants (library hq_check).
 //
-// The serving Service (src/serve) classifies every arrival into exactly one
+// The serving engine (src/fleet) classifies every arrival into exactly one
 // terminal state. Two properties must hold for any configuration, fault
 // plan, and seed:
 //
@@ -24,7 +24,7 @@
 
 namespace hq::check {
 
-/// Final job accounting of one serving run (filled by serve::Service).
+/// Final job accounting of one serving device (filled per fleet device).
 struct ServeAccounting {
   std::uint64_t arrived = 0;
   std::uint64_t completed_ok = 0;

@@ -163,8 +163,13 @@ bool FaultPlan::any_faults() const {
 
 bool FaultPlan::any_lifecycle() const {
   if (!enabled) return false;
-  return crash_at > 0 || (flap_period > 0 && flap_down > 0) ||
+  return any_down_transitions() ||
          (degrade_at > 0 && degrade_copy_factor > 1.0);
+}
+
+bool FaultPlan::any_down_transitions() const {
+  if (!enabled) return false;
+  return crash_at > 0 || (flap_period > 0 && flap_down > 0);
 }
 
 bool FaultPlan::any_sdc() const {

@@ -122,9 +122,12 @@ struct FaultPlan {
   /// True when any fault can actually fire.
   bool any_faults() const;
   /// True when a device-lifecycle fault (crash, flap, or sustained
-  /// degradation) is configured; the fleet layer schedules down/up
-  /// transitions for such plans.
+  /// degradation) is configured.
   bool any_lifecycle() const;
+  /// True when a crash or flap fault can take the device down; the fleet
+  /// layer schedules down/up transitions for such plans and fails their
+  /// work over to surviving devices.
+  bool any_down_transitions() const;
   /// True when silent-data-corruption faults are configured; the fleet
   /// integrity pipeline draws per-result corruption for such plans.
   bool any_sdc() const;

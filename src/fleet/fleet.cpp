@@ -108,10 +108,9 @@ class CopyDepthTracker final : public gpu::DeviceObserver {
 };
 
 /// The fault plan device `index` actually runs: device_fault_plans[index]
-/// verbatim when per-device plans are configured; otherwise the legacy
-/// scheme — the base plan with its seed offset by the device index (fault
-/// decorrelation). Device 0 uses the base plan verbatim so a 1-device
-/// fleet is byte-identical to the single-device Service.
+/// verbatim when per-device plans are configured; otherwise the base plan
+/// with its seed offset by the device index (fault decorrelation), so
+/// device 0 runs the base plan verbatim.
 fault::FaultPlan effective_fault_plan(const FleetConfig& cfg,
                                       std::size_t index) {
   if (!cfg.device_fault_plans.empty()) return cfg.device_fault_plans[index];
@@ -132,12 +131,10 @@ std::unique_ptr<fault::FaultInjector> make_injector(const FleetConfig& cfg,
 /// path and needs no transition events).
 std::unique_ptr<fault::DeviceLifecycle> make_lifecycle(
     const fault::FaultInjector* injector) {
-  if (injector == nullptr) return nullptr;
-  const fault::FaultPlan& plan = injector->plan();
-  if (plan.crash_at <= 0 && !(plan.flap_period > 0 && plan.flap_down > 0)) {
+  if (injector == nullptr || !injector->plan().any_down_transitions()) {
     return nullptr;
   }
-  return std::make_unique<fault::DeviceLifecycle>(plan);
+  return std::make_unique<fault::DeviceLifecycle>(injector->plan());
 }
 
 rt::RuntimeOptions make_rt_options(const serve::ServiceConfig& base,
@@ -163,8 +160,8 @@ std::vector<std::unique_ptr<fault::CircuitBreaker>> make_breakers(
 
 }  // namespace
 
-/// One device's serving engine: a faithful replica of serve::Service's
-/// per-run components. Shards live in a deque so addresses stay stable.
+/// One device's serving engine. Shards live in a deque so addresses stay
+/// stable.
 struct FleetService::Shard {
   std::size_t index;
   std::unique_ptr<fault::FaultInjector> injector;
@@ -383,8 +380,8 @@ struct FleetService::RunState {
     }
   }
 
-  /// Samples this shard's queue-depth/inflight series (mirrors
-  /// serve::Service::sample_depths; no-ops when metrics are off).
+  /// Samples this shard's queue-depth/inflight series (no-ops when metrics
+  /// are off).
   void sample_depths(Shard& s) {
     if (s.queue_depth_series != nullptr) {
       s.queue_depth_series->sample(sim->now(),
@@ -1025,9 +1022,6 @@ struct FleetService::RunState {
     (*owners)[static_cast<std::size_t>(job_id)] = static_cast<int>(s.index);
     trace_job(job_id, serve::JobEventKind::Placed, static_cast<int>(s.index));
 
-    // From here the flow mirrors serve::Service::on_arrival exactly (the
-    // 1-device equivalence contract), with the device health gate added
-    // before a fast-path dispatch.
     fault::CircuitBreaker* breaker = s.breaker_for(klass);
     if (breaker != nullptr && !breaker->allow(now)) {
       job.state = serve::JobState::ShedBreaker;
@@ -1036,6 +1030,8 @@ struct FleetService::RunState {
       return;
     }
 
+    // Fast path: empty queue with dispatch and capacity headroom, behind
+    // the device health gate.
     if (s.queue.empty() && can_dispatch(s) &&
         (config->base.queue_cap == 0 ||
          s.inflight < config->base.queue_cap) &&
@@ -1124,14 +1120,17 @@ sim::Task FleetService::job_lifecycle(RunState* st,
   fw::Kernel& app = *attempt.app;
   fw::Context& ctx = attempt.context;
 
-  // The body below mirrors serve::Service::job_lifecycle verbatim, against
-  // this shard's runtime/lock/recorder (the 1-device equivalence contract).
-  // Outcomes are attempt-local until the end: only the winning attempt of a
-  // job (still viable, job still inflight) applies them; cancelled attempts
-  // drain as zombies and discard theirs.
+  // Setup is host-side and instantaneous in virtual time. Under fault
+  // injection a pinned allocation can exhaust its bounded retries; the
+  // attempt is then quarantined and the device keeps serving. Outcomes are
+  // attempt-local until the end: only the winning attempt of a job (still
+  // viable, job still inflight) applies them; cancelled attempts drain as
+  // zombies and discard theirs.
   bool alloc_failed = false;
   bool quarantined = false;
   std::string quarantine_reason;
+  // Timing-only jobs never read their host buffers, so skip the (often
+  // RNG-heavy) host initialization exactly as the batch harness does.
   const bool init_host = st->config->base.functional;
   if (s.injector == nullptr) {
     app.allocateHostMemory(ctx);
@@ -1174,9 +1173,13 @@ sim::Task FleetService::job_lifecycle(RunState* st,
     co_await app.transferMemory(ctx, fw::Direction::DeviceToHost);
   }
 
+  // Frees mirror the harness: tracked buffers only, so partially allocated
+  // (quarantined) attempts release exactly what they acquired.
   app.freeHostMemory(ctx);
   app.freeDeviceMemory(ctx);
 
+  // A launch that exhausted its retry budget left the stream in a sticky
+  // fault state; the attempt drained but produced nothing useful.
   if (!quarantined && s.injector != nullptr &&
       s.runtime.stream_fault(ctx.stream) != rt::Status::Ok) {
     quarantined = true;
@@ -1293,8 +1296,8 @@ sim::Task FleetService::generator_task(RunState* st) {
       st->on_arrival(st->config->base.arrivals[i].klass);
     }
   } else {
-    // Poisson arrivals, drawing the exact serve::Service RNG sequence (one
-    // next_double + one next_below per arrival).
+    // Poisson arrivals: exponential inter-arrival times, one next_double +
+    // one next_below per arrival.
     const TimeNs window_end = st->sim->now() + st->config->base.window;
     while (st->sim->now() < window_end) {
       const double u = std::max(st->rng->next_double(), 1e-12);
@@ -1334,7 +1337,7 @@ FleetResult FleetService::run() {
   }
 
   // The observability plane: one TelemetryObserver (and registry) per
-  // device, plus the serving-layer instruments serve::Service registers.
+  // device, plus the serving-layer instruments.
   // Every shard registers the same instrument set up front so fleet rollups
   // merge identical shapes. Observers are passive and recording never
   // touches the simulator, so FleetReport bytes are identical either way.
@@ -1464,6 +1467,7 @@ FleetResult FleetService::run() {
     FleetDeviceResult dev;
     dev.trace = s.recorder;
     if (s.injector != nullptr) dev.fault_stats = s.injector->stats();
+    dev.controller_transitions = s.controller.transitions();
     check::ServeAccounting& acc = dev.accounting;
     serve::ServeReport& report = dev.report;
 
@@ -1476,8 +1480,7 @@ FleetResult FleetService::run() {
       report.workload += c.name;
     }
 
-    // The accounting below computes every field exactly as
-    // serve::Service::run does, over the jobs this device terminally owns.
+    // Accounting over the jobs this device terminally owns.
     RunningStats turnaround;
     std::vector<double> turnaround_samples;
     RunningStats queue_wait;
@@ -1649,7 +1652,7 @@ FleetResult FleetService::run() {
     if (s.telemetry != nullptr) {
       s.telemetry->finalize();
       obs::MetricsRegistry& reg = s.telemetry->registry();
-      // The serve::Service post-run counter block, per device.
+      // The serving counter block.
       reg.counter("serve_arrived", "Jobs that arrived").add(acc.arrived);
       reg.counter("serve_completed_ok", "Jobs completed within deadline")
           .add(acc.completed_ok);

@@ -1,11 +1,10 @@
 // Cluster-scale serving: shard the serving layer across a simulated device
 // fleet (library hq_fleet).
 //
-// FleetService runs N per-device serving engines — each a faithful replica
-// of serve::Service's run state (own gpu::Device, cudart runtime, stream
-// pool, HtoD mutex, admission queue, overload controller, per-class
-// breakers, fault injector, trace recorder) — under ONE virtual clock and
-// ONE arrival process. A deterministic placement policy
+// FleetService runs N per-device serving engines (each with its own
+// gpu::Device, cudart runtime, stream pool, HtoD mutex, admission queue,
+// overload controller, per-class breakers, fault injector, trace recorder)
+// under ONE virtual clock and ONE arrival process. A deterministic placement policy
 // (src/fleet/placement.hpp) routes every admitted arrival to a device;
 // fleet-only mechanisms move work afterwards:
 //
@@ -38,17 +37,13 @@
 //     dispatched on an idle healthy peer. First completion wins; the loser
 //     is cancelled deterministically.
 //
-// Single-device equivalence: a 1-device fleet with the fleet-only features
-// off schedules, draws RNG, and spawns coroutines exactly as the
-// single-device Service, so the nested per-device ServeReport is
-// byte-identical to Service::run()'s report for the same base config — the
-// fleet fuzz oracle and golden tests pin this.
+// serve::Service is this engine at one device with every fleet-only
+// feature off (src/fleet/service.cpp).
 //
 // Fault decorrelation: device d > 0 runs the base fault plan with its seed
 // offset by d, so a heterogeneous-fault fleet stays deterministic without
-// every device failing in lockstep. Device 0 uses the plan verbatim
-// (required for the 1-device equivalence above). Non-empty
-// `device_fault_plans` replaces this scheme: device d runs
+// every device failing in lockstep. Device 0 uses the plan verbatim.
+// Non-empty `device_fault_plans` replaces this scheme: device d runs
 // device_fault_plans[d] exactly as given (disabled plans run fault-free).
 //
 // Determinism contract: same config + seed => byte-identical FleetReport
@@ -177,6 +172,8 @@ struct FleetDeviceResult {
   check::ServeAccounting accounting;
   std::shared_ptr<trace::Recorder> trace;
   fault::FaultStats fault_stats;
+  /// Engage/release edges of this device's overload controller.
+  std::vector<serve::OverloadController::Transition> controller_transitions;
   /// This device's telemetry observer (finalized) and its registry —
   /// `metrics` aliases telemetry->registry(). Null unless
   /// base.collect_metrics.

@@ -1,7 +1,7 @@
 // Final report of one fleet serving run (library hq_fleet).
 //
-// A FleetReport nests one full serve::ServeReport per device (exactly the
-// report the single-device Service would emit for that shard's jobs) under
+// A FleetReport nests one full serve::ServeReport per device (the report
+// of the jobs that device terminally owns) under
 // fleet-level aggregates: cluster goodput/SLO numbers, the placement
 // histogram, shed/requeue/steal counters, and the per-device health-breaker
 // trajectories.
@@ -54,9 +54,8 @@ struct FleetDeviceStats {
   double sdc_score = 0;      ///< final EWMA of blame attributions
   bool blocklisted = false;  ///< permanently removed by the integrity pipeline
   TimeNs blocklisted_at = 0;  ///< virtual time of the blocklist (0 = never)
-  /// The per-device serving report, computed exactly as serve::Service
-  /// computes it (for a 1-device fleet this is byte-identical to the
-  /// single-device report — the fleet oracle pins that).
+  /// The per-device serving report (for a 1-device fleet, the report
+  /// serve::Service returns).
   serve::ServeReport report;
 };
 

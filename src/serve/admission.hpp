@@ -89,7 +89,7 @@ class AdmissionQueue {
   /// already accepted once). Used by the fleet layer when a dispatch is
   /// blocked by the device health breaker (restore_front preserves FIFO
   /// order) or a steal attempt is abandoned (restore_back reverts the
-  /// pop_back). Never called by the single-device Service.
+  /// pop_back). Never called on a 1-device fleet with no device breaker.
   void restore_front(const QueuedJob& job);
   void restore_back(const QueuedJob& job);
 

@@ -1,15 +1,6 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <sstream>
-
-#include "check/invariants.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "common/stats.hpp"
-#include "serve/signals.hpp"
 
 namespace hq::serve {
 
@@ -57,580 +48,6 @@ void ServiceConfig::validate() const {
   }
   HQ_CHECK_MSG(expire_queued ? deadline > 0 : true,
                "serve config: expire_queued needs a positive deadline");
-}
-
-/// Everything a run's coroutines need, gathered behind one trivially-
-/// destructible pointer (see the coroutine parameter rule in sim/task.hpp).
-struct Service::RunState {
-  const ServiceConfig* config = nullptr;
-  sim::Simulator* sim = nullptr;
-  gpu::Device* device = nullptr;
-  rt::Runtime* runtime = nullptr;
-  trace::Recorder* recorder = nullptr;
-  fw::StreamManager* manager = nullptr;
-  sim::Mutex* htod_lock = nullptr;
-  sim::Event* drained = nullptr;
-  Rng* rng = nullptr;
-  fault::FaultInjector* injector = nullptr;
-  AdmissionQueue* queue = nullptr;
-  OverloadController* controller = nullptr;
-  /// Empty when the breaker is disabled; else one breaker per class.
-  std::vector<std::unique_ptr<fault::CircuitBreaker>>* breakers = nullptr;
-
-  /// Per-job application instance + context, created at dispatch. Deques:
-  /// element addresses stay stable as new jobs arrive.
-  struct Slot {
-    std::unique_ptr<fw::Kernel> app;
-    fw::Context context;
-  };
-  std::deque<JobRecord>* jobs = nullptr;
-  std::deque<Slot>* slots = nullptr;
-
-  bool admission_closed = false;
-  TimeNs window_closed_at = 0;
-  std::size_t inflight = 0;
-  std::size_t peak_inflight = 0;
-  std::uint64_t pseudo_burst_jobs = 0;
-
-  // Serving instruments (all nullptr unless config.collect_metrics).
-  obs::Histogram* queue_wait_hist = nullptr;
-  obs::Series* queue_depth_series = nullptr;
-  obs::Series* inflight_series = nullptr;
-
-  fault::CircuitBreaker* breaker_for(std::size_t klass) {
-    if (breakers == nullptr || breakers->empty()) return nullptr;
-    return (*breakers)[klass].get();
-  }
-
-  bool can_dispatch() const {
-    return config->max_inflight == 0 || inflight < config->max_inflight;
-  }
-
-  void sample_depths() {
-    if (queue_depth_series != nullptr) {
-      queue_depth_series->sample(sim->now(),
-                                 static_cast<double>(queue->size()));
-    }
-    if (inflight_series != nullptr) {
-      inflight_series->sample(sim->now(), static_cast<double>(inflight));
-    }
-  }
-
-  void dispatch(int job_id) {
-    JobRecord& job = (*jobs)[static_cast<std::size_t>(job_id)];
-    Slot& slot = (*slots)[static_cast<std::size_t>(job_id)];
-    const ClassSpec& spec = config->classes[job.klass];
-    slot.app = spec.item.factory();
-    HQ_CHECK_MSG(slot.app != nullptr, "factory for '" << spec.item.type_name
-                                                      << "' returned null");
-    fw::Context ctx;
-    ctx.sim = sim;
-    ctx.runtime = runtime;
-    ctx.htod_lock = htod_lock;
-    ctx.recorder = recorder;
-    ctx.app_id = job_id;
-    ctx.functional = config->functional;
-    slot.context = ctx;
-
-    job.state = JobState::Inflight;
-    job.dispatched_at = sim->now();
-    ++inflight;
-    peak_inflight = std::max(peak_inflight, inflight);
-    if (queue_wait_hist != nullptr) {
-      queue_wait_hist->record(
-          static_cast<double>(job.dispatched_at - job.arrived_at));
-    }
-    sim->spawn(Service::job_lifecycle(this, job_id));
-    sample_depths();
-  }
-
-  void pump() {
-    while (!queue->empty() && can_dispatch()) {
-      const QueuedJob next = queue->pop_front();
-      JobRecord& job = (*jobs)[static_cast<std::size_t>(next.job_id)];
-      if (config->expire_queued && job.deadline_at != 0 &&
-          sim->now() > job.deadline_at) {
-        // Expired before dispatch: the job never touches the device.
-        job.state = JobState::TimedOutQueued;
-        continue;
-      }
-      dispatch(next.job_id);
-    }
-    sample_depths();
-  }
-
-  void on_arrival(std::size_t klass) {
-    const TimeNs now = sim->now();
-    const int job_id = static_cast<int>(jobs->size());
-    JobRecord rec;
-    rec.job_id = job_id;
-    rec.klass = klass;
-    rec.arrived_at = now;
-    rec.deadline_at = config->deadline > 0 ? now + config->deadline : 0;
-    jobs->push_back(rec);
-    slots->emplace_back();
-    JobRecord& job = jobs->back();
-
-    fault::CircuitBreaker* breaker = breaker_for(klass);
-    if (breaker != nullptr && !breaker->allow(now)) {
-      job.state = JobState::ShedBreaker;
-      return;
-    }
-
-    // Fast path: empty queue with dispatch and capacity headroom. This is
-    // the path every arrival takes in a legacy-equivalent configuration, so
-    // the spawn order matches the original StreamingHarness exactly.
-    if (queue->empty() && can_dispatch() &&
-        (config->queue_cap == 0 || inflight < config->queue_cap)) {
-      dispatch(job_id);
-      return;
-    }
-
-    const auto victim = queue->offer(
-        {job_id, config->classes[klass].priority, now, job.deadline_at}, now,
-        inflight);
-    if (victim.has_value()) {
-      (*jobs)[static_cast<std::size_t>(victim->job_id)].state =
-          JobState::ShedQueueFull;
-    }
-    sample_depths();
-    pump();
-  }
-
-  void maybe_finish() {
-    if (admission_closed && inflight == 0 && queue->empty() &&
-        !drained->fired()) {
-      drained->fire();
-    }
-  }
-};
-
-sim::Task Service::job_lifecycle(RunState* st, int index) {
-  JobRecord& job = (*st->jobs)[static_cast<std::size_t>(index)];
-  RunState::Slot& slot = (*st->slots)[static_cast<std::size_t>(index)];
-  fw::Kernel& app = *slot.app;
-  fw::Context& ctx = slot.context;
-
-  // Setup is host-side and instantaneous in virtual time, as in the legacy
-  // streaming harness. Under fault injection a pinned allocation can
-  // exhaust its bounded retries; quarantine the job and keep serving.
-  bool alloc_failed = false;
-  // Timing-only jobs never read their host buffers, so skip the (often
-  // RNG-heavy) host initialization exactly as the batch harness does.
-  const bool init_host = st->config->functional;
-  if (st->injector == nullptr) {
-    app.allocateHostMemory(ctx);
-    app.allocateDeviceMemory(ctx);
-    if (init_host) app.initializeHostMemory(ctx);
-  } else {
-    try {
-      app.allocateHostMemory(ctx);
-      app.allocateDeviceMemory(ctx);
-      if (init_host) app.initializeHostMemory(ctx);
-    } catch (const Error& e) {
-      job.state = JobState::Quarantined;
-      job.quarantine_reason = std::string("allocation-failed: ") + e.what();
-      alloc_failed = true;
-    }
-  }
-
-  if (!alloc_failed) {
-    ctx.stream = st->manager->acquire();
-    const bool engaged =
-        st->controller != nullptr && st->controller->engaged();
-    const bool memsync = st->config->memory_sync || engaged;
-    if (engaged && !st->config->memory_sync) {
-      job.pseudo_burst = true;
-      ++st->pseudo_burst_jobs;
-    }
-    if (memsync) {
-      const TimeNs requested = st->sim->now();
-      auto guard = co_await st->htod_lock->scoped_lock();
-      const TimeNs acquired = st->sim->now();
-      if (st->recorder != nullptr && acquired > requested) {
-        st->recorder->add(ctx.stream.id, ctx.app_id, trace::SpanKind::LockWait,
-                          "htod-lock", requested, acquired);
-      }
-      co_await app.transferMemory(ctx, fw::Direction::HostToDevice);
-      guard.reset();
-    } else {
-      co_await app.transferMemory(ctx, fw::Direction::HostToDevice);
-    }
-    co_await app.executeKernel(ctx);
-    co_await app.transferMemory(ctx, fw::Direction::DeviceToHost);
-  }
-
-  // Frees mirror the harness: tracked buffers only, so partially allocated
-  // (quarantined) jobs release exactly what they acquired.
-  app.freeHostMemory(ctx);
-  app.freeDeviceMemory(ctx);
-  job.completed_at = st->sim->now();
-
-  if (job.state != JobState::Quarantined) {
-    // A launch that exhausted its retry budget left the stream in a sticky
-    // fault state; the job drained but produced nothing useful.
-    if (st->injector != nullptr &&
-        st->runtime->stream_fault(ctx.stream) != rt::Status::Ok) {
-      job.state = JobState::Quarantined;
-      job.quarantine_reason = "launch-aborted";
-    } else {
-      const bool late =
-          job.deadline_at != 0 && job.completed_at > job.deadline_at;
-      job.state = late ? JobState::CompletedLate : JobState::CompletedOk;
-    }
-  }
-
-  fault::CircuitBreaker* breaker = st->breaker_for(job.klass);
-  if (breaker != nullptr) {
-    if (job.state == JobState::Quarantined) {
-      breaker->record_failure(st->sim->now());
-    } else {
-      breaker->record_success(st->sim->now());
-    }
-  }
-
-  --st->inflight;
-  st->sample_depths();
-  st->pump();
-  st->maybe_finish();
-}
-
-sim::Task Service::generator_task(RunState* st) {
-  if (!st->config->arrivals.empty()) {
-    // Trace replay: deterministic by construction.
-    const std::size_t n = st->config->arrivals.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const TimeNs at = st->config->arrivals[i].at;
-      if (at > st->sim->now()) {
-        co_await st->sim->delay(at - st->sim->now());
-      }
-      st->on_arrival(st->config->arrivals[i].klass);
-    }
-  } else {
-    // Poisson arrivals: exponential inter-arrival times. The draw sequence
-    // (one next_double + one next_below per arrival) matches the legacy
-    // StreamingHarness verbatim — the legacy-equivalence contract.
-    const TimeNs window_end = st->sim->now() + st->config->window;
-    while (st->sim->now() < window_end) {
-      const double u = std::max(st->rng->next_double(), 1e-12);
-      const auto gap = static_cast<DurationNs>(
-          -std::log(u) * static_cast<double>(st->config->mean_interarrival));
-      co_await st->sim->delay(std::max<DurationNs>(gap, 1));
-      if (st->sim->now() >= window_end) break;
-
-      const auto pick = st->rng->next_below(st->config->classes.size());
-      st->on_arrival(static_cast<std::size_t>(pick));
-    }
-  }
-  st->admission_closed = true;
-  st->window_closed_at = st->sim->now();
-  st->maybe_finish();
-}
-
-ServeResult Service::run() {
-  config_.validate();
-
-  // The injector (when a plan is enabled) is built first: SMX offlining
-  // degrades the spec every other component sees, and the runtime needs the
-  // injector for launch/allocation fault decisions.
-  std::unique_ptr<fault::FaultInjector> injector;
-  gpu::DeviceSpec device_spec = config_.device;
-  if (config_.fault_plan.enabled) {
-    injector = std::make_unique<fault::FaultInjector>(config_.fault_plan);
-    device_spec = injector->degraded(device_spec);
-  }
-
-  sim::Simulator sim;
-  auto recorder = std::make_shared<trace::Recorder>();
-  gpu::Device device(sim, device_spec, recorder.get());
-  rt::RuntimeOptions rt_options;
-  rt_options.functional = config_.functional;
-  rt_options.retry = config_.retry;
-  rt_options.fault_injector = injector.get();
-  rt::Runtime runtime(sim, device, rt_options);
-  fw::StreamManager manager(runtime, config_.num_streams);
-  sim::Mutex htod_lock(sim);
-  sim::Event drained(sim);
-  Rng rng(config_.seed);
-
-  OverloadController controller(config_.controller);
-  std::vector<std::unique_ptr<fault::CircuitBreaker>> breakers;
-  if (config_.breaker_enabled) {
-    breakers.reserve(config_.classes.size());
-    for (std::size_t i = 0; i < config_.classes.size(); ++i) {
-      breakers.push_back(
-          std::make_unique<fault::CircuitBreaker>(config_.breaker));
-    }
-  }
-  AdmissionQueue queue({config_.queue_cap, config_.shed_policy});
-
-  std::deque<JobRecord> jobs;
-  std::deque<RunState::Slot> slots;
-
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  RunState state;
-  state.config = &config_;
-  state.sim = &sim;
-  state.device = &device;
-  state.runtime = &runtime;
-  state.recorder = recorder.get();
-  state.manager = &manager;
-  state.htod_lock = &htod_lock;
-  state.drained = &drained;
-  state.rng = &rng;
-  state.injector = injector.get();
-  state.queue = &queue;
-  state.controller = &controller;
-  state.breakers = &breakers;
-  state.jobs = &jobs;
-  state.slots = &slots;
-
-  if (config_.collect_metrics) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    state.queue_wait_hist = &metrics->histogram(
-        "serve_queue_wait_ns",
-        {1e4, 1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 5e8},
-        "Admission-queue wait per dispatched job (arrival to dispatch)");
-    state.queue_depth_series = &metrics->series(
-        "serve_queue_depth", "Admission-queue depth over virtual time");
-    state.inflight_series = &metrics->series(
-        "serve_inflight", "Dispatched jobs in flight over virtual time");
-  }
-
-  std::unique_ptr<check::InvariantChecker> checker;
-  if (config_.check_invariants) {
-    checker = std::make_unique<check::InvariantChecker>(device_spec);
-  }
-  ServeSignals signals(&controller, &jobs, &breakers);
-  gpu::ObserverFanout fanout;
-  fanout.add(checker.get());
-  fanout.add(&signals);
-  device.set_observer(&fanout);
-  if (injector != nullptr) {
-    // Faults report through the same chain as device events, so the checker
-    // can reconcile every on_fault_injected against the injector's stats
-    // and the signal observer can attribute copy stalls to classes.
-    injector->set_observer(&fanout);
-    device.set_copy_fault_hook(
-        [inj = injector.get()](TimeNs now, gpu::CopyDirection dir,
-                               gpu::OpId op, Bytes bytes, DurationNs base) {
-          return inj->copy_service_penalty(now, dir, op, bytes, base);
-        });
-    if (!breakers.empty()) {
-      injector->set_launch_fault_hook(
-          [st = &state](TimeNs now, std::int32_t app_id, bool /*aborted*/) {
-            if (app_id < 0 ||
-                static_cast<std::size_t>(app_id) >= st->jobs->size()) {
-              return;
-            }
-            fault::CircuitBreaker* breaker = st->breaker_for(
-                (*st->jobs)[static_cast<std::size_t>(app_id)].klass);
-            if (breaker != nullptr) breaker->record_failure(now);
-          });
-    }
-  }
-
-  sim.spawn(generator_task(&state));
-  sim.run();
-  HQ_CHECK_MSG(sim.live_tasks() == 0, "serve run finished with live tasks");
-  HQ_CHECK_MSG(drained.fired(), "serve run ended without draining");
-
-  if (checker != nullptr) {
-    checker->finalize(device);
-    checker->finalize_runtime(runtime);
-    if (injector != nullptr) checker->finalize_faults(injector->stats());
-    HQ_CHECK_MSG(checker->ok(),
-                 "invariant violations:\n" << checker->report());
-  }
-
-  // --- accounting ----------------------------------------------------------
-  ServeResult result;
-  result.trace = recorder;
-  result.metrics = metrics;
-  if (injector != nullptr) result.fault_stats = injector->stats();
-  result.controller_transitions = controller.transitions();
-
-  check::ServeAccounting& acc = result.accounting;
-  ServeReport& report = result.report;
-  report.classes.resize(config_.classes.size());
-  for (std::size_t i = 0; i < config_.classes.size(); ++i) {
-    ClassStats& c = report.classes[i];
-    c.name = config_.classes[i].item.type_name;
-    c.priority = config_.classes[i].priority;
-    if (!report.workload.empty()) report.workload += '+';
-    report.workload += c.name;
-  }
-
-  RunningStats turnaround;
-  std::vector<double> turnaround_samples;
-  RunningStats queue_wait;
-  for (const JobRecord& job : jobs) {
-    ClassStats& c = report.classes[job.klass];
-    ++acc.arrived;
-    ++c.arrived;
-    switch (job.state) {
-      case JobState::CompletedOk:
-        ++acc.completed_ok;
-        ++c.completed_ok;
-        break;
-      case JobState::CompletedLate:
-        ++acc.completed_late;
-        ++c.completed_late;
-        break;
-      case JobState::ShedQueueFull:
-        ++acc.shed_queue_full;
-        ++c.shed_queue_full;
-        acc.undispatched_apps.push_back(job.job_id);
-        break;
-      case JobState::ShedBreaker:
-        ++acc.shed_breaker;
-        ++c.shed_breaker;
-        acc.undispatched_apps.push_back(job.job_id);
-        break;
-      case JobState::TimedOutQueued:
-        ++acc.timed_out_queued;
-        ++c.timed_out_queued;
-        acc.undispatched_apps.push_back(job.job_id);
-        break;
-      case JobState::Quarantined:
-        ++acc.quarantined;
-        ++c.quarantined;
-        break;
-      case JobState::ShedNoDevice:
-      case JobState::ShedFailoverExhausted:
-      case JobState::Queued:
-      case JobState::Inflight:
-        // ShedNoDevice/ShedFailoverExhausted are fleet-level terminal
-        // states (src/fleet); the single-device service never produces
-        // them.
-        HQ_CHECK_MSG(false, "job " << job.job_id
-                                   << " ended the run in unexpected state "
-                                   << job_state_name(job.state));
-    }
-    const bool dispatched = job.state == JobState::CompletedOk ||
-                            job.state == JobState::CompletedLate ||
-                            job.state == JobState::Quarantined;
-    if (dispatched) {
-      queue_wait.add(static_cast<double>(job.dispatched_at - job.arrived_at));
-    }
-    if (job.state == JobState::CompletedOk ||
-        job.state == JobState::CompletedLate) {
-      const auto t = static_cast<double>(job.completed_at - job.arrived_at);
-      turnaround.add(t);
-      turnaround_samples.push_back(t);
-    }
-  }
-
-  const std::vector<std::string> violations =
-      check::verify_serve_accounting(acc, recorder.get());
-  if (config_.check_invariants && !violations.empty()) {
-    std::ostringstream os;
-    for (const std::string& v : violations) os << v << "\n";
-    HQ_CHECK_MSG(false, "serve invariant violations:\n" << os.str());
-  }
-
-  // --- report --------------------------------------------------------------
-  report.num_streams = config_.num_streams;
-  report.memory_sync = config_.memory_sync;
-  report.seed = config_.seed;
-  report.window = config_.window;
-  report.mean_interarrival = config_.mean_interarrival;
-  report.deadline = config_.deadline;
-  report.queue_cap = config_.queue_cap;
-  report.max_inflight = config_.max_inflight;
-  report.shed_policy = shed_policy_name(config_.shed_policy);
-  report.expire_queued = config_.expire_queued;
-  report.controller_enabled = config_.controller.enabled;
-  report.breaker_enabled = config_.breaker_enabled;
-  report.fault_plan = fault_plan_to_string(config_.fault_plan);
-
-  report.arrived = acc.arrived;
-  report.admitted = acc.arrived - acc.shed_queue_full - acc.shed_breaker;
-  report.completed = acc.completed_ok + acc.completed_late;
-  report.completed_ok = acc.completed_ok;
-  report.completed_late = acc.completed_late;
-  report.shed_queue_full = acc.shed_queue_full;
-  report.shed_breaker = acc.shed_breaker;
-  report.timed_out_queued = acc.timed_out_queued;
-  report.quarantined = acc.quarantined;
-
-  report.total_time = sim.now();
-  report.drain_time = report.total_time >= state.window_closed_at
-                          ? report.total_time - state.window_closed_at
-                          : 0;
-  report.energy = device.energy();
-  report.average_occupancy = device.average_occupancy();
-  if (report.total_time > 0) {
-    const double seconds = to_seconds(report.total_time);
-    report.goodput_per_sec =
-        static_cast<double>(report.completed_ok) / seconds;
-    report.throughput_per_sec =
-        static_cast<double>(report.completed) / seconds;
-  }
-  if (report.admitted > 0) {
-    report.deadline_miss_ratio =
-        static_cast<double>(report.completed_late + report.timed_out_queued) /
-        static_cast<double>(report.admitted);
-  }
-  if (report.completed > 0) {
-    report.mean_turnaround = static_cast<DurationNs>(turnaround.mean());
-    report.max_turnaround = static_cast<DurationNs>(turnaround.max());
-    report.p95_turnaround = static_cast<DurationNs>(
-        percentile(std::move(turnaround_samples), 95));
-    report.energy_per_completed =
-        report.energy / static_cast<double>(report.completed);
-  }
-  if (queue_wait.count() > 0) {
-    report.mean_queue_wait = static_cast<DurationNs>(queue_wait.mean());
-    report.max_queue_wait = static_cast<DurationNs>(queue_wait.max());
-  }
-  report.peak_queue_depth = queue.peak_depth();
-  report.peak_inflight = state.peak_inflight;
-
-  report.controller_engagements = controller.engagements();
-  report.controller_releases = controller.releases();
-  report.pseudo_burst_jobs = state.pseudo_burst_jobs;
-  if (!breakers.empty()) {
-    for (std::size_t i = 0; i < breakers.size(); ++i) {
-      const fault::CircuitBreaker& b = *breakers[i];
-      ClassStats& c = report.classes[i];
-      c.breaker_trips = b.trips();
-      c.breaker_probes = b.probes();
-      c.breaker_rejected = b.rejected();
-      c.breaker_final_state = breaker_state_name(b.state());
-      report.breaker_trips += b.trips();
-      report.breaker_probes += b.probes();
-      report.breaker_rejected += b.rejected();
-    }
-  }
-  if (injector != nullptr) report.faults_injected = injector->stats().total();
-  report.trace_digest = trace::digest(*recorder);
-
-  if (metrics != nullptr) {
-    metrics->counter("serve_arrived", "Jobs that arrived").add(acc.arrived);
-    metrics->counter("serve_completed_ok", "Jobs completed within deadline")
-        .add(acc.completed_ok);
-    metrics->counter("serve_completed_late", "Jobs completed past deadline")
-        .add(acc.completed_late);
-    metrics->counter("serve_shed_queue_full", "Jobs shed by the queue")
-        .add(acc.shed_queue_full);
-    metrics->counter("serve_shed_breaker", "Jobs shed by open breakers")
-        .add(acc.shed_breaker);
-    metrics->counter("serve_timed_out_queued", "Jobs expired in the queue")
-        .add(acc.timed_out_queued);
-    metrics->counter("serve_quarantined", "Dispatched jobs that failed")
-        .add(acc.quarantined);
-    metrics->counter("serve_breaker_trips", "Breaker trips across classes")
-        .add(report.breaker_trips);
-    metrics->counter("serve_pseudo_burst_jobs",
-                     "Jobs forced into pseudo-burst transfers")
-        .add(report.pseudo_burst_jobs);
-    metrics->counter("serve_faults_injected", "Faults the injector fired")
-        .add(report.faults_injected);
-  }
-
-  result.jobs.assign(jobs.begin(), jobs.end());
-  return result;
 }
 
 }  // namespace hq::serve

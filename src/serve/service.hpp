@@ -1,7 +1,8 @@
-// Overload-robust streaming serving layer (library hq_serve).
-//
-// Service generalizes the open-workload StreamingHarness into a serving
-// system with explicit overload behavior:
+// Overload-robust streaming serving layer: the paper's Section VI future
+// work ("manage streaming workloads, rather than a finite set"). Jobs
+// arrive continuously (seeded Poisson arrivals or a replayed trace) and
+// run their transfer/execute/transfer pattern on a stream pool, with
+// explicit overload behavior:
 //
 //   * a bounded admission queue with pluggable shed policies (drop-tail,
 //     deadline-aware, per-class priority) — src/serve/admission.hpp;
@@ -17,12 +18,12 @@
 //   * graceful drain: admission closes at the window end, everything
 //     in flight completes, and the run ends with a deterministic report.
 //
-// Legacy equivalence: with every serving feature off (unbounded queue and
-// inflight, no deadline, controller and breaker disabled, no fault plan)
-// the service draws the same RNG sequence and spawns the same coroutines
-// in the same order as the original StreamingHarness, so the simulated
-// schedule — and trace::digest — is identical. StreamingHarness itself is
-// now a thin wrapper over this class (src/serve/streaming.hpp).
+// A Service is a 1-device fleet: Service::run() runs a fleet::FleetService
+// over {base = config} with every fleet-only option at its default and
+// returns device 0's outputs. It is defined in src/fleet/service.cpp, so a
+// target that runs a Service links hq_fleet; hq_serve holds the types, the
+// admission queue, the controller and the reports. Crash/flap fault plans
+// take the device down and need more than one device: run() rejects them.
 //
 // Determinism contract: same config + seed => byte-identical report and
 // trace digest at any --jobs count (jobs only shard independent runs).
@@ -44,8 +45,8 @@
 
 namespace hq::serve {
 
-/// One application class jobs are drawn from (uniformly, like the
-/// StreamingHarness mix), plus its admission priority.
+/// One application class jobs are drawn from (uniformly per arrival),
+/// plus its admission priority.
 struct ClassSpec {
   fw::WorkloadItem item;
   /// Larger = more important (Priority shed policy; echoed in reports).
@@ -81,7 +82,7 @@ struct ServiceConfig {
   /// Bound on queued + inflight jobs; 0 = unbounded.
   std::size_t queue_cap = 0;
   /// Bound on concurrently dispatched jobs; 0 = unbounded (every admitted
-  /// job dispatches immediately — the legacy StreamingHarness behavior).
+  /// job dispatches immediately).
   std::size_t max_inflight = 0;
   ShedPolicy shed_policy = ShedPolicy::DropTail;
 
@@ -122,14 +123,13 @@ enum class JobState : std::uint8_t {
   ShedBreaker,     ///< rejected because the class breaker was open
   TimedOutQueued,  ///< expired in the queue before dispatch
   Quarantined,     ///< dispatched but failed (launch abort / allocation)
-  /// Fleet only (src/fleet): every device's health breaker rejected the
-  /// arrival, so no placement was possible. Never produced by the
-  /// single-device Service.
+  /// Fleet only: every device's health breaker rejected the arrival, so
+  /// no placement was possible. Never produced by a Service.
   ShedNoDevice,
-  /// Fleet only (src/fleet): the job's device went down (crash or flap)
-  /// and the per-job failover budget was exhausted — or no healthy
-  /// survivor existed — before it could complete elsewhere. Never produced
-  /// by the single-device Service.
+  /// Fleet only: the job's device went down (crash or flap) and the
+  /// per-job failover budget was exhausted — or no healthy survivor
+  /// existed — before it could complete elsewhere. Never produced by a
+  /// Service, which rejects crash/flap plans.
   ShedFailoverExhausted,
 };
 
@@ -153,8 +153,10 @@ struct ServeResult {
   check::ServeAccounting accounting;
   std::vector<JobRecord> jobs;
   std::shared_ptr<trace::Recorder> trace;
-  /// Serving metrics (queue depth/inflight series, wait histograms,
-  /// counters); nullptr unless config.collect_metrics.
+  /// The device's metrics registry: serving instruments (queue depth and
+  /// inflight series, wait histogram, serve_* counters) plus device
+  /// telemetry and device_*/fault_* counters; nullptr unless
+  /// config.collect_metrics.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   fault::FaultStats fault_stats;
   std::vector<OverloadController::Transition> controller_transitions;
@@ -164,16 +166,13 @@ class Service {
  public:
   explicit Service(ServiceConfig config) : config_(std::move(config)) {}
 
-  /// Runs one serving experiment; deterministic per configuration.
+  /// Runs one serving experiment; deterministic per configuration. Throws
+  /// hq::Error on an invalid config or a crash/flap fault plan.
   ServeResult run();
 
   const ServiceConfig& config() const { return config_; }
 
  private:
-  struct RunState;
-  static sim::Task generator_task(RunState* st);
-  static sim::Task job_lifecycle(RunState* st, int index);
-
   ServiceConfig config_;
 };
 

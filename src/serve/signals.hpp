@@ -3,8 +3,8 @@
 //
 // HtoD queue wait/service pairs feed the overload controller, and injected
 // copy stalls are attributed (via the op's owning app) to the app's class
-// breaker. One instance watches one device; the single-device Service and
-// each shard of the fleet serving layer (src/fleet) attach their own.
+// breaker. One instance watches one device: each shard of the serving
+// engine (src/fleet) attaches its own.
 //
 // Like every DeviceObserver, the signals observer never mutates device
 // state, so attaching it is zero-perturbation: the simulated schedule and

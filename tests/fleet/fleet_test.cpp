@@ -1,9 +1,8 @@
-// Behavioral tests for the fleet serving engine: single-device equivalence
-// against serve::Service, conservation and job-identity invariants, work
-// stealing, device-breaker rebalancing, the cluster-scaling acceptance
-// criterion (a 4-device fleet beats the single device under every placement
-// policy at 4x its saturation arrival rate), and byte-identical reports
-// across runs and job counts.
+// Behavioral tests for the fleet serving engine: conservation and
+// job-identity invariants, work stealing, device-breaker rebalancing, the
+// cluster-scaling acceptance criterion (a 4-device fleet beats the single
+// device under every placement policy at 4x its saturation arrival rate),
+// and byte-identical reports across runs and job counts.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "exec/parallel.hpp"
 #include "fleet/report.hpp"
-#include "serve/report.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 
 namespace hq::fleet {
@@ -101,37 +99,6 @@ void check_job_identity(const FleetResult& result) {
     EXPECT_EQ(owned[d], result.report.devices[d].report.arrived)
         << "device " << d;
   }
-}
-
-TEST(FleetTest, SingleDeviceFleetMatchesServeServiceByteForByte) {
-  FleetConfig config;
-  config.base = serve_base();
-  const FleetResult fleet = FleetService(config).run();
-  const serve::ServeResult plain = serve::Service(serve_base()).run();
-
-  ASSERT_EQ(fleet.report.devices.size(), 1u);
-  EXPECT_EQ(serve::report_json(fleet.report.devices[0].report),
-            serve::report_json(plain.report));
-  EXPECT_EQ(fleet.report.devices[0].report.trace_digest,
-            plain.report.trace_digest);
-  check_conservation(fleet.report);
-  check_job_identity(fleet);
-}
-
-TEST(FleetTest, SingleDeviceEquivalenceHoldsUnderOverloadAndFaults) {
-  serve::ServiceConfig base = saturating_base();
-  base.deadline = 2 * kMillisecond;
-  base.breaker_enabled = true;
-  base.fault_plan.enabled = true;
-  base.fault_plan.seed = 77;
-  base.fault_plan.launch_failure_rate = 0.3;
-  FleetConfig config;
-  config.base = base;
-  const FleetResult fleet = FleetService(config).run();
-  const serve::ServeResult plain = serve::Service(base).run();
-  EXPECT_EQ(serve::report_json(fleet.report.devices[0].report),
-            serve::report_json(plain.report));
-  check_conservation(fleet.report);
 }
 
 TEST(FleetTest, FleetReportIsByteIdenticalAcrossRuns) {

@@ -20,7 +20,6 @@
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "serve/service.hpp"
-#include "serve/streaming.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 #include "trace/trace.hpp"
 
@@ -165,16 +164,19 @@ TEST(GoldenFleetTest, LinkingFleetLeavesWholeSurfaceDigestUnchanged) {
     }
   }
 
-  fw::StreamingHarness::Config streaming;
+  serve::ServiceConfig streaming;
   streaming.window = 20 * kMillisecond;
   streaming.mean_interarrival = kMillisecond;
   streaming.num_streams = 8;
+  streaming.collect_metrics = false;
   SyntheticApp::Spec spec;
   spec.num_kernels = 3;
   spec.block_duration = 30 * kMicrosecond;
-  streaming.mix.push_back(fw::WorkloadItem{
-      "synthetic", [spec] { return std::make_unique<SyntheticApp>(spec); }});
-  combined.mix_u64(fw::StreamingHarness(streaming).run().trace_digest);
+  streaming.classes.push_back(
+      {fw::WorkloadItem{"synthetic",
+                        [spec] { return std::make_unique<SyntheticApp>(spec); }},
+       0});
+  combined.mix_u64(serve::Service(streaming).run().report.trace_digest);
 
   serve::ServiceConfig serving = golden_base();
   serving.collect_metrics = true;  // match the original scenario exactly

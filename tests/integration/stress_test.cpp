@@ -7,8 +7,8 @@
 
 #include "hyperq/harness.hpp"
 #include "hyperq/schedule.hpp"
-#include "hyperq/streaming.hpp"
 #include "rodinia/registry.hpp"
+#include "serve/service.hpp"
 
 namespace hq::fw {
 namespace {
@@ -86,17 +86,18 @@ TEST(StressTest, ChunkedFunctionalWorkloadStaysCorrect) {
 }
 
 TEST(StressTest, StreamingUnderSustainedOverload) {
-  StreamingHarness::Config config;
+  serve::ServiceConfig config;
   config.window = 30 * kMillisecond;
   config.mean_interarrival = 100 * kMicrosecond;  // heavy overload
   config.num_streams = 4;
+  config.collect_metrics = false;
   rodinia::AppParams square = {64, 2, 5};
-  config.mix = {rodinia::make_app("needle", square),
-                rodinia::make_app("srad", square),
-                rodinia::make_app("hotspot", square)};
-  const auto result = StreamingHarness(config).run();
-  EXPECT_GT(result.admitted, 100);
-  EXPECT_EQ(result.completed, result.admitted);
+  for (const char* app : {"needle", "srad", "hotspot"}) {
+    config.classes.push_back({rodinia::make_app(app, square), 0});
+  }
+  const serve::ServeReport result = serve::Service(config).run().report;
+  EXPECT_GT(result.arrived, 100u);
+  EXPECT_EQ(result.completed, result.arrived);
   EXPECT_GT(result.average_occupancy, 0.0);
   // Under overload, p95 turnaround far exceeds the mean service time.
   EXPECT_GT(result.p95_turnaround, result.mean_turnaround);

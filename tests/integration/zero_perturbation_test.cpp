@@ -1,8 +1,8 @@
 // One sweep-style zero-perturbation gate for the whole simulation surface.
 //
 // Folds the trace digests of all twelve heterogeneous pair scenarios
-// (six pairings x default/memsync at NA = NS = 16), the streaming-harness
-// golden scenario, and a deterministic serving scenario into a single
+// (six pairings x default/memsync at NA = NS = 16), the streaming golden
+// scenario, and a deterministic serving scenario into a single
 // FNV-1a fingerprint, asserted against one pinned constant. Any
 // perturbation anywhere — event ordering, span recording, name interning,
 // power bookkeeping, allocation laziness — moves the combined value.
@@ -19,7 +19,6 @@
 #include "bench/common.hpp"
 #include "common/hash.hpp"
 #include "serve/service.hpp"
-#include "serve/streaming.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 #include "trace/trace.hpp"
 
@@ -31,16 +30,20 @@ using fw::testing::SyntheticApp;
 // Pinned 2026-08 on the post-overhaul tree; see header comment.
 constexpr std::uint64_t kPinnedCombinedDigest = 0x24c2fc138e23c24fULL;
 
-fw::StreamingHarness::Config streaming_config() {
-  fw::StreamingHarness::Config config;
+/// The streaming golden scenario: every overload feature off, no metrics.
+serve::ServiceConfig streaming_config() {
+  serve::ServiceConfig config;
   config.window = 20 * kMillisecond;
   config.mean_interarrival = kMillisecond;
   config.num_streams = 8;
+  config.collect_metrics = false;
   SyntheticApp::Spec spec;
   spec.num_kernels = 3;
   spec.block_duration = 30 * kMicrosecond;
-  config.mix.push_back(fw::WorkloadItem{
-      "synthetic", [spec] { return std::make_unique<SyntheticApp>(spec); }});
+  config.classes.push_back(
+      {fw::WorkloadItem{"synthetic",
+                        [spec] { return std::make_unique<SyntheticApp>(spec); }},
+       0});
   return config;
 }
 
@@ -74,8 +77,8 @@ TEST(ZeroPerturbationTest, CombinedSurfaceDigestIsPinned) {
   }
 
   // Streaming and serving layers on top of the same simulator.
-  combined.mix_u64(fw::StreamingHarness(streaming_config()).run()
-                       .trace_digest);
+  combined.mix_u64(
+      serve::Service(streaming_config()).run().report.trace_digest);
   combined.mix_u64(serve::Service(serve_config()).run().report.trace_digest);
 
   EXPECT_EQ(combined.value(), kPinnedCombinedDigest)

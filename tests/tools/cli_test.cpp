@@ -6,8 +6,10 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "fault/fault.hpp"
 #include "hyperq/harness.hpp"
 #include "rodinia/registry.hpp"
+#include "serve/service.hpp"
 #include "tests/common/json_check.hpp"
 #include "trace/chrome_trace.hpp"
 
@@ -152,6 +154,30 @@ TEST_F(HqrunCliTest, UnknownApplicationNamesAreDetectable) {
   EXPECT_FALSE(rodinia::is_app_name("GAUSSIAN"));  // names are exact
   for (const auto& name : rodinia::app_names()) {
     EXPECT_TRUE(rodinia::is_app_name(name)) << name;
+  }
+}
+
+// ------------------------------------------------ hqserve-level validation
+
+TEST(HqserveCliTest, SingleDeviceCrashPlanIsAnError) {
+  // hqserve --mix gaussian --size 64 --window-ms 10
+  //         --fault-plan crash-at-us=3000,seed=1
+  // without --devices: the plan would take the only device down, so the
+  // run fails (exit 3) and points at fleet mode instead of ignoring it.
+  std::string error;
+  const auto plan = fault::parse_fault_plan("crash-at-us=3000,seed=1", &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  serve::ServiceConfig config;
+  config.window = 10 * kMillisecond;
+  config.fault_plan = *plan;
+  config.classes.push_back(
+      {rodinia::make_app("gaussian", rodinia::AppParams{64, {}, {}}), 0});
+  try {
+    serve::Service(config).run();
+    FAIL() << "a single-device crash plan must be rejected";
+  } catch (const hq::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--devices"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
                   "run exactly one serving-mode case with this seed", "");
   args.add_option("fleet-iters",
                   "fleet-mode iterations appended after the serving cases "
-                  "(single-device equivalence, conservation, placement "
-                  "permutation oracles; 0 = off)",
+                  "(determinism, conservation, placement permutation "
+                  "oracles; 0 = off)",
                   "0");
   args.add_option("fleet-case-seed",
                   "run exactly one fleet-mode case with this seed", "");

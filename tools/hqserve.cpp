@@ -712,13 +712,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Metric registries (and, in fleet mode, the lifecycle tracer and
+  // fleet-scope metrics) exist only when an export asked for them; either
+  // way the report bytes are identical (zero-perturbation).
+  config.collect_metrics = want_exports;
+
   try {
     if (fleet_mode) {
       fleet::FleetConfig fleet_config;
-      // Per-device registries, the lifecycle tracer, and fleet-scope
-      // metrics exist only when an export asked for them; either way the
-      // report bytes are identical (zero-perturbation).
-      config.collect_metrics = want_exports;
       fleet_config.base = config;
       if (!args.get("device-spec-file").empty()) {
         if (!read_device_specs(args.get("device-spec-file"),
