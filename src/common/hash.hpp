@@ -7,6 +7,7 @@
 // never depends on implementation-defined representations.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -37,6 +38,12 @@ class Fnv1a64 {
   }
 
   Fnv1a64& mix_i64(std::int64_t v) { return mix_u64(static_cast<std::uint64_t>(v)); }
+
+  /// Mixes a double's exact bit pattern (no rounding, so 0.1 vs 0.1000001
+  /// always differ).
+  Fnv1a64& mix_double(double v) { return mix_u64(std::bit_cast<std::uint64_t>(v)); }
+
+  Fnv1a64& mix_bool(bool v) { return mix_u64(v ? 1 : 0); }
 
   /// Mixes length then contents, so "ab","c" and "a","bc" digest differently.
   Fnv1a64& mix_string(std::string_view s) {

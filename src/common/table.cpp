@@ -1,6 +1,8 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -64,6 +66,16 @@ std::string format_fixed(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
   return os.str();
+}
+
+std::string format_double(double v) {
+  // Non-finite values (zero-duration runs, empty sample windows) would
+  // serialize as bare nan/inf tokens, which are not JSON; clamp to 0.
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[64];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  (void)ec;
+  return std::string(buf, ptr);
 }
 
 std::string format_percent(double ratio, int precision) {

@@ -36,6 +36,11 @@ class TextTable {
 /// Formats a double with the given precision (fixed notation).
 std::string format_fixed(double value, int precision);
 
+/// Shortest round-trip decimal rendering of a double (std::to_chars), with
+/// non-finite values clamped to 0 — the deterministic formatter every
+/// exporter and journal uses, so strtod reads back the identical bits.
+std::string format_double(double v);
+
 /// Formats a ratio as a signed percentage, e.g. 0.318 -> "+31.8%".
 std::string format_percent(double ratio, int precision = 1);
 

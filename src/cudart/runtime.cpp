@@ -20,6 +20,13 @@ const char* status_name(Status status) {
   return "?";
 }
 
+void mix_retry_policy(Fnv1a64& h, const RetryPolicy& policy) {
+  h.mix_i64(policy.max_attempts);
+  h.mix_u64(policy.base_backoff);
+  h.mix_double(policy.multiplier);
+  h.mix_u64(policy.max_backoff);
+}
+
 Runtime::Runtime(sim::Simulator& sim, gpu::Device& device,
                  RuntimeOptions options)
     : sim_(sim), device_(device), options_(options) {

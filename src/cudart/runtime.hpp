@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "cudart/status.hpp"
 #include "gpusim/device.hpp"
 #include "sim/simulator.hpp"
@@ -82,6 +83,9 @@ struct RetryPolicy {
   double multiplier = 2.0;
   DurationNs max_backoff = kMillisecond;
 };
+
+/// Mixes every retry knob into a grid key.
+void mix_retry_policy(Fnv1a64& h, const RetryPolicy& policy);
 
 /// Outcome of one submission attempt inside an AsyncSubmit.
 struct SubmitOutcome {

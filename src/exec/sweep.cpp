@@ -1,8 +1,6 @@
 #include "exec/sweep.hpp"
 
-#include <fstream>
-#include <mutex>
-#include <optional>
+#include <array>
 #include <ostream>
 #include <sstream>
 
@@ -11,8 +9,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exec/journal.hpp"
-#include "exec/parallel.hpp"
+#include "fault/fault.hpp"
 #include "obs/report.hpp"
 #include "trace/trace.hpp"
 
@@ -121,67 +118,71 @@ SweepOutcome SweepRunner::run_point(const SweepGrid& grid,
   return o;
 }
 
+std::uint64_t SweepRunner::grid_key(const SweepGrid& grid,
+                                    std::span<const SweepPoint> points) {
+  Fnv1a64 h;
+  const auto mix_opt_i64 = [&h](const auto& opt) {
+    h.mix_u64(opt.has_value() ? 1 : 0);
+    h.mix_i64(opt.has_value() ? static_cast<std::int64_t>(*opt) : 0);
+  };
+
+  h.mix_string(kJournalMagic);
+  h.mix_u64(points.size());
+  for (const SweepPoint& p : points) h.mix_string(p.label());
+
+  // Every result-affecting piece of base config must be mixed in: a key
+  // collision between two configs would let --resume silently splice cached
+  // outcomes from one configuration into the other's report. num_streams
+  // and memory_sync are overwritten from each point's coordinates (already
+  // in the labels above), so only those two are exempt.
+  const fw::HarnessConfig& base = grid.base;
+  gpu::mix_device_spec(h, base.device);
+  h.mix_u64(base.transfer_chunk_bytes);
+  h.mix_bool(base.blocking_transfers);
+  h.mix_u64(base.launch_stagger);
+  h.mix_bool(base.functional);
+  h.mix_bool(base.check_invariants);
+  h.mix_bool(base.monitor_power);
+  h.mix_u64(base.power_period);
+  h.mix_double(base.sensor.filter_alpha);
+  h.mix_double(base.sensor.noise_stddev);
+  h.mix_double(base.sensor.quantization);
+  h.mix_u64(base.sensor.seed);
+  h.mix_bool(base.collect_telemetry);
+  fault::mix_fault_plan(h, base.fault_plan);
+  rt::mix_retry_policy(h, base.retry);
+  h.mix_u64(base.watchdog_timeout);
+
+  mix_opt_i64(grid.params.size);
+  mix_opt_i64(grid.params.iterations);
+  mix_opt_i64(grid.params.seed);
+  return h.value();
+}
+
+std::span<const JournalField<SweepOutcome>> SweepRunner::journal_fields() {
+  using K = FieldKind;
+  using O = SweepOutcome;
+  static const std::array<JournalField<O>, 13> fields = {{
+      {"makespan", K::U64, &O::makespan},
+      {"energy", K::Double, &O::energy_exact},
+      {"avgw", K::Double, &O::average_power},
+      {"peakw", K::Double, &O::peak_power},
+      {"occ", K::Double, &O::average_occupancy},
+      {"meanle", K::Double, &O::mean_htod_latency_ns},
+      {"ilc", K::U64, &O::htod_interleave_count},
+      {"ilb", K::U64, &O::htod_interleave_bytes},
+      {"qdepth", K::Double, &O::peak_copy_queue_depth_htod},
+      {"faults", K::U64, &O::faults_injected},
+      {"quar", K::U64, &O::quarantined_apps},
+      {"verified", K::Bool, &O::all_verified},
+      {"digest", K::Hex, &O::trace_digest},
+  }};
+  return fields;
+}
+
 std::vector<SweepOutcome> SweepRunner::run(const SweepGrid& grid,
                                            const Options& options) const {
-  HQ_CHECK_MSG(options.jobs >= 0, "negative job count");
-  const int jobs =
-      options.jobs == 0 ? ThreadPool::hardware_jobs() : options.jobs;
-
-  const std::vector<SweepPoint> points = expand(grid);
-
-  // Crash-safe checkpointing: replay finished points from the journal (on
-  // --resume), then append each newly finished point under a mutex. The
-  // journal stays append-only, so a crash at any instant leaves a valid
-  // prefix plus at most one torn line.
-  std::vector<std::optional<SweepOutcome>> cached(points.size());
-  std::ofstream journal;
-  std::mutex journal_mutex;
-  if (!options.journal_path.empty()) {
-    const std::uint64_t grid_key = sweep_grid_key(grid, points);
-    bool has_header = false;
-    if (options.resume) {
-      std::ifstream in(options.journal_path);
-      if (in) load_journal(in, grid_key, points, &cached, &has_header);
-    }
-    journal.open(options.journal_path,
-                 has_header ? std::ios::app : std::ios::trunc);
-    HQ_CHECK_MSG(journal.is_open(), "cannot open sweep journal '"
-                                        << options.journal_path << "'");
-    if (!has_header) {
-      journal << journal_header_line(grid_key, points.size()) << '\n'
-              << std::flush;
-    }
-  }
-
-  // Batched fan-out: each worker claims a contiguous slice of points, so a
-  // 60-point grid costs ~4*jobs pool submissions instead of 60 and a worker
-  // only takes the journal mutex between its own runs. Results come back in
-  // submission-index order regardless of batch size — the determinism
-  // contract is untouched.
-  const auto run_one = [&](std::size_t i) {
-    if (cached[i]) return *cached[i];
-    SweepOutcome o = run_point(grid, points[i]);
-    if (journal.is_open()) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      journal << journal_outcome_line(o) << '\n' << std::flush;
-    }
-    return o;
-  };
-  std::vector<SweepOutcome> outcomes;
-  if (jobs <= 1) {
-    outcomes = parallel_map(nullptr, points.size(), run_one);
-  } else {
-    ThreadPool pool(jobs);
-    outcomes = parallel_map_batched(
-        &pool, points.size(), default_batch_size(jobs, points.size()),
-        run_one);
-  }
-  if (options.progress) {
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      options.progress(outcomes[i], i + 1, outcomes.size());
-    }
-  }
-  return outcomes;
+  return run_grid<SweepRunner>(grid, options);
 }
 
 std::uint64_t combined_digest(std::span<const SweepOutcome> outcomes) {

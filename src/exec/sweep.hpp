@@ -1,28 +1,20 @@
 // Declarative experiment sweeps (library hq_sweep).
 //
 // A SweepGrid names the axes of an experiment — application sets x NA x NS
-// x launch order x memory-sync x shuffle seed — and SweepRunner fans the
-// cross product out over a thread pool, each point an independent
-// Harness::run. The determinism contract:
-//
-//   * expand() enumerates points in fixed row-major axis order, assigning
-//     each a submission index;
-//   * results are returned (and the progress callback fired) in submission
-//     index order, never completion order;
-//   * each point's simulation is seeded only by its own grid coordinates;
-//
-// so the outcome vector, every digest in it, and any report rendered from
-// it are byte-identical at any `jobs` count. Proven by tests/exec and
-// re-checked on every bench_sweep run.
+// x launch order x memory-sync x shuffle seed — and SweepRunner is its
+// point type for the journaled grid runner (exec/grid.hpp): each point is
+// an independent Harness::run seeded only by its own grid coordinates, so
+// the outcome vector, every digest in it, and any report rendered from it
+// are byte-identical at any `jobs` count, resumed or not.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "exec/grid.hpp"
 #include "hyperq/harness.hpp"
 #include "hyperq/schedule.hpp"
 #include "rodinia/registry.hpp"
@@ -94,23 +86,12 @@ struct SweepOutcome {
 
 class SweepRunner {
  public:
-  struct Options {
-    /// Worker threads; 1 = serial (no pool), 0 = ThreadPool::hardware_jobs().
-    int jobs = 1;
-    /// Fired once per point **in submission order** with (outcome, done,
-    /// total); `done` counts points reported so far, including this one.
-    std::function<void(const SweepOutcome&, std::size_t, std::size_t)>
-        progress;
-    /// Crash-safe checkpoint file (see exec/journal.hpp): every finished
-    /// point is appended and flushed, so an interrupted sweep can be
-    /// resumed. Empty = no journal.
-    std::string journal_path;
-    /// Replay finished points from journal_path and run only the missing
-    /// ones; the resumed outcome vector (and any report rendered from it)
-    /// is byte-identical to an uninterrupted run. Throws hq::Error when the
-    /// journal belongs to a different grid.
-    bool resume = false;
-  };
+  using Grid = SweepGrid;
+  using Point = SweepPoint;
+  using Outcome = SweepOutcome;
+  /// jobs, journal_path, resume (see exec/grid.hpp).
+  using Options = GridOptions;
+  static constexpr const char* kJournalMagic = "hq-sweep-journal";
 
   /// Enumerates the grid's cross product in row-major order (app_sets
   /// outermost, seeds innermost).
@@ -120,11 +101,21 @@ class SweepRunner {
   /// coordinates and executes a fresh harness. Thread-safe.
   static SweepOutcome run_point(const SweepGrid& grid, const SweepPoint& point);
 
-  /// Runs the whole grid with bounded concurrency; outcomes are indexed by
-  /// submission order.
+  /// Fingerprint of an expanded grid: mixes every point label plus all of
+  /// the base config's result-affecting state — device spec, application
+  /// params, transfer/launch/power knobs, fault plan, retry policy, and
+  /// watchdog. Two grids with the same key produce interchangeable journals.
+  static std::uint64_t grid_key(const SweepGrid& grid,
+                                std::span<const SweepPoint> points);
+
+  /// The journal codec: one `point` record per finished point.
+  static std::span<const JournalField<SweepOutcome>> journal_fields();
+
+  /// Runs the whole grid with bounded concurrency (run_grid); outcomes are
+  /// indexed by submission order.
   std::vector<SweepOutcome> run(const SweepGrid& grid,
                                 const Options& options) const;
-  /// Serial convenience overload (jobs = 1, no progress callback).
+  /// Serial convenience overload (jobs = 1, no journal).
   std::vector<SweepOutcome> run(const SweepGrid& grid) const {
     return run(grid, Options{});
   }

@@ -6,7 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
-#include "obs/report.hpp"
+#include "common/table.hpp"
 
 namespace hq::fault {
 namespace {
@@ -214,26 +214,26 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& text,
 
 std::string fault_plan_to_string(const FaultPlan& plan) {
   if (!plan.enabled) return "disabled";
-  // Doubles in std::to_chars shortest round-trip form (obs::format_double):
+  // Doubles in std::to_chars shortest round-trip form (format_double):
   // default ostream precision would truncate to 6 significant digits, so
   // parse(to_string(p)) == p would fail and two distinct plans could
   // serialize identically (colliding in the sweep-journal grid key).
   std::ostringstream out;
   out << "seed=" << plan.seed;
-  out << ",copy-stall-rate=" << obs::format_double(plan.copy_stall_rate);
+  out << ",copy-stall-rate=" << format_double(plan.copy_stall_rate);
   out << ",copy-stall-us=" << plan.copy_stall_ns / kMicrosecond;
-  out << ",copy-slow-rate=" << obs::format_double(plan.copy_slowdown_rate);
+  out << ",copy-slow-rate=" << format_double(plan.copy_slowdown_rate);
   out << ",copy-slow-factor="
-      << obs::format_double(plan.copy_slowdown_factor);
+      << format_double(plan.copy_slowdown_factor);
   out << ",launch-fail-rate="
-      << obs::format_double(plan.launch_failure_rate);
+      << format_double(plan.launch_failure_rate);
   out << ",alloc-fail-rate="
-      << obs::format_double(plan.host_alloc_failure_rate);
+      << format_double(plan.host_alloc_failure_rate);
   out << ",poison-app=" << plan.poison_app;
   out << ",offline-smx=" << plan.offline_smx;
   out << ",throttle-period-us=" << plan.throttle_period / kMicrosecond;
   out << ",throttle-duty-us=" << plan.throttle_duration / kMicrosecond;
-  out << ",throttle-factor=" << obs::format_double(plan.throttle_factor);
+  out << ",throttle-factor=" << format_double(plan.throttle_factor);
   // Lifecycle keys are emitted only when set: plans without lifecycle
   // faults keep their historical rendering byte-for-byte (reports embed
   // this string, and the pinned golden digests hash the report bytes).
@@ -247,22 +247,22 @@ std::string fault_plan_to_string(const FaultPlan& plan) {
     out << ",flap-down-us=" << plan.flap_down / kMicrosecond;
   }
   if (plan.flap_jitter > 0.0) {
-    out << ",flap-jitter=" << obs::format_double(plan.flap_jitter);
+    out << ",flap-jitter=" << format_double(plan.flap_jitter);
   }
   if (plan.degrade_at > 0) {
     out << ",degrade-at-us=" << plan.degrade_at / kMicrosecond;
   }
   if (plan.degrade_copy_factor > 1.0) {
     out << ",degrade-copy-factor="
-        << obs::format_double(plan.degrade_copy_factor);
+        << format_double(plan.degrade_copy_factor);
   }
   // SDC keys follow the same only-when-set rule as the lifecycle keys: the
   // rendering of every pre-SDC plan is unchanged byte-for-byte.
   if (plan.sdc_copy_rate > 0.0) {
-    out << ",sdc-copy-rate=" << obs::format_double(plan.sdc_copy_rate);
+    out << ",sdc-copy-rate=" << format_double(plan.sdc_copy_rate);
   }
   if (plan.sdc_kernel_rate > 0.0) {
-    out << ",sdc-kernel-rate=" << obs::format_double(plan.sdc_kernel_rate);
+    out << ",sdc-kernel-rate=" << format_double(plan.sdc_kernel_rate);
   }
   if (plan.sdc_at > 0) {
     out << ",sdc-at-us=" << plan.sdc_at / kMicrosecond;
@@ -271,6 +271,10 @@ std::string fault_plan_to_string(const FaultPlan& plan) {
     out << ",sdc-stuck-at-us=" << plan.sdc_stuck_at / kMicrosecond;
   }
   return out.str();
+}
+
+void mix_fault_plan(Fnv1a64& h, const FaultPlan& plan) {
+  h.mix_string(fault_plan_to_string(plan));
 }
 
 std::uint64_t sdc_corruption_mask(const FaultPlan& plan, TimeNs now,

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/observer.hpp"
@@ -143,8 +144,11 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& text,
                                           std::string* error = nullptr);
 
 /// Canonical `key=value,...` rendering; parse(to_string(p)) == p. Used for
-/// reporting and for mixing the plan into the sweep-journal grid key.
+/// reporting and for mixing the plan into grid keys.
 std::string fault_plan_to_string(const FaultPlan& plan);
+
+/// Mixes the plan's canonical rendering into a grid key.
+void mix_fault_plan(Fnv1a64& h, const FaultPlan& plan);
 
 /// Deterministic silent-data-corruption decision for one consumed result
 /// digest: returns 0 when the result is clean, or a nonzero XOR mask to

@@ -1,28 +1,15 @@
 #include "fleet/sweep.hpp"
 
-#include <bit>
-#include <fstream>
-#include <mutex>
+#include <array>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exec/journal.hpp"
-#include "exec/parallel.hpp"
 #include "fault/fault.hpp"
-#include "obs/report.hpp"
 
 namespace hq::fleet {
-namespace {
-
-constexpr const char* kMagic = "hq-fleet-journal";
-constexpr const char* kVersion = "v1";
-
-namespace jio = exec::journal_io;
-
-}  // namespace
 
 std::string FleetSweepPoint::label() const {
   std::ostringstream os;
@@ -30,7 +17,7 @@ std::string FleetSweepPoint::label() const {
   return os.str();
 }
 
-std::vector<FleetSweepPoint> expand_fleet_sweep(const FleetSweepGrid& grid) {
+std::vector<FleetSweepPoint> FleetSweep::expand(const FleetSweepGrid& grid) {
   HQ_CHECK_MSG(!grid.fleet_sizes.empty() && !grid.placements.empty(),
                "every fleet sweep axis needs at least one value");
   for (const std::size_t n : grid.fleet_sizes) {
@@ -61,8 +48,8 @@ FleetConfig apply_fleet_point(const FleetSweepGrid& grid,
   return config;
 }
 
-FleetSweepOutcome run_fleet_point(const FleetSweepGrid& grid,
-                                  const FleetSweepPoint& point) {
+FleetSweepOutcome FleetSweep::run_point(const FleetSweepGrid& grid,
+                                        const FleetSweepPoint& point) {
   FleetService service(apply_fleet_point(grid, point));
   const FleetResult result = service.run();
   const FleetReport& r = result.report;
@@ -84,15 +71,10 @@ FleetSweepOutcome run_fleet_point(const FleetSweepGrid& grid,
   return o;
 }
 
-std::uint64_t fleet_sweep_grid_key(const FleetSweepGrid& grid,
+std::uint64_t FleetSweep::grid_key(const FleetSweepGrid& grid,
                                    std::span<const FleetSweepPoint> points) {
   Fnv1a64 h;
-  const auto mix_double = [&h](double v) {
-    h.mix_u64(std::bit_cast<std::uint64_t>(v));
-  };
-  const auto mix_bool = [&h](bool v) { h.mix_u64(v ? 1 : 0); };
-
-  h.mix_string(kMagic);
+  h.mix_string(kJournalMagic);
   h.mix_u64(points.size());
   for (const FleetSweepPoint& p : points) h.mix_string(p.label());
 
@@ -104,26 +86,30 @@ std::uint64_t fleet_sweep_grid_key(const FleetSweepGrid& grid,
   // roster the points draw from cyclically.
   const std::vector<gpu::DeviceSpec> specs = grid.base.device_specs();
   h.mix_u64(specs.size());
-  for (const gpu::DeviceSpec& spec : specs) jio::mix_device_spec(h, spec);
+  for (const gpu::DeviceSpec& spec : specs) gpu::mix_device_spec(h, spec);
 
   // Fleet-level knobs.
-  mix_double(grid.base.copy_penalty);
-  mix_bool(grid.base.work_stealing);
-  mix_bool(grid.base.device_breaker_enabled);
+  h.mix_double(grid.base.copy_penalty);
+  h.mix_bool(grid.base.work_stealing);
+  h.mix_bool(grid.base.device_breaker_enabled);
   h.mix_i64(grid.base.device_breaker.failure_threshold);
   h.mix_u64(grid.base.device_breaker.cooldown);
 
-  // The shared per-device serving config.
+  // The shared per-device serving config. A class's type name alone does
+  // not pin its workload: the application params (size, iterations, seed)
+  // live inside the factory, so the item's resolved-params record is mixed
+  // too.
   const serve::ServiceConfig& base = grid.base.base;
-  jio::mix_device_spec(h, base.device);
+  gpu::mix_device_spec(h, base.device);
   h.mix_i64(base.num_streams);
-  mix_bool(base.memory_sync);
-  mix_bool(base.functional);
+  h.mix_bool(base.memory_sync);
+  h.mix_bool(base.functional);
   h.mix_u64(base.window);
   h.mix_u64(base.mean_interarrival);
   h.mix_u64(base.classes.size());
   for (const serve::ClassSpec& c : base.classes) {
     h.mix_string(c.item.type_name);
+    h.mix_string(c.item.params);
     h.mix_i64(c.priority);
   }
   h.mix_u64(base.seed);
@@ -136,176 +122,57 @@ std::uint64_t fleet_sweep_grid_key(const FleetSweepGrid& grid,
   h.mix_u64(base.max_inflight);
   h.mix_string(serve::shed_policy_name(base.shed_policy));
   h.mix_u64(base.deadline);
-  mix_bool(base.expire_queued);
-  mix_bool(base.controller.enabled);
-  mix_double(base.controller.engage_stretch);
-  mix_double(base.controller.release_stretch);
-  mix_double(base.controller.alpha);
+  h.mix_bool(base.expire_queued);
+  h.mix_bool(base.controller.enabled);
+  h.mix_double(base.controller.engage_stretch);
+  h.mix_double(base.controller.release_stretch);
+  h.mix_double(base.controller.alpha);
   h.mix_u64(base.controller.min_samples);
   h.mix_u64(base.controller.min_dwell);
-  mix_bool(base.breaker_enabled);
+  h.mix_bool(base.breaker_enabled);
   h.mix_i64(base.breaker.failure_threshold);
   h.mix_u64(base.breaker.cooldown);
-  h.mix_string(fault::fault_plan_to_string(base.fault_plan));
+  fault::mix_fault_plan(h, base.fault_plan);
   // Fleet fault domains: per-device plans and failover/hedging knobs change
   // outcomes, so resuming across a chaos-config edit must miss the cache.
   h.mix_u64(grid.base.device_fault_plans.size());
   for (const fault::FaultPlan& plan : grid.base.device_fault_plans) {
-    h.mix_string(fault::fault_plan_to_string(plan));
+    fault::mix_fault_plan(h, plan);
   }
   h.mix_i64(grid.base.failover_budget);
-  mix_bool(grid.base.hedging);
-  mix_double(grid.base.hedge_threshold);
+  h.mix_bool(grid.base.hedging);
+  h.mix_double(grid.base.hedge_threshold);
   h.mix_u64(grid.base.hedge_min_samples);
   // Integrity pipeline: the policy and its knobs change outcomes (SDC plan
   // fields are already covered by the fault-plan strings above).
   h.mix_u64(static_cast<std::uint64_t>(grid.base.integrity));
-  mix_double(grid.base.spotcheck_rate);
-  mix_double(grid.base.sdc_blocklist_threshold);
-  mix_double(grid.base.sdc_score_alpha);
-  h.mix_i64(base.retry.max_attempts);
-  h.mix_u64(base.retry.base_backoff);
-  mix_double(base.retry.multiplier);
-  h.mix_u64(base.retry.max_backoff);
-  mix_bool(base.check_invariants);
+  h.mix_double(grid.base.spotcheck_rate);
+  h.mix_double(grid.base.sdc_blocklist_threshold);
+  h.mix_double(grid.base.sdc_score_alpha);
+  rt::mix_retry_policy(h, base.retry);
+  h.mix_bool(base.check_invariants);
   return h.value();
 }
 
-std::string fleet_journal_header_line(std::uint64_t grid_key,
-                                      std::size_t total_points) {
-  std::ostringstream os;
-  os << kMagic << " version=" << kVersion << " grid=" << jio::hex(grid_key)
-     << " points=" << total_points << " end";
-  return os.str();
-}
-
-std::string fleet_journal_outcome_line(const FleetSweepOutcome& o) {
-  std::ostringstream os;
-  os << "point index=" << o.point.index << " arrived=" << o.arrived
-     << " ok=" << o.completed_ok << " done=" << o.completed
-     << " shed=" << o.shed << " requeued=" << o.requeued
-     << " stolen=" << o.stolen
-     << " goodput=" << obs::format_double(o.goodput_per_sec)
-     << " tput=" << obs::format_double(o.throughput_per_sec)
-     << " miss=" << obs::format_double(o.deadline_miss_ratio)
-     << " energy=" << obs::format_double(o.energy) << " total=" << o.total_time
-     << " digest=" << jio::hex(o.report_digest) << " end";
-  return os.str();
-}
-
-std::optional<FleetSweepOutcome> parse_fleet_journal_outcome(
-    const std::string& line, std::span<const FleetSweepPoint> points) {
-  const auto fields = jio::fields_of(line, "point");
-  if (!fields) return std::nullopt;
-  std::uint64_t index = 0;
-  if (!jio::get_u64(*fields, "index", &index) || index >= points.size()) {
-    return std::nullopt;
-  }
-  FleetSweepOutcome o;
-  o.point = points[index];
-  const bool ok =
-      jio::get_u64(*fields, "arrived", &o.arrived) &&
-      jio::get_u64(*fields, "ok", &o.completed_ok) &&
-      jio::get_u64(*fields, "done", &o.completed) &&
-      jio::get_u64(*fields, "shed", &o.shed) &&
-      jio::get_u64(*fields, "requeued", &o.requeued) &&
-      jio::get_u64(*fields, "stolen", &o.stolen) &&
-      jio::get_double(*fields, "goodput", &o.goodput_per_sec) &&
-      jio::get_double(*fields, "tput", &o.throughput_per_sec) &&
-      jio::get_double(*fields, "miss", &o.deadline_miss_ratio) &&
-      jio::get_double(*fields, "energy", &o.energy) &&
-      jio::get_u64(*fields, "total", &o.total_time) &&
-      jio::get_u64(*fields, "digest", &o.report_digest, 16);
-  if (!ok) return std::nullopt;
-  return o;
-}
-
-std::size_t load_fleet_journal(
-    std::istream& in, std::uint64_t grid_key,
-    std::span<const FleetSweepPoint> points,
-    std::vector<std::optional<FleetSweepOutcome>>* cached, bool* header_read) {
-  HQ_CHECK(cached != nullptr);
-  if (header_read != nullptr) *header_read = false;
-  cached->resize(points.size());
-  std::string line;
-  if (!std::getline(in, line)) return 0;  // empty file = fresh journal
-  const auto header = jio::fields_of(line, kMagic);
-  HQ_CHECK_MSG(header.has_value(),
-               "fleet journal: unrecognized or torn header line");
-  const auto version = header->find("version");
-  HQ_CHECK_MSG(version != header->end() && version->second == kVersion,
-               "fleet journal: unsupported version '"
-                   << (version == header->end() ? "" : version->second)
-                   << "' (expected " << kVersion << ")");
-  std::uint64_t key = 0;
-  std::uint64_t total = 0;
-  HQ_CHECK_MSG(jio::get_u64(*header, "grid", &key, 16) &&
-                   jio::get_u64(*header, "points", &total),
-               "fleet journal: malformed header line");
-  HQ_CHECK_MSG(key == grid_key && total == points.size(),
-               "fleet journal: grid mismatch (journal grid="
-                   << jio::hex(key) << " points=" << total << ", sweep grid="
-                   << jio::hex(grid_key) << " points=" << points.size()
-                   << ") — refusing to resume a different fleet sweep");
-  if (header_read != nullptr) *header_read = true;
-  std::size_t loaded = 0;
-  while (std::getline(in, line)) {
-    auto outcome = parse_fleet_journal_outcome(line, points);
-    if (!outcome) continue;  // torn trailing line after a crash
-    auto& slot = (*cached)[outcome->point.index];
-    if (!slot) ++loaded;
-    slot = std::move(*outcome);
-  }
-  return loaded;
-}
-
-std::vector<FleetSweepOutcome> run_fleet_sweep(
-    const FleetSweepGrid& grid, const FleetSweepOptions& options) {
-  HQ_CHECK_MSG(options.jobs >= 0, "negative job count");
-  const int jobs =
-      options.jobs == 0 ? exec::ThreadPool::hardware_jobs() : options.jobs;
-
-  const std::vector<FleetSweepPoint> points = expand_fleet_sweep(grid);
-
-  // Crash-safe checkpointing, identical in structure to the harness sweeps
-  // (exec/sweep.cpp): replay finished points on --resume, append each newly
-  // finished point under a mutex, keep the journal append-only.
-  std::vector<std::optional<FleetSweepOutcome>> cached(points.size());
-  std::ofstream journal;
-  std::mutex journal_mutex;
-  if (!options.journal_path.empty()) {
-    const std::uint64_t grid_key = fleet_sweep_grid_key(grid, points);
-    bool has_header = false;
-    if (options.resume) {
-      std::ifstream in(options.journal_path);
-      if (in) load_fleet_journal(in, grid_key, points, &cached, &has_header);
-    }
-    journal.open(options.journal_path,
-                 has_header ? std::ios::app : std::ios::trunc);
-    HQ_CHECK_MSG(journal.is_open(), "cannot open fleet journal '"
-                                        << options.journal_path << "'");
-    if (!has_header) {
-      journal << fleet_journal_header_line(grid_key, points.size()) << '\n'
-              << std::flush;
-    }
-  }
-
-  const auto run_one = [&](std::size_t i) {
-    if (cached[i]) return *cached[i];
-    FleetSweepOutcome o = run_fleet_point(grid, points[i]);
-    if (journal.is_open()) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      journal << fleet_journal_outcome_line(o) << '\n' << std::flush;
-    }
-    return o;
-  };
-  if (jobs <= 1) {
-    return exec::parallel_map(nullptr, points.size(), run_one);
-  }
-  exec::ThreadPool pool(jobs);
-  return exec::parallel_map_batched(
-      &pool, points.size(),
-      exec::default_batch_size(jobs, points.size()), run_one);
+std::span<const exec::JournalField<FleetSweepOutcome>>
+FleetSweep::journal_fields() {
+  using K = exec::FieldKind;
+  using O = FleetSweepOutcome;
+  static const std::array<exec::JournalField<O>, 12> fields = {{
+      {"arrived", K::U64, &O::arrived},
+      {"ok", K::U64, &O::completed_ok},
+      {"done", K::U64, &O::completed},
+      {"shed", K::U64, &O::shed},
+      {"requeued", K::U64, &O::requeued},
+      {"stolen", K::U64, &O::stolen},
+      {"goodput", K::Double, &O::goodput_per_sec},
+      {"tput", K::Double, &O::throughput_per_sec},
+      {"miss", K::Double, &O::deadline_miss_ratio},
+      {"energy", K::Double, &O::energy},
+      {"total", K::U64, &O::total_time},
+      {"digest", K::Hex, &O::report_digest},
+  }};
+  return fields;
 }
 
 std::uint64_t fleet_combined_digest(

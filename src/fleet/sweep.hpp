@@ -1,28 +1,20 @@
-// Placement-policy x fleet-size sweeps with a crash-safe journal
-// (library hq_fleet).
+// Placement-policy x fleet-size sweeps (library hq_fleet).
 //
 // A FleetSweepGrid crosses fleet sizes with placement policies over one
-// base FleetConfig; every point is an independent FleetService::run. The
-// journal reuses the exec layer's torn-line-safe `<kind> key=value ... end`
-// record format (exec/journal.hpp journal_io helpers) under its own magic
-// and grid key, so `hqserve --sweep-fleet --journal/--resume` gets the same
-// crash-safety guarantees as the harness sweeps: resuming against a
-// different fleet shape or base config is a structured error, never a
-// silent splice of foreign outcomes.
-//
-// Determinism contract: points expand in fixed row-major order (sizes
-// outermost, policies innermost), each point's run depends only on its own
-// config, and outcomes come back in submission-index order — byte-identical
-// report and combined digest at any --jobs count.
+// base FleetConfig; every point is an independent FleetService::run.
+// FleetSweep is its point type for the journaled grid runner
+// (exec/grid.hpp), so `hqserve --sweep-fleet --journal/--resume` gets the
+// same guarantees as the harness sweeps: byte-identical outcomes at any
+// --jobs count, and resuming against a different fleet shape or base config
+// is a structured error, never a silent splice of foreign outcomes.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "exec/grid.hpp"
 #include "fleet/fleet.hpp"
 
 namespace hq::fleet {
@@ -62,54 +54,38 @@ struct FleetSweepOutcome {
   std::uint64_t report_digest = 0;  ///< fleet_report_digest of the point
 };
 
-/// Enumerates the cross product in row-major order (sizes outermost).
-std::vector<FleetSweepPoint> expand_fleet_sweep(const FleetSweepGrid& grid);
-
 /// The point's concrete config: the base with the placement replaced and
 /// the device list resized to fleet_size — reusing the base's resolved
 /// specs cyclically (so a 2-spec heterogeneous base sweeps as A,B,A,B,...).
 FleetConfig apply_fleet_point(const FleetSweepGrid& grid,
                               const FleetSweepPoint& point);
 
-/// Runs one point. Thread-safe.
-FleetSweepOutcome run_fleet_point(const FleetSweepGrid& grid,
-                                  const FleetSweepPoint& point);
+/// The fleet sweep's point type for exec::run_grid.
+struct FleetSweep {
+  using Grid = FleetSweepGrid;
+  using Point = FleetSweepPoint;
+  using Outcome = FleetSweepOutcome;
+  static constexpr const char* kJournalMagic = "hq-fleet-journal";
 
-/// Fingerprint of the expanded grid: point labels plus every
-/// result-affecting field of the base fleet config (device specs, fleet
-/// knobs, and the full serving base config). Two grids with the same key
-/// produce interchangeable journals.
-std::uint64_t fleet_sweep_grid_key(const FleetSweepGrid& grid,
-                                   std::span<const FleetSweepPoint> points);
+  /// Enumerates the cross product in row-major order (sizes outermost).
+  static std::vector<FleetSweepPoint> expand(const FleetSweepGrid& grid);
 
-/// Journal records (same torn-line-safe format as exec/journal.hpp).
-std::string fleet_journal_header_line(std::uint64_t grid_key,
-                                      std::size_t total_points);
-std::string fleet_journal_outcome_line(const FleetSweepOutcome& outcome);
-std::optional<FleetSweepOutcome> parse_fleet_journal_outcome(
-    const std::string& line, std::span<const FleetSweepPoint> points);
+  /// Runs one point. Thread-safe.
+  static FleetSweepOutcome run_point(const FleetSweepGrid& grid,
+                                     const FleetSweepPoint& point);
 
-/// Replays a journal stream into `cached` (indexed by point); header
-/// mismatch throws hq::Error. Same semantics as exec::load_journal.
-std::size_t load_fleet_journal(
-    std::istream& in, std::uint64_t grid_key,
-    std::span<const FleetSweepPoint> points,
-    std::vector<std::optional<FleetSweepOutcome>>* cached,
-    bool* header_read = nullptr);
+  /// Fingerprint of the expanded grid: point labels plus every
+  /// result-affecting field of the base fleet config (device specs, fleet
+  /// knobs, and the full serving base config, including each class's
+  /// resolved application params). Two grids with the same key produce
+  /// interchangeable journals.
+  static std::uint64_t grid_key(const FleetSweepGrid& grid,
+                                std::span<const FleetSweepPoint> points);
 
-struct FleetSweepOptions {
-  /// Worker threads; 1 = serial, 0 = ThreadPool::hardware_jobs().
-  int jobs = 1;
-  /// Crash-safe checkpoint file; empty = no journal.
-  std::string journal_path;
-  /// Replay finished points from journal_path and run only missing ones.
-  bool resume = false;
+  /// The journal codec: one `point` record per finished point.
+  static std::span<const exec::JournalField<FleetSweepOutcome>>
+  journal_fields();
 };
-
-/// Runs the whole grid with bounded concurrency; outcomes are indexed by
-/// submission order and byte-identical at any jobs count.
-std::vector<FleetSweepOutcome> run_fleet_sweep(const FleetSweepGrid& grid,
-                                               const FleetSweepOptions& options);
 
 /// Order-fixed 64-bit digest over the outcome vector — the cheap
 /// byte-identity witness the CI fleet determinism check diffs.

@@ -28,4 +28,26 @@ DeviceSpec DeviceSpec::single_copy_engine() {
   return spec;
 }
 
+void mix_device_spec(Fnv1a64& h, const DeviceSpec& spec) {
+  h.mix_string(spec.name);
+  h.mix_i64(spec.num_smx);
+  h.mix_i64(spec.max_blocks_per_smx);
+  h.mix_i64(spec.max_threads_per_smx);
+  h.mix_i64(spec.max_threads_per_block);
+  h.mix_u64(spec.registers_per_smx);
+  h.mix_u64(spec.shared_mem_per_smx);
+  h.mix_u64(spec.global_memory);
+  h.mix_i64(spec.num_work_queues);
+  h.mix_u64(spec.kernel_dispatch_latency);
+  h.mix_double(spec.htod_bytes_per_sec);
+  h.mix_double(spec.dtoh_bytes_per_sec);
+  h.mix_u64(spec.copy_overhead);
+  h.mix_i64(spec.num_copy_engines);
+  h.mix_double(spec.idle_power);
+  h.mix_double(spec.active_base_power);
+  h.mix_double(spec.max_dynamic_power);
+  h.mix_double(spec.power_exponent);
+  h.mix_double(spec.copy_engine_power);
+}
+
 }  // namespace hq::gpu

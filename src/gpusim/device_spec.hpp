@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.hpp"
 #include "common/units.hpp"
 
 namespace hq::gpu {
@@ -78,5 +79,9 @@ struct DeviceSpec {
   /// transfer directions (GeForce-class DMA configuration).
   static DeviceSpec single_copy_engine();
 };
+
+/// Mixes every result-affecting field into a grid key, so no sweep's key
+/// can silently forget a hardware knob.
+void mix_device_spec(Fnv1a64& h, const DeviceSpec& spec);
 
 }  // namespace hq::gpu

@@ -39,6 +39,10 @@ namespace hq::fw {
 struct WorkloadItem {
   std::string type_name;
   std::function<std::unique_ptr<Kernel>()> factory;
+  /// Canonical record of the resolved parameters the factory's instances
+  /// run with (e.g. "size=64 seed=1001"); empty when the item has none.
+  /// Grid keys mix it, because the factory closure hides them.
+  std::string params = {};
 };
 
 struct HarnessConfig {
@@ -117,8 +121,8 @@ struct HarnessResult {
   /// Fault accounting and quarantined apps (empty without a fault plan).
   fault::DegradedReport degraded;
   /// Simulator events dispatched by the run. Deterministic for a fixed
-  /// scenario, so it doubles as a scheduling-cost metric (bench_sim_single)
-  /// and a regression budget (tests/perf).
+  /// scenario, so it doubles as a scheduling-cost metric (perfbench's
+  /// sim.events) and a regression budget (tests/perf).
   std::uint64_t events_processed = 0;
   /// Event-callback storage stats for the run (see sim::Simulator): inline,
   /// pool-slot, and oversize-heap callback counts. The perf budget test

@@ -1,7 +1,5 @@
 #include "obs/report.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -98,16 +96,6 @@ void write_metric_entry(std::ostream& os, const MetricsRegistry::Entry& e) {
 void write_metric_entry_json(std::ostream& os,
                              const MetricsRegistry::Entry& entry) {
   write_metric_entry(os, entry);
-}
-
-std::string format_double(double v) {
-  // Non-finite values (zero-duration runs, empty sample windows) would
-  // serialize as bare nan/inf tokens, which are not JSON; clamp to 0.
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;
-  return std::string(buf, ptr);
 }
 
 void write_metrics_json(std::ostream& os, const RunInfo& info,

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "trace/chrome_trace.hpp"
@@ -53,9 +54,9 @@ struct RunInfo {
   std::uint64_t trace_digest = 0;
 };
 
-/// Shortest round-trip decimal rendering of a double (std::to_chars) —
+/// Shortest round-trip decimal rendering of a double (common/table.hpp) —
 /// the deterministic formatter every exporter here uses.
-std::string format_double(double v);
+using hq::format_double;
 
 /// Writes `s` as a JSON string literal (quoted, with control characters and
 /// quotes escaped). Shared by every hand-rolled JSON exporter in the project

@@ -1,5 +1,8 @@
 #include "rodinia/registry.hpp"
 
+#include <optional>
+#include <sstream>
+
 #include "common/check.hpp"
 #include "rodinia/gaussian.hpp"
 #include "rodinia/hotspot.hpp"
@@ -10,6 +13,19 @@
 #include "rodinia/srad.hpp"
 
 namespace hq::rodinia {
+namespace {
+
+/// The item's canonical resolved-params record (WorkloadItem::params).
+std::string params_record(int size, std::optional<int> iterations,
+                          std::uint64_t seed) {
+  std::ostringstream os;
+  os << "size=" << size;
+  if (iterations) os << " iterations=" << *iterations;
+  os << " seed=" << seed;
+  return os.str();
+}
+
+}  // namespace
 
 const std::vector<std::string>& app_names() {
   // The paper's Table I four, plus the hotspot extension port.
@@ -29,34 +45,41 @@ fw::WorkloadItem make_app(const std::string& name, const AppParams& params) {
     if (params.size) p.n = *params.size;
     if (params.seed) p.seed = *params.seed;
     return fw::WorkloadItem{
-        name, [p] { return std::make_unique<GaussianApp>(p); }};
+        name, [p] { return std::make_unique<GaussianApp>(p); },
+        params_record(p.n, std::nullopt, p.seed)};
   }
   if (name == "nn") {
     NnParams p;
     if (params.size) p.records = *params.size;
     if (params.seed) p.seed = *params.seed;
-    return fw::WorkloadItem{name, [p] { return std::make_unique<NnApp>(p); }};
+    return fw::WorkloadItem{
+        name, [p] { return std::make_unique<NnApp>(p); },
+        params_record(p.records, std::nullopt, p.seed)};
   }
   if (name == "needle") {
     NeedleParams p;
     if (params.size) p.n = *params.size;
     if (params.seed) p.seed = *params.seed;
     return fw::WorkloadItem{
-        name, [p] { return std::make_unique<NeedleApp>(p); }};
+        name, [p] { return std::make_unique<NeedleApp>(p); },
+        params_record(p.n, std::nullopt, p.seed)};
   }
   if (name == "hotspot") {
     HotspotParams p;
     if (params.size) p.size = *params.size;
     if (params.iterations) p.iterations = *params.iterations;
     if (params.seed) p.seed = *params.seed;
-    return fw::WorkloadItem{name,
-                            [p] { return std::make_unique<HotspotApp>(p); }};
+    return fw::WorkloadItem{
+        name, [p] { return std::make_unique<HotspotApp>(p); },
+        params_record(p.size, p.iterations, p.seed)};
   }
   if (name == "lud") {
     LudParams p;
     if (params.size) p.n = *params.size;
     if (params.seed) p.seed = *params.seed;
-    return fw::WorkloadItem{name, [p] { return std::make_unique<LudApp>(p); }};
+    return fw::WorkloadItem{
+        name, [p] { return std::make_unique<LudApp>(p); },
+        params_record(p.n, std::nullopt, p.seed)};
   }
   if (name == "pathfinder") {
     PathfinderParams p;
@@ -64,15 +87,17 @@ fw::WorkloadItem make_app(const std::string& name, const AppParams& params) {
     if (params.iterations) p.rows = *params.iterations;
     if (params.seed) p.seed = *params.seed;
     return fw::WorkloadItem{
-        name, [p] { return std::make_unique<PathfinderApp>(p); }};
+        name, [p] { return std::make_unique<PathfinderApp>(p); },
+        params_record(p.cols, p.rows, p.seed)};
   }
   if (name == "srad") {
     SradParams p;
     if (params.size) p.size = *params.size;
     if (params.iterations) p.iterations = *params.iterations;
     if (params.seed) p.seed = *params.seed;
-    return fw::WorkloadItem{name,
-                            [p] { return std::make_unique<SradApp>(p); }};
+    return fw::WorkloadItem{
+        name, [p] { return std::make_unique<SradApp>(p); },
+        params_record(p.size, p.iterations, p.seed)};
   }
   HQ_CHECK_MSG(false, "unknown application '" << name << "'");
   return {};

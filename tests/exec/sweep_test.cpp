@@ -84,7 +84,7 @@ TEST(SweepRunnerTest, IdenticalResultsAtJobs128AndOversubscribed) {
   const SweepGrid grid = test_grid();
   SweepRunner runner;
 
-  const auto serial = runner.run(grid, {.jobs = 1, .progress = {}, .journal_path = {}, .resume = false});
+  const auto serial = runner.run(grid, {.jobs = 1});
   ASSERT_EQ(serial.size(), 16u);
   for (const SweepOutcome& o : serial) {
     EXPECT_GT(o.makespan, 0u) << o.point.label();
@@ -95,7 +95,7 @@ TEST(SweepRunnerTest, IdenticalResultsAtJobs128AndOversubscribed) {
   // this machine has hardware threads. Outcomes must be bit-identical.
   const int oversub = 4 * ThreadPool::hardware_jobs() + 3;
   for (const int jobs : {2, 8, oversub}) {
-    const auto parallel = runner.run(grid, {.jobs = jobs, .progress = {}, .journal_path = {}, .resume = false});
+    const auto parallel = runner.run(grid, {.jobs = jobs});
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].point.index, serial[i].point.index);
@@ -121,7 +121,7 @@ TEST(SweepRunnerTest, MetricsJsonByteIdenticalAcrossJobCounts) {
   grid.app_sets = {{"gaussian", "nn"}};
   grid.base.collect_telemetry = true;
   SweepRunner runner;
-  const auto serial = runner.run(grid, {.jobs = 1, .progress = {}, .journal_path = {}, .resume = false});
+  const auto serial = runner.run(grid, {.jobs = 1});
   ASSERT_EQ(serial.size(), 8u);
   for (const SweepOutcome& o : serial) {
     EXPECT_GT(o.mean_htod_latency_ns, 0.0) << o.point.label();
@@ -129,28 +129,8 @@ TEST(SweepRunnerTest, MetricsJsonByteIdenticalAcrossJobCounts) {
   }
   const std::string serial_json = sweep_metrics_json(serial);
   for (const int jobs : {2, 4}) {
-    const auto parallel = runner.run(grid, {.jobs = jobs, .progress = {}, .journal_path = {}, .resume = false});
+    const auto parallel = runner.run(grid, {.jobs = jobs});
     EXPECT_EQ(sweep_metrics_json(parallel), serial_json) << "jobs=" << jobs;
-  }
-}
-
-TEST(SweepRunnerTest, ProgressFiresInSubmissionOrder) {
-  const SweepGrid grid = test_grid();
-  std::vector<std::size_t> indices;
-  std::vector<std::size_t> dones;
-  SweepRunner::Options options;
-  options.jobs = 8;
-  options.progress = [&](const SweepOutcome& o, std::size_t done,
-                         std::size_t total) {
-    indices.push_back(o.point.index);
-    dones.push_back(done);
-    EXPECT_EQ(total, 16u);
-  };
-  const auto outcomes = SweepRunner().run(grid, options);
-  ASSERT_EQ(indices.size(), outcomes.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(indices[i], i);
-    EXPECT_EQ(dones[i], i + 1);
   }
 }
 
@@ -161,11 +141,11 @@ TEST(SweepRunnerTest, JobsZeroMeansHardwareConcurrency) {
   grid.orders = {fw::Order::NaiveFifo};
   grid.memory_sync = {false};
   SweepRunner runner;
-  const auto hw = runner.run(grid, {.jobs = 0, .progress = {}, .journal_path = {}, .resume = false});
-  const auto serial = runner.run(grid, {.jobs = 1, .progress = {}, .journal_path = {}, .resume = false});
+  const auto hw = runner.run(grid, {.jobs = 0});
+  const auto serial = runner.run(grid, {.jobs = 1});
   ASSERT_EQ(hw.size(), 1u);
   EXPECT_EQ(combined_digest(hw), combined_digest(serial));
-  EXPECT_THROW(runner.run(grid, {.jobs = -1, .progress = {}, .journal_path = {}, .resume = false}), Error);
+  EXPECT_THROW(runner.run(grid, {.jobs = -1}), Error);
 }
 
 TEST(SweepRunnerTest, CombinedDigestIsOrderAndValueSensitive) {

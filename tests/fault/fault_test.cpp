@@ -15,7 +15,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "exec/journal.hpp"
 #include "exec/sweep.hpp"
 #include "fault/fault.hpp"
 #include "hyperq/harness.hpp"
@@ -329,13 +328,14 @@ exec::SweepGrid journal_grid() {
   return grid;
 }
 
+using Sweep = exec::SweepRunner;
+
 TEST(SweepJournalTest, OutcomeLineRoundTripsEveryField) {
   const exec::SweepGrid grid = journal_grid();
-  const auto points = exec::SweepRunner::expand(grid);
-  const exec::SweepOutcome outcome =
-      exec::SweepRunner::run_point(grid, points[1]);
-  const std::string line = exec::journal_outcome_line(outcome);
-  const auto parsed = exec::parse_journal_outcome(line, points);
+  const auto points = Sweep::expand(grid);
+  const exec::SweepOutcome outcome = Sweep::run_point(grid, points[1]);
+  const std::string line = exec::journal_record_line<Sweep>(outcome);
+  const auto parsed = exec::parse_journal_outcome<Sweep>(line, points);
   ASSERT_TRUE(parsed.has_value()) << line;
   EXPECT_EQ(parsed->point.index, outcome.point.index);
   EXPECT_EQ(parsed->point.label(), outcome.point.label());
@@ -353,40 +353,43 @@ TEST(SweepJournalTest, OutcomeLineRoundTripsEveryField) {
 
 TEST(SweepJournalTest, TornAndForeignLinesAreIgnored) {
   const exec::SweepGrid grid = journal_grid();
-  const auto points = exec::SweepRunner::expand(grid);
-  const exec::SweepOutcome outcome =
-      exec::SweepRunner::run_point(grid, points[0]);
-  const std::uint64_t key = exec::sweep_grid_key(grid, points);
+  const auto points = Sweep::expand(grid);
+  const exec::SweepOutcome outcome = Sweep::run_point(grid, points[0]);
+  const std::uint64_t key = Sweep::grid_key(grid, points);
+  const std::string header =
+      exec::journal_header_line(Sweep::kJournalMagic, key, points.size());
 
   std::stringstream journal;
-  journal << exec::journal_header_line(key, points.size()) << "\n"
-          << exec::journal_outcome_line(outcome) << "\n"
+  journal << header << "\n"
+          << exec::journal_record_line<Sweep>(outcome) << "\n"
           << "point index=1 makespan=123";  // torn: crash mid-write, no `end`
   std::vector<std::optional<exec::SweepOutcome>> cached;
-  EXPECT_EQ(exec::load_journal(journal, key, points, &cached), 1u);
+  EXPECT_EQ(exec::load_journal<Sweep>(journal, key, points, &cached), 1u);
   ASSERT_EQ(cached.size(), points.size());
   EXPECT_TRUE(cached[0].has_value());
   EXPECT_FALSE(cached[1].has_value());
   EXPECT_EQ(cached[0]->trace_digest, outcome.trace_digest);
 
   // Out-of-range indices are ignored too.
-  std::string foreign = exec::journal_outcome_line(outcome);
+  std::string foreign = exec::journal_record_line<Sweep>(outcome);
   foreign.replace(foreign.find("index=0"), 7, "index=99");
   std::stringstream oob;
-  oob << exec::journal_header_line(key, points.size()) << "\n" << foreign;
+  oob << header << "\n" << foreign;
   cached.clear();
-  EXPECT_EQ(exec::load_journal(oob, key, points, &cached), 0u);
+  EXPECT_EQ(exec::load_journal<Sweep>(oob, key, points, &cached), 0u);
 }
 
 TEST(SweepJournalTest, GridMismatchIsStructuredError) {
   const exec::SweepGrid grid = journal_grid();
-  const auto points = exec::SweepRunner::expand(grid);
-  const std::uint64_t key = exec::sweep_grid_key(grid, points);
+  const auto points = Sweep::expand(grid);
+  const std::uint64_t key = Sweep::grid_key(grid, points);
   std::stringstream journal;
-  journal << exec::journal_header_line(key ^ 1, points.size()) << "\n";
+  journal << exec::journal_header_line(Sweep::kJournalMagic, key ^ 1,
+                                       points.size())
+          << "\n";
   std::vector<std::optional<exec::SweepOutcome>> cached;
   try {
-    exec::load_journal(journal, key, points, &cached);
+    exec::load_journal<Sweep>(journal, key, points, &cached);
     FAIL() << "expected hq::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
@@ -396,48 +399,47 @@ TEST(SweepJournalTest, GridMismatchIsStructuredError) {
 
 TEST(SweepJournalTest, GridKeyTracksFaultPlan) {
   exec::SweepGrid grid = journal_grid();
-  const auto points = exec::SweepRunner::expand(grid);
-  const std::uint64_t plain = exec::sweep_grid_key(grid, points);
+  const auto points = Sweep::expand(grid);
+  const std::uint64_t plain = Sweep::grid_key(grid, points);
   grid.base.fault_plan = fault::FaultPlan::zero();
-  EXPECT_NE(exec::sweep_grid_key(grid, points), plain);
+  EXPECT_NE(Sweep::grid_key(grid, points), plain);
   grid.base.fault_plan.seed = 1;
   grid.base.fault_plan.copy_stall_rate = 0.5;
-  EXPECT_NE(exec::sweep_grid_key(grid, points),
-            exec::sweep_grid_key(journal_grid(),
-                                 exec::SweepRunner::expand(journal_grid())));
+  EXPECT_NE(Sweep::grid_key(grid, points),
+            Sweep::grid_key(journal_grid(), Sweep::expand(journal_grid())));
 }
 
 TEST(SweepJournalTest, GridKeyTracksBaseConfigAndParams) {
   const exec::SweepGrid base = journal_grid();
-  const auto points = exec::SweepRunner::expand(base);
-  const std::uint64_t plain = exec::sweep_grid_key(base, points);
+  const auto points = Sweep::expand(base);
+  const std::uint64_t plain = Sweep::grid_key(base, points);
 
   // Every result-affecting base-config change must change the key, or
   // --resume would silently splice cached outcomes from the old
   // configuration into the new sweep.
   exec::SweepGrid g = base;
   g.base.device = gpu::DeviceSpec::fermi_single_queue();
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 
   g = base;
   g.params.size = *base.params.size * 2;
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 
   g = base;
   g.base.launch_stagger += kMicrosecond;
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 
   g = base;
   g.base.retry.max_attempts += 1;
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 
   g = base;
   g.base.watchdog_timeout = kMillisecond;
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 
   g = base;
   g.base.blocking_transfers = !g.base.blocking_transfers;
-  EXPECT_NE(exec::sweep_grid_key(g, points), plain);
+  EXPECT_NE(Sweep::grid_key(g, points), plain);
 }
 
 TEST(SweepJournalTest, ResumeWithEmptyJournalStillWritesHeader) {
@@ -449,11 +451,10 @@ TEST(SweepJournalTest, ResumeWithEmptyJournalStillWritesHeader) {
   // journal; resuming from it must still produce a headered journal that a
   // later --resume accepts.
   { std::ofstream touch(path, std::ios::trunc); }
-  const auto first = runner.run(grid, {.jobs = 1, .progress = {},
-                                       .journal_path = path, .resume = true});
-  const auto resumed = runner.run(grid, {.jobs = 1, .progress = {},
-                                         .journal_path = path,
-                                         .resume = true});
+  const auto first =
+      runner.run(grid, {.jobs = 1, .journal_path = path, .resume = true});
+  const auto resumed =
+      runner.run(grid, {.jobs = 1, .journal_path = path, .resume = true});
   EXPECT_EQ(exec::combined_digest(resumed), exec::combined_digest(first));
   std::remove(path.c_str());
 }
@@ -466,15 +467,12 @@ TEST(SweepJournalTest, InterruptedSweepResumesByteIdentical) {
   exec::SweepRunner runner;
 
   // Reference: uninterrupted, no journal.
-  const auto reference =
-      runner.run(grid, {.jobs = 1, .progress = {}, .journal_path = {},
-                        .resume = false});
+  const auto reference = runner.run(grid);
   ASSERT_EQ(reference.size(), 4u);
 
   // Journaled run, then simulate a crash by truncating to header + 2 points.
   const std::string path = ::testing::TempDir() + "hq_fault_test_journal.txt";
-  (void)runner.run(grid, {.jobs = 2, .progress = {}, .journal_path = path,
-                          .resume = false});
+  (void)runner.run(grid, {.jobs = 2, .journal_path = path, .resume = false});
   std::vector<std::string> lines;
   {
     std::ifstream in(path);
@@ -490,8 +488,7 @@ TEST(SweepJournalTest, InterruptedSweepResumesByteIdentical) {
   // Resume re-runs only the missing points; the result must be
   // byte-identical to the uninterrupted run, reports and metrics included.
   const auto resumed =
-      runner.run(grid, {.jobs = 2, .progress = {}, .journal_path = path,
-                        .resume = true});
+      runner.run(grid, {.jobs = 2, .journal_path = path, .resume = true});
   ASSERT_EQ(resumed.size(), reference.size());
   EXPECT_EQ(exec::combined_digest(resumed), exec::combined_digest(reference));
   EXPECT_EQ(exec::render_report(resumed), exec::render_report(reference));
@@ -502,9 +499,9 @@ TEST(SweepJournalTest, InterruptedSweepResumesByteIdentical) {
   // mix of incompatible results.
   exec::SweepGrid other = grid;
   other.base.fault_plan.seed = 4;
-  EXPECT_THROW(runner.run(other, {.jobs = 1, .progress = {},
-                                  .journal_path = path, .resume = true}),
-               Error);
+  EXPECT_THROW(
+      runner.run(other, {.jobs = 1, .journal_path = path, .resume = true}),
+      Error);
   std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
 
 #include "common/check.hpp"
 #include "fault/fault.hpp"
+#include "rodinia/registry.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 
 namespace hq::fleet {
@@ -50,9 +51,21 @@ FleetSweepGrid small_grid() {
   return grid;
 }
 
+fw::WorkloadItem app(const std::string& name, int size,
+                     std::optional<int> iterations = std::nullopt) {
+  rodinia::AppParams params;
+  params.size = size;
+  params.iterations = iterations;
+  return rodinia::make_app(name, params);
+}
+
+std::vector<FleetSweepOutcome> run(const FleetSweepGrid& grid) {
+  return exec::run_grid<FleetSweep>(grid, {});
+}
+
 std::uint64_t key_of(const FleetSweepGrid& grid) {
-  const auto points = expand_fleet_sweep(grid);
-  return fleet_sweep_grid_key(grid, points);
+  const auto points = FleetSweep::expand(grid);
+  return FleetSweep::grid_key(grid, points);
 }
 
 /// RAII scratch file path for journal tests.
@@ -66,7 +79,7 @@ struct ScratchFile {
 };
 
 TEST(FleetSweepTest, ExpandsRowMajorSizesOutermost) {
-  const auto points = expand_fleet_sweep(small_grid());
+  const auto points = FleetSweep::expand(small_grid());
   ASSERT_EQ(points.size(), 4u);
   EXPECT_EQ(points[0].label(), "n=1 placement=round-robin");
   EXPECT_EQ(points[1].label(), "n=1 placement=least-loaded");
@@ -83,7 +96,7 @@ TEST(FleetSweepTest, ApplyPointResizesCyclicallyFromResolvedSpecs) {
                        gpu::DeviceSpec::single_copy_engine()};
   grid.fleet_sizes = {3};
   grid.placements = {PlacementPolicy::CopyAware};
-  const auto points = expand_fleet_sweep(grid);
+  const auto points = FleetSweep::expand(grid);
   const FleetConfig config = apply_fleet_point(grid, points[0]);
   ASSERT_EQ(config.devices.size(), 3u);
   EXPECT_EQ(config.devices[0].name, gpu::DeviceSpec::tesla_k20().name);
@@ -158,6 +171,12 @@ TEST(FleetSweepTest, GridKeyFingerprintsEveryResultAffectingField) {
     sdc.sdc_copy_rate = 0.4;
     g.base.device_fault_plans = {sdc, fault::FaultPlan::zero()};
   }
+  // Application params live inside the class's factory closure, so only
+  // the item's params record can tell two sizes (or iteration counts) of
+  // the same application apart.
+  variant().base.base.classes[0].item = app("srad", 64);
+  variant().base.base.classes[0].item = app("srad", 128);
+  variant().base.base.classes[0].item = app("srad", 64, 3);
 
   std::set<std::uint64_t> keys = {base_key};
   for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -170,10 +189,10 @@ TEST(FleetSweepTest, GridKeyFingerprintsEveryResultAffectingField) {
 
 TEST(FleetSweepTest, JournalOutcomeLineRoundTrips) {
   const FleetSweepGrid grid = small_grid();
-  const auto points = expand_fleet_sweep(grid);
-  const FleetSweepOutcome out = run_fleet_point(grid, points[2]);
-  const std::string line = fleet_journal_outcome_line(out);
-  const auto parsed = parse_fleet_journal_outcome(line, points);
+  const auto points = FleetSweep::expand(grid);
+  const FleetSweepOutcome out = FleetSweep::run_point(grid, points[2]);
+  const std::string line = exec::journal_record_line<FleetSweep>(out);
+  const auto parsed = exec::parse_journal_outcome<FleetSweep>(line, points);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->point.index, out.point.index);
   EXPECT_EQ(parsed->point.fleet_size, out.point.fleet_size);
@@ -191,22 +210,24 @@ TEST(FleetSweepTest, JournalOutcomeLineRoundTrips) {
 
 TEST(FleetSweepTest, LoadJournalSkipsTornAndForeignLines) {
   const FleetSweepGrid grid = small_grid();
-  const auto points = expand_fleet_sweep(grid);
-  const std::uint64_t key = fleet_sweep_grid_key(grid, points);
-  const FleetSweepOutcome out = run_fleet_point(grid, points[1]);
+  const auto points = FleetSweep::expand(grid);
+  const std::uint64_t key = FleetSweep::grid_key(grid, points);
+  const FleetSweepOutcome out = FleetSweep::run_point(grid, points[1]);
 
   std::stringstream journal;
-  journal << fleet_journal_header_line(key, points.size()) << "\n";
+  journal << exec::journal_header_line(FleetSweep::kJournalMagic, key,
+                                       points.size())
+          << "\n";
   journal << "garbage line\n";
-  const std::string good = fleet_journal_outcome_line(out);
+  const std::string good = exec::journal_record_line<FleetSweep>(out);
   journal << good.substr(0, good.size() / 2) << "\n";  // torn mid-write
   journal << "point index=99 arrived=1 end\n";         // out-of-range point
   journal << good << "\n";
 
   std::vector<std::optional<FleetSweepOutcome>> cached(points.size());
   bool header_read = false;
-  const std::size_t loaded =
-      load_fleet_journal(journal, key, points, &cached, &header_read);
+  const std::size_t loaded = exec::load_journal<FleetSweep>(
+      journal, key, points, &cached, &header_read);
   EXPECT_TRUE(header_read);
   EXPECT_EQ(loaded, 1u);
   ASSERT_TRUE(cached[1].has_value());
@@ -216,27 +237,30 @@ TEST(FleetSweepTest, LoadJournalSkipsTornAndForeignLines) {
 
 TEST(FleetSweepTest, LoadJournalRejectsForeignGridKey) {
   const FleetSweepGrid grid = small_grid();
-  const auto points = expand_fleet_sweep(grid);
-  const std::uint64_t key = fleet_sweep_grid_key(grid, points);
+  const auto points = FleetSweep::expand(grid);
+  const std::uint64_t key = FleetSweep::grid_key(grid, points);
   std::stringstream journal;
-  journal << fleet_journal_header_line(key ^ 1, points.size()) << "\n";
+  journal << exec::journal_header_line(FleetSweep::kJournalMagic, key ^ 1,
+                                       points.size())
+          << "\n";
   std::vector<std::optional<FleetSweepOutcome>> cached(points.size());
-  EXPECT_THROW(load_fleet_journal(journal, key, points, &cached), hq::Error);
+  EXPECT_THROW(exec::load_journal<FleetSweep>(journal, key, points, &cached),
+               hq::Error);
 }
 
 TEST(FleetSweepTest, ResumeEqualsFreshRunAndRefusesForeignGrid) {
   const FleetSweepGrid grid = small_grid();
-  const auto fresh = run_fleet_sweep(grid, {});
+  const auto fresh = run(grid);
 
   // Journal a full run, then resume from it: every point replays from the
   // journal and the outcomes match the fresh run exactly.
   ScratchFile scratch("fleet_sweep_journal_test.log");
-  FleetSweepOptions journaled;
+  exec::GridOptions journaled;
   journaled.journal_path = scratch.path;
-  const auto first = run_fleet_sweep(grid, journaled);
-  FleetSweepOptions resumed = journaled;
+  const auto first = exec::run_grid<FleetSweep>(grid, journaled);
+  exec::GridOptions resumed = journaled;
   resumed.resume = true;
-  const auto second = run_fleet_sweep(grid, resumed);
+  const auto second = exec::run_grid<FleetSweep>(grid, resumed);
   ASSERT_EQ(first.size(), fresh.size());
   ASSERT_EQ(second.size(), fresh.size());
   EXPECT_EQ(fleet_combined_digest(first), fleet_combined_digest(fresh));
@@ -245,16 +269,40 @@ TEST(FleetSweepTest, ResumeEqualsFreshRunAndRefusesForeignGrid) {
   // A different grid must refuse to resume from this journal.
   FleetSweepGrid other = grid;
   other.base.base.seed = 4242;
-  EXPECT_THROW(run_fleet_sweep(other, resumed), hq::Error);
+  EXPECT_THROW(exec::run_grid<FleetSweep>(other, resumed), hq::Error);
+}
+
+TEST(FleetSweepTest, ResumeRefusesJournalOfAnotherAppSize) {
+  // The same command line at another --size must not replay the journal:
+  // the class keeps its type name, but its workload is different.
+  const auto grid_at = [](int size) {
+    FleetSweepGrid grid = small_grid();
+    grid.base.base.classes[0].item = app("gaussian", size);
+    grid.fleet_sizes = {1};
+    grid.placements = {PlacementPolicy::RoundRobin};
+    return grid;
+  };
+  ScratchFile scratch("fleet_sweep_size_journal_test.log");
+  exec::GridOptions options;
+  options.journal_path = scratch.path;
+  (void)exec::run_grid<FleetSweep>(grid_at(32), options);
+  options.resume = true;
+  try {
+    (void)exec::run_grid<FleetSweep>(grid_at(64), options);
+    FAIL() << "expected hq::Error";
+  } catch (const hq::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FleetSweepTest, CombinedDigestIsByteIdenticalAcrossJobCounts) {
   const FleetSweepGrid grid = small_grid();
-  const auto serial = run_fleet_sweep(grid, {});
+  const auto serial = run(grid);
   for (const int jobs : {2, 8}) {
-    FleetSweepOptions options;
+    exec::GridOptions options;
     options.jobs = jobs;
-    const auto threaded = run_fleet_sweep(grid, options);
+    const auto threaded = exec::run_grid<FleetSweep>(grid, options);
     ASSERT_EQ(threaded.size(), serial.size());
     EXPECT_EQ(fleet_combined_digest(threaded),
               fleet_combined_digest(serial))
@@ -267,7 +315,7 @@ TEST(FleetSweepTest, CombinedDigestIsByteIdenticalAcrossJobCounts) {
 
 TEST(FleetSweepTest, RenderedReportListsEveryPointAndCombinedDigest) {
   const FleetSweepGrid grid = small_grid();
-  const auto outcomes = run_fleet_sweep(grid, {});
+  const auto outcomes = run(grid);
   const std::string report = render_fleet_sweep_report(outcomes);
   EXPECT_NE(report.find("round-robin"), std::string::npos);
   EXPECT_NE(report.find("least-loaded"), std::string::npos);

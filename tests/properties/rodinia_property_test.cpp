@@ -20,6 +20,26 @@ struct FunctionalCase {
   std::uint64_t seed;
 };
 
+// gtest prints a parameter into every ctest test name. A plain struct
+// prints as its raw bytes, which hold the ASLR-moved address of `app`, so
+// print it by value.
+void PrintTo(const FunctionalCase& c, std::ostream* os) {
+  *os << c.app << " size=" << c.size << " seed=" << c.seed;
+}
+
+/// The size x seed matrix both sweeps below run.
+const auto kSizeSeedCases = ::testing::Values(
+    FunctionalCase{"gaussian", 16, 1}, FunctionalCase{"gaussian", 40, 2},
+    FunctionalCase{"gaussian", 96, 3}, FunctionalCase{"nn", 128, 4},
+    FunctionalCase{"nn", 1001, 5}, FunctionalCase{"nn", 4096, 6},
+    FunctionalCase{"needle", 32, 7}, FunctionalCase{"needle", 64, 8},
+    FunctionalCase{"needle", 160, 9}, FunctionalCase{"srad", 16, 10},
+    FunctionalCase{"srad", 32, 11}, FunctionalCase{"srad", 64, 12});
+
+std::string case_name(const ::testing::TestParamInfo<FunctionalCase>& info) {
+  return std::string(info.param.app) + "_" + std::to_string(info.param.size);
+}
+
 class RodiniaFunctional : public ::testing::TestWithParam<FunctionalCase> {};
 
 TEST_P(RodiniaFunctional, VerifiesConcurrentWithSelf) {
@@ -42,24 +62,8 @@ TEST_P(RodiniaFunctional, VerifiesConcurrentWithSelf) {
   EXPECT_TRUE(result.all_verified) << c.app << " size=" << c.size;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SizeSeedSweep, RodiniaFunctional,
-    ::testing::Values(FunctionalCase{"gaussian", 16, 1},
-                      FunctionalCase{"gaussian", 40, 2},
-                      FunctionalCase{"gaussian", 96, 3},
-                      FunctionalCase{"nn", 128, 4},
-                      FunctionalCase{"nn", 1001, 5},
-                      FunctionalCase{"nn", 4096, 6},
-                      FunctionalCase{"needle", 32, 7},
-                      FunctionalCase{"needle", 64, 8},
-                      FunctionalCase{"needle", 160, 9},
-                      FunctionalCase{"srad", 16, 10},
-                      FunctionalCase{"srad", 32, 11},
-                      FunctionalCase{"srad", 64, 12}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.app) + "_" +
-             std::to_string(param_info.param.size);
-    });
+INSTANTIATE_TEST_SUITE_P(SizeSeedSweep, RodiniaFunctional, kSizeSeedCases,
+                         case_name);
 
 class MixedFunctional : public ::testing::TestWithParam<bool> {};
 
@@ -91,17 +95,7 @@ INSTANTIATE_TEST_SUITE_P(SyncModes, MixedFunctional, ::testing::Bool(),
                            return param_info.param ? "memsync" : "default";
                          });
 
-// The serialized sweep runs the same matrix under a parameter type that
-// prints by value. A plain struct prints as its raw bytes, which hold the
-// address of `app`; that address moves with ASLR, and the printed parameter
-// is part of every ctest test name.
-struct SerializedCase : FunctionalCase {};
-
-void PrintTo(const SerializedCase& c, std::ostream* os) {
-  *os << c.app << " size=" << c.size << " seed=" << c.seed;
-}
-
-class RodiniaSerialized : public ::testing::TestWithParam<SerializedCase> {};
+class RodiniaSerialized : public ::testing::TestWithParam<FunctionalCase> {};
 
 TEST_P(RodiniaSerialized, Verifies) {
   const FunctionalCase c = GetParam();
@@ -120,24 +114,8 @@ TEST_P(RodiniaSerialized, Verifies) {
   EXPECT_TRUE(result.all_verified) << c.app << " size=" << c.size;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SizeSeedSweep, RodiniaSerialized,
-    ::testing::Values(SerializedCase{{"gaussian", 16, 1}},
-                      SerializedCase{{"gaussian", 40, 2}},
-                      SerializedCase{{"gaussian", 96, 3}},
-                      SerializedCase{{"nn", 128, 4}},
-                      SerializedCase{{"nn", 1001, 5}},
-                      SerializedCase{{"nn", 4096, 6}},
-                      SerializedCase{{"needle", 32, 7}},
-                      SerializedCase{{"needle", 64, 8}},
-                      SerializedCase{{"needle", 160, 9}},
-                      SerializedCase{{"srad", 16, 10}},
-                      SerializedCase{{"srad", 32, 11}},
-                      SerializedCase{{"srad", 64, 12}}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.app) + "_" +
-             std::to_string(param_info.param.size);
-    });
+INSTANTIATE_TEST_SUITE_P(SizeSeedSweep, RodiniaSerialized, kSizeSeedCases,
+                         case_name);
 
 }  // namespace
 }  // namespace hq::rodinia

@@ -826,11 +826,11 @@ int main(int argc, char** argv) {
             grid.placements.push_back(*parsed);
           }
         }
-        fleet::FleetSweepOptions options;
+        exec::GridOptions options;
         options.jobs = static_cast<int>(*jobs);
         options.journal_path = args.get("journal");
         options.resume = args.get_flag("resume");
-        const auto outcomes = fleet::run_fleet_sweep(grid, options);
+        const auto outcomes = exec::run_grid<fleet::FleetSweep>(grid, options);
         if (report_format == "json") {
           std::cout << "{\n  \"points\": [";
           for (std::size_t i = 0; i < outcomes.size(); ++i) {
