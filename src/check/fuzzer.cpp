@@ -50,6 +50,19 @@ rodinia::AppParams pick_params(const std::string& name, Rng& rng) {
   return p;
 }
 
+/// `report` with the fault-domain and integrity config echo of `baseline`.
+/// The inert-knob oracles check that inert knobs leave behaviour unchanged;
+/// the echo shows the knobs, so everything but the echo is compared.
+fleet::FleetReport with_config_echo_of(fleet::FleetReport report,
+                                       const fleet::FleetReport& baseline) {
+  report.hedging = baseline.hedging;
+  report.failover_budget = baseline.failover_budget;
+  report.integrity_policy = baseline.integrity_policy;
+  report.spotcheck_rate = baseline.spotcheck_rate;
+  report.sdc_blocklist_threshold = baseline.sdc_blocklist_threshold;
+  return report;
+}
+
 }  // namespace
 
 FuzzCase generate_case(std::uint64_t case_seed) {
@@ -471,7 +484,8 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
 
   // --- inert-knob identity ---------------------------------------------------
   // Hedging off, all per-device plans disabled, and a moved (but inert)
-  // failover budget must reproduce the chaos-free fleet case byte-for-byte.
+  // failover budget must reproduce the chaos-free fleet case byte-for-byte,
+  // apart from the config echo.
   fleet::FleetConfig inert = cfg;
   inert.device_fault_plans.assign(n, fault::FaultPlan{});
   inert.hedging = false;
@@ -479,12 +493,14 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   const auto inert_run = run_with(inert, "chaos-inert");
   const auto baseline_run = run_with(baseline, "chaos-baseline");
   if (inert_run && baseline_run) {
-    if (fleet::fleet_report_json(inert_run->report) !=
+    const fleet::FleetReport echoed =
+        with_config_echo_of(inert_run->report, baseline_run->report);
+    if (fleet::fleet_report_json(echoed) !=
         fleet::fleet_report_json(baseline_run->report)) {
       std::ostringstream os;
       os << "chaos inert-knob perturbation: hedging off + disabled plans "
          << "changed the report (digests "
-         << fleet::fleet_report_digest(inert_run->report) << " vs "
+         << fleet::fleet_report_digest(echoed) << " vs "
          << fleet::fleet_report_digest(baseline_run->report) << ")";
       fail(os);
     }
@@ -667,8 +683,9 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
   }
 
   // --- inert-plan identity ---------------------------------------------------
-  // All-clean plans + Trust must reproduce the integrity-free fleet case
-  // byte-for-byte: the whole pipeline is gated, not merely quiet.
+  // All-clean plans + Trust must reproduce the fleet case without the
+  // integrity knobs byte-for-byte, apart from the config echo: under Trust
+  // with clean plans the pipeline dispatches and detects nothing.
   fleet::FleetConfig inert = cfg;
   inert.device_fault_plans.assign(n, fault::FaultPlan{});
   inert.integrity = fleet::IntegrityPolicy::Trust;
@@ -676,12 +693,14 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
   const auto inert_run = run_with(inert, "sdc-inert");
   const auto baseline_run = run_with(baseline, "sdc-baseline");
   if (inert_run && baseline_run) {
-    if (fleet::fleet_report_json(inert_run->report) !=
+    const fleet::FleetReport echoed =
+        with_config_echo_of(inert_run->report, baseline_run->report);
+    if (fleet::fleet_report_json(echoed) !=
         fleet::fleet_report_json(baseline_run->report)) {
       std::ostringstream os;
       os << "sdc inert-plan perturbation: clean plans + trust policy "
          << "changed the report (digests "
-         << fleet::fleet_report_digest(inert_run->report) << " vs "
+         << fleet::fleet_report_digest(echoed) << " vs "
          << fleet::fleet_report_digest(baseline_run->report) << ")";
       fail(os);
     }

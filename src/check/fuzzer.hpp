@@ -141,8 +141,8 @@ struct FuzzOptions {
   /// fleet iteration additionally runs the chaos oracles
   /// (run_fleet_chaos_case): no-job-lost conservation under arbitrary
   /// crash schedules, failover determinism, hedge-off/inert-knob runs
-  /// byte-identical to the baseline, and all-devices-dead draining
-  /// cleanly. 0 disables.
+  /// byte-identical to the baseline apart from the config echo, and
+  /// all-devices-dead draining cleanly. 0 disables.
   double chaos_rate = 0.0;
   /// Probability in [0, 1] that each fleet device receives a seed-derived
   /// silent-data-corruption plan. When > 0 every fleet iteration
@@ -150,8 +150,8 @@ struct FuzzOptions {
   /// conservation with verification re-executions counted as attempts, the
   /// exact sdc_injected == sdc_detected + sdc_missed partition, two-run
   /// byte determinism, inert-plan/Trust runs byte-identical to the
-  /// baseline, and no placements on a blocklisted device after its
-  /// blocklist time. 0 disables.
+  /// baseline apart from the config echo, and no placements on a
+  /// blocklisted device after its blocklist time. 0 disables.
   double sdc_rate = 0.0;
 };
 
@@ -205,9 +205,9 @@ class Fuzzer {
   /// device crashes, flaps, or degrades with probability `chaos_rate`) and
   /// random failover/hedging knobs. Checks no-job-lost conservation
   /// (including shed_failover_exhausted), two-run byte determinism, the
-  /// inert-knob identity (hedging off + all-disabled plans ==
-  /// byte-identical baseline report), and the all-devices-dead clean
-  /// drain. Returns the violated oracles (empty = clean).
+  /// inert-knob identity (hedging off + all-disabled plans == the
+  /// baseline report byte for byte, config echo aside), and the
+  /// all-devices-dead clean drain. Returns the violated oracles (empty = clean).
   static std::vector<std::string> run_fleet_chaos_case(
       std::uint64_t case_seed, double chaos_rate,
       std::string* summary_out = nullptr);
@@ -218,10 +218,10 @@ class Fuzzer {
   /// with probability `sdc_rate`) under a random non-Trust integrity
   /// policy. Checks conservation with re-executions counted as attempts,
   /// the exact detected + missed == injected partition, two-run byte
-  /// determinism, the inert-plan identity (all-clean plans + Trust ==
-  /// byte-identical baseline report), and that a blocklisted device
-  /// receives no placements, hops, or dispatches after its blocklist
-  /// time. Returns the violated oracles (empty = clean).
+  /// determinism, the inert-plan identity (all-clean plans + Trust == the
+  /// baseline report byte for byte, config echo aside), and that a
+  /// blocklisted device receives no placements, hops, or dispatches after
+  /// its blocklist time. Returns the violated oracles (empty = clean).
   static std::vector<std::string> run_fleet_sdc_case(
       std::uint64_t case_seed, double sdc_rate,
       std::string* summary_out = nullptr);

@@ -36,24 +36,6 @@ void FleetConfig::resize_homogeneous(std::size_t n) {
   devices.assign(n, base.device);
 }
 
-bool FleetConfig::fault_domains_active() const {
-  if (hedging) return true;
-  if (base.fault_plan.any_lifecycle()) return true;
-  for (const fault::FaultPlan& plan : device_fault_plans) {
-    if (plan.any_faults()) return true;
-  }
-  return false;
-}
-
-bool FleetConfig::integrity_active() const {
-  if (integrity != IntegrityPolicy::Trust) return true;
-  if (base.fault_plan.any_sdc()) return true;
-  for (const fault::FaultPlan& plan : device_fault_plans) {
-    if (plan.any_sdc()) return true;
-  }
-  return false;
-}
-
 void FleetConfig::validate() const {
   base.validate();
   HQ_CHECK_MSG(copy_penalty >= 0,
@@ -191,6 +173,8 @@ struct FleetService::Shard {
   obs::Series* completed_series = nullptr;
   /// 0 = closed, 1 = open, 2 = half-open; only when the breaker exists.
   obs::Series* breaker_state_series = nullptr;
+  /// The integrity pipeline's EWMA blame score of this device.
+  obs::Series* sdc_score_series = nullptr;
   std::uint64_t completed_jobs = 0;
 
   // --- fleet fault domains --------------------------------------------------
@@ -200,27 +184,6 @@ struct FleetService::Shard {
   /// True while the device is down (between a down and an up transition).
   /// Always false without lifecycle faults — zero perturbation.
   bool down = false;
-  std::uint64_t failed_over_in = 0;
-  std::uint64_t failed_over_out = 0;
-  std::uint64_t hedges_run = 0;
-  std::uint64_t attempts_cancelled = 0;
-  std::uint64_t lifecycle_downs = 0;
-
-  // --- integrity pipeline (all zero/false unless integrity_active) ----------
-  /// Permanently removed from service by the integrity pipeline: no
-  /// placements, steals, hedges, or verifications land here, and its queued
-  /// and running work is displaced to survivors. Distinct from `down`
-  /// (availability quarantine): the device is up but untrusted.
-  bool blocklisted = false;
-  TimeNs blocklisted_at = 0;
-  /// EWMA of vote blame attributions; crossing sdc_blocklist_threshold
-  /// blocklists the device.
-  double sdc_score = 0;
-  std::uint64_t sdc_injected = 0;  ///< corrupted results produced here
-  std::uint64_t sdc_detected = 0;  ///< of those, caught by a comparison
-  std::uint64_t sdc_blamed = 0;    ///< vote outcomes blaming this device
-  std::uint64_t verifications_run = 0;  ///< verify/tiebreak attempts run here
-  obs::Series* sdc_score_series = nullptr;
   /// Energy/occupancy frozen at the drain instant (lifecycle transition
   /// events can outlive the drain and would otherwise stretch the lazy
   /// idle-power integral; without lifecycle faults these equal the post-run
@@ -231,11 +194,13 @@ struct FleetService::Shard {
   std::size_t inflight = 0;
   std::size_t peak_inflight = 0;
   std::uint64_t pseudo_burst_jobs = 0;
-  std::uint64_t placed = 0;
-  std::uint64_t requeued_in = 0;
-  std::uint64_t requeued_out = 0;
-  std::uint64_t stolen_in = 0;
-  std::uint64_t stolen_out = 0;
+  /// This device's routing, fault-domain and integrity counters, counted in
+  /// place; the name, breaker fields and report are filled in at drain.
+  /// stats.blocklisted marks a device the integrity pipeline removed for
+  /// good: no placements, steals, hedges, or verifications land here, and
+  /// its work is displaced to survivors. Distinct from `down` (availability
+  /// quarantine): the device is up but untrusted.
+  FleetDeviceStats stats;
   /// Health-breaker trips already rebalanced (detects fresh trips).
   std::uint64_t seen_trips = 0;
   /// A drain-retry pump is already scheduled for this shard.
@@ -325,29 +290,15 @@ struct FleetService::RunState {
   /// and ShedFailoverExhausted.
   std::vector<int>* owners = nullptr;
 
+  /// The report run() returns; fleet-level counters are counted in place.
+  FleetReport* report = nullptr;
+
   bool admission_closed = false;
   TimeNs window_closed_at = 0;
-  std::uint64_t shed_no_device = 0;
-
-  // --- integrity pipeline ---------------------------------------------------
-  /// Cached config->integrity_active(); false keeps every pipeline hook a
-  /// no-op (zero perturbation).
-  bool integrity_on = false;
-  std::uint64_t sdc_injected = 0;
-  std::uint64_t sdc_detected = 0;
-  std::uint64_t sdc_missed = 0;
-  std::uint64_t reexecutions = 0;
-  std::uint64_t devices_blocklisted = 0;
 
   // --- fleet fault domains --------------------------------------------------
-  std::uint64_t shed_failover_exhausted = 0;
   /// Exhausted jobs that never dispatched: span-free like shed_no_device.
   std::vector<std::int32_t> exhausted_undispatched;
-  std::uint64_t failed_over_hops = 0;
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedges_cancelled = 0;
-  std::uint64_t attempts_cancelled = 0;
   /// Running per-class mean of winning service times (dispatch ->
   /// completion) feeding the hedge straggler threshold.
   struct ClassService {
@@ -411,7 +362,7 @@ struct FleetService::RunState {
   /// real dispatches). Only called immediately before a dispatch so an
   /// admitted probe always resolves. A down device admits nothing.
   bool gate(Shard& s) {
-    if (s.down || s.blocklisted) return false;
+    if (s.down || s.stats.blocklisted) return false;
     if (s.device_breaker == nullptr) return true;
     const bool admitted = s.device_breaker->allow(sim->now());
     sample_breaker(s);  // allow() can move Open -> HalfOpen
@@ -423,7 +374,7 @@ struct FleetService::RunState {
     const TimeNs now = sim->now();
     for (Shard& s : *shards) {
       DeviceLoad load;
-      load.healthy = !s.down && !s.blocklisted &&
+      load.healthy = !s.down && !s.stats.blocklisted &&
                      (s.device_breaker == nullptr ||
                       s.device_breaker->would_allow(now));
       load.outstanding = s.queue.size() + s.inflight;
@@ -510,7 +461,8 @@ struct FleetService::RunState {
     const Attempt& a = (*attempts)[attempt_index];
     if (!a.viable || job.state != serve::JobState::Inflight) return;
     for (Shard& peer : *shards) {
-      if (peer.index == a.shard || peer.down || peer.blocklisted) continue;
+      if (peer.index == a.shard || peer.down) continue;
+      if (peer.stats.blocklisted) continue;
       if (!peer.queue.empty() || peer.inflight != 0) continue;  // not idle
       if (!can_dispatch(peer) || !gate(peer)) continue;
       dispatch_hedge(peer, job_id, a.shard);
@@ -522,8 +474,8 @@ struct FleetService::RunState {
     const std::size_t attempt_index = new_attempt(s, job_id, true);
     (*exec)[static_cast<std::size_t>(job_id)].hedge_attempt =
         static_cast<int>(attempt_index);
-    ++s.hedges_run;
-    ++hedges_launched;
+    ++s.stats.hedges_run;
+    ++report->hedges_launched;
     trace_job(job_id, serve::JobEventKind::Hedged, static_cast<int>(s.index),
               static_cast<int>(primary_shard));
     ++s.inflight;
@@ -557,7 +509,7 @@ struct FleetService::RunState {
 
   void try_steal(Shard& thief) {
     if (!config->work_stealing) return;
-    if (thief.down || thief.blocklisted) return;
+    if (thief.down || thief.stats.blocklisted) return;
     while (thief.queue.empty() && can_dispatch(thief)) {
       Shard* victim = nullptr;
       for (Shard& other : *shards) {
@@ -583,8 +535,8 @@ struct FleetService::RunState {
         victim->queue.restore_back(job);
         return;
       }
-      ++victim->stolen_out;
-      ++thief.stolen_in;
+      ++victim->stats.stolen_out;
+      ++thief.stats.stolen_in;
       (*owners)[static_cast<std::size_t>(job.job_id)] =
           static_cast<int>(thief.index);
       trace_job(job.job_id, serve::JobEventKind::Stolen,
@@ -612,8 +564,8 @@ struct FleetService::RunState {
         continue;
       }
       Shard& t = (*shards)[*target];
-      ++s.requeued_out;
-      ++t.requeued_in;
+      ++s.stats.requeued_out;
+      ++t.stats.requeued_in;
       (*owners)[static_cast<std::size_t>(q.job_id)] =
           static_cast<int>(t.index);
       trace_job(q.job_id, serve::JobEventKind::Requeued,
@@ -665,7 +617,7 @@ struct FleetService::RunState {
     }
     if (!target.has_value()) {
       job.state = serve::JobState::ShedFailoverExhausted;
-      ++shed_failover_exhausted;
+      ++report->shed_failover_exhausted;
       (*owners)[static_cast<std::size_t>(q.job_id)] = -1;
       if (ex.dispatches == 0) exhausted_undispatched.push_back(q.job_id);
       trace_job(q.job_id, serve::JobEventKind::ShedFailoverExhausted, -1,
@@ -674,9 +626,9 @@ struct FleetService::RunState {
     }
     ++ex.failovers;
     Shard& t = (*shards)[*target];
-    ++from.failed_over_out;
-    ++t.failed_over_in;
-    ++failed_over_hops;
+    ++from.stats.failed_over_out;
+    ++t.stats.failed_over_in;
+    ++report->failed_over;
     (*owners)[static_cast<std::size_t>(q.job_id)] =
         static_cast<int>(t.index);
     job.state = serve::JobState::Queued;
@@ -712,8 +664,8 @@ struct FleetService::RunState {
         // already completed, so resolve the vote on the digests we have.
         if (ex.verify_attempt == static_cast<int>(i)) {
           a.viable = false;
-          ++s.attempts_cancelled;
-          ++attempts_cancelled;
+          ++s.stats.attempts_cancelled;
+          ++report->attempts_cancelled;
           ex.verify_attempt = -1;
           resolve_integrity(a.job_id);
         }
@@ -722,8 +674,8 @@ struct FleetService::RunState {
       serve::JobRecord& job = (*jobs)[static_cast<std::size_t>(a.job_id)];
       if (job.state != serve::JobState::Inflight) continue;
       a.viable = false;
-      ++s.attempts_cancelled;
-      ++attempts_cancelled;
+      ++s.stats.attempts_cancelled;
+      ++report->attempts_cancelled;
       const int sibling = ex.primary_attempt == static_cast<int>(i)
                               ? ex.hedge_attempt
                               : ex.primary_attempt;
@@ -753,7 +705,7 @@ struct FleetService::RunState {
   /// The device goes down: its work fails over to the survivors.
   void on_down_transition(Shard& s) {
     s.down = true;
-    ++s.lifecycle_downs;
+    ++s.stats.lifecycle_downs;
     displace_work(s);
   }
 
@@ -765,8 +717,8 @@ struct FleetService::RunState {
 
   // --- integrity pipeline ---------------------------------------------------
   // Everything below is post-completion bookkeeping plus (for non-Trust
-  // policies) verification re-dispatches; with integrity_on false none of
-  // it runs and the schedule is untouched (zero perturbation).
+  // policies) verification re-dispatches. Under Trust it schedules no event,
+  // so the schedule is the one without the pipeline.
 
   /// The job's true functional-output digest: a pure function of (class,
   /// job id), device-independent, so results from different devices are
@@ -808,8 +760,8 @@ struct FleetService::RunState {
       if (mask != 0) {
         r.digest ^= mask;
         r.corrupted = true;
-        ++s.sdc_injected;
-        ++sdc_injected;
+        ++s.stats.sdc_injected;
+        ++report->sdc_injected;
       }
     }
     ex.results[ex.num_results++] = r;
@@ -843,14 +795,14 @@ struct FleetService::RunState {
       for (int i = 0; i < ex.num_results; ++i) {
         if (ex.results[i].shard == peer.index) participant = true;
       }
-      if (participant || peer.down || peer.blocklisted) continue;
+      if (participant || peer.down || peer.stats.blocklisted) continue;
       if (!can_dispatch(peer) || !gate(peer)) continue;
       ++ex.failovers;
       const std::size_t attempt_index = new_attempt(peer, job_id, false);
       (*attempts)[attempt_index].verify = true;
       ex.verify_attempt = static_cast<int>(attempt_index);
-      ++peer.verifications_run;
-      ++reexecutions;
+      ++peer.stats.verifications_run;
+      ++report->reexecutions;
       trace_job(job_id, serve::JobEventKind::VerifyDispatched,
                 static_cast<int>(peer.index),
                 ex.num_results > 0 ? static_cast<int>(ex.results[0].shard)
@@ -908,10 +860,10 @@ struct FleetService::RunState {
       const ConsumedResult& r = ex.results[i];
       if (!r.corrupted) continue;
       if (ex.num_results >= 2 && !all_equal) {
-        ++sdc_detected;
-        ++(*shards)[r.shard].sdc_detected;
+        ++report->sdc_detected;
+        ++(*shards)[r.shard].stats.sdc_detected;
       } else {
-        ++sdc_missed;
+        ++report->sdc_missed;
       }
     }
     if (ex.num_results < 2) return;  // no comparison, no vote
@@ -947,13 +899,14 @@ struct FleetService::RunState {
 
   void update_sdc_score(Shard& s, bool blamed) {
     const double alpha = config->sdc_score_alpha;
-    s.sdc_score = (1.0 - alpha) * s.sdc_score + (blamed ? alpha : 0.0);
-    if (blamed) ++s.sdc_blamed;
+    FleetDeviceStats& st = s.stats;
+    st.sdc_score = (1.0 - alpha) * st.sdc_score + (blamed ? alpha : 0.0);
+    if (blamed) ++st.sdc_blamed;
     if (s.sdc_score_series != nullptr) {
-      s.sdc_score_series->sample(sim->now(), s.sdc_score);
+      s.sdc_score_series->sample(sim->now(), st.sdc_score);
     }
-    if (blamed && !s.blocklisted &&
-        s.sdc_score >= config->sdc_blocklist_threshold) {
+    if (blamed && !st.blocklisted &&
+        st.sdc_score >= config->sdc_blocklist_threshold) {
       blocklist_shard(s);
     }
   }
@@ -965,10 +918,10 @@ struct FleetService::RunState {
   /// Distinct from the availability quarantine: the device is up, just
   /// untrusted.
   void blocklist_shard(Shard& s) {
-    HQ_CHECK(!s.blocklisted);
-    s.blocklisted = true;
-    s.blocklisted_at = sim->now();
-    ++devices_blocklisted;
+    HQ_CHECK(!s.stats.blocklisted);
+    s.stats.blocklisted = true;
+    s.stats.blocklisted_at = sim->now();
+    ++report->devices_blocklisted;
     if (s.device_breaker != nullptr) {
       s.device_breaker->blocklist(sim->now());
       sample_breaker(s);
@@ -1013,12 +966,12 @@ struct FleetService::RunState {
     const auto target = placer->place(snapshot_loads(), klass);
     if (!target.has_value()) {
       job.state = serve::JobState::ShedNoDevice;
-      ++shed_no_device;
+      ++report->shed_no_device;
       trace_job(job_id, serve::JobEventKind::ShedNoDevice);
       return;
     }
     Shard& s = (*shards)[*target];
-    ++s.placed;
+    ++s.stats.placed;
     (*owners)[static_cast<std::size_t>(job_id)] = static_cast<int>(s.index);
     trace_job(job_id, serve::JobEventKind::Placed, static_cast<int>(s.index));
 
@@ -1213,14 +1166,14 @@ sim::Task FleetService::job_lifecycle(RunState* st,
           (*st->attempts)[static_cast<std::size_t>(sibling)];
       if (other.viable) {
         other.viable = false;
-        ++st->hedges_cancelled;
-        ++st->attempts_cancelled;
-        ++(*st->shards)[other.shard].attempts_cancelled;
+        ++st->report->hedges_cancelled;
+        ++st->report->attempts_cancelled;
+        ++(*st->shards)[other.shard].stats.attempts_cancelled;
         st->trace_job(index, serve::JobEventKind::HedgeCancelled,
                       static_cast<int>(other.shard));
       }
     }
-    if (attempt.hedge) ++st->hedge_wins;
+    if (attempt.hedge) ++st->report->hedge_wins;
     if (!quarantined && job.state != serve::JobState::Quarantined) {
       RunState::ClassService& cs = st->class_service[job.klass];
       ++cs.count;
@@ -1265,7 +1218,7 @@ sim::Task FleetService::job_lifecycle(RunState* st,
       // per policy, a verification re-execution is dispatched. Pure
       // post-completion bookkeeping — the job's state, timing, and
       // accounting above are already final.
-      if (st->integrity_on) st->on_primary_complete(s, index);
+      st->on_primary_complete(s, index);
     }
   }
   // Zombie attempts (cancelled by failover or a lost hedge race) change no
@@ -1274,7 +1227,7 @@ sim::Task FleetService::job_lifecycle(RunState* st,
   // Verification attempts never win (their job already completed): their
   // digest joins the vote here instead. Runs before the inflight decrement
   // so a tiebreak dispatch keeps the drain barrier up.
-  if (attempt.verify && st->integrity_on) {
+  if (attempt.verify) {
     st->on_verify_complete(attempt_index, quarantined);
   }
 
@@ -1363,11 +1316,9 @@ FleetResult FleetService::run() {
             "Device health breaker (0 closed, 1 open, 2 half-open, "
             "3 blocklisted)");
       }
-      if (config_.integrity_active()) {
-        s.sdc_score_series = &reg.series(
-            "device_sdc_score",
-            "EWMA of SDC vote blame attributions over virtual time");
-      }
+      s.sdc_score_series = &reg.series(
+          "device_sdc_score",
+          "EWMA of SDC vote blame attributions over virtual time");
     }
   }
 
@@ -1402,7 +1353,10 @@ FleetResult FleetService::run() {
     }
   }
 
+  FleetResult result;
+  FleetReport& fleet = result.report;
   RunState state;
+  state.report = &fleet;
   state.config = &config_;
   state.sim = &sim;
   state.rng = &rng;
@@ -1415,7 +1369,6 @@ FleetResult FleetService::run() {
   state.owners = &owners;
   state.lifecycle = lifecycle.get();
   state.class_service.resize(base.classes.size());
-  state.integrity_on = config_.integrity_active();
 
   // Device-lifecycle schedules: apply the t=0 state and chain the first
   // transition event per device. No lifecycle faults => no events and no
@@ -1424,7 +1377,7 @@ FleetResult FleetService::run() {
     if (s.lifecycle_faults == nullptr) continue;
     if (!s.lifecycle_faults->up(0)) {
       s.down = true;
-      ++s.lifecycle_downs;
+      ++s.stats.lifecycle_downs;
     }
     state.schedule_transitions(s);
   }
@@ -1446,10 +1399,8 @@ FleetResult FleetService::run() {
   }
 
   // --- per-device accounting & reports --------------------------------------
-  FleetResult result;
   result.jobs.assign(jobs.begin(), jobs.end());
   result.owners = owners;
-  FleetReport& fleet = result.report;
 
   // Jobs no device ever saw; they must be span-free on every recorder.
   // Failover-exhausted jobs that never dispatched join them (exhausted jobs
@@ -1649,6 +1600,16 @@ FleetResult FleetService::run() {
     }
     report.trace_digest = trace::digest(*s.recorder);
 
+    FleetDeviceStats& stats = s.stats;
+    stats.name = s.spec.name;
+    if (s.device_breaker != nullptr) {
+      stats.breaker_trips = s.device_breaker->trips();
+      stats.breaker_probes = s.device_breaker->probes();
+      stats.breaker_rejected = s.device_breaker->rejected();
+      stats.breaker_final_state =
+          fault::breaker_state_name(s.device_breaker->state());
+    }
+
     if (s.telemetry != nullptr) {
       s.telemetry->finalize();
       obs::MetricsRegistry& reg = s.telemetry->registry();
@@ -1677,46 +1638,40 @@ FleetResult FleetService::run() {
       // registered (0 when the mechanism is off) so every device exports
       // the same series set.
       reg.counter("device_placed", "Arrivals the placer routed here")
-          .add(s.placed);
+          .add(stats.placed);
       reg.counter("device_requeued_in", "Jobs rebalanced onto this device")
-          .add(s.requeued_in);
+          .add(stats.requeued_in);
       reg.counter("device_requeued_out", "Jobs rebalanced off this device")
-          .add(s.requeued_out);
+          .add(stats.requeued_out);
       reg.counter("device_stolen_in", "Jobs this device stole from peers")
-          .add(s.stolen_in);
+          .add(stats.stolen_in);
       reg.counter("device_stolen_out", "Jobs peers stole from this device")
-          .add(s.stolen_out);
-      std::uint64_t trips = 0, probes = 0, rejected = 0;
-      if (s.device_breaker != nullptr) {
-        trips = s.device_breaker->trips();
-        probes = s.device_breaker->probes();
-        rejected = s.device_breaker->rejected();
-      }
+          .add(stats.stolen_out);
       reg.counter("device_breaker_trips", "Device health-breaker trips")
-          .add(trips);
+          .add(stats.breaker_trips);
       reg.counter("device_breaker_probes",
                   "Device health-breaker half-open probes")
-          .add(probes);
+          .add(stats.breaker_probes);
       reg.counter("device_breaker_rejected",
                   "Admissions the device health breaker rejected")
-          .add(rejected);
+          .add(stats.breaker_rejected);
       // Fleet fault-domain counters: always registered (0 when the
       // mechanisms are off) so rollup shapes stay identical per device.
       reg.counter("device_failed_over_in",
                   "Jobs failed over onto this device")
-          .add(s.failed_over_in);
+          .add(stats.failed_over_in);
       reg.counter("device_failed_over_out",
                   "Jobs moved away when this device went down")
-          .add(s.failed_over_out);
+          .add(stats.failed_over_out);
       reg.counter("device_hedges_run",
                   "Straggler hedge attempts dispatched here")
-          .add(s.hedges_run);
+          .add(stats.hedges_run);
       reg.counter("device_attempts_cancelled",
                   "Attempts cancelled here (failover and lost hedge races)")
-          .add(s.attempts_cancelled);
+          .add(stats.attempts_cancelled);
       reg.counter("device_lifecycle_downs",
                   "Lifecycle down transitions (a crash counts once)")
-          .add(s.lifecycle_downs);
+          .add(stats.lifecycle_downs);
       // Injector fault breakdown (FaultStats), surfaced per device so the
       // fleet rollup exports hq_fleet_fault_* series.
       fault::FaultStats fstats;
@@ -1739,81 +1694,46 @@ FleetResult FleetService::run() {
       reg.counter("fault_host_alloc_failures",
                   "Injected host allocation failures")
           .add(fstats.host_alloc_failures);
-      // Integrity-pipeline counters: registered only when the pipeline is
-      // active (mirrors the breaker_state_series gating), uniformly across
-      // devices so rollup shapes stay identical.
-      if (config_.integrity_active()) {
-        reg.counter("device_sdc_injected",
-                    "Corrupted results this device produced")
-            .add(s.sdc_injected);
-        reg.counter("device_sdc_detected",
-                    "Corrupted results from this device caught by a "
-                    "verification comparison")
-            .add(s.sdc_detected);
-        reg.counter("device_sdc_blamed",
-                    "Vote outcomes that blamed this device")
-            .add(s.sdc_blamed);
-        reg.counter("device_verifications_run",
-                    "Verification re-executions run on this device")
-            .add(s.verifications_run);
-        reg.gauge("device_blocklisted",
-                  "1 when the integrity pipeline blocklisted this device")
-            .set(s.blocklisted ? 1 : 0);
-      }
+      // Integrity-pipeline counters.
+      reg.counter("device_sdc_injected",
+                  "Corrupted results this device produced")
+          .add(stats.sdc_injected);
+      reg.counter("device_sdc_detected",
+                  "Corrupted results from this device caught by a "
+                  "verification comparison")
+          .add(stats.sdc_detected);
+      reg.counter("device_sdc_blamed", "Vote outcomes that blamed this device")
+          .add(stats.sdc_blamed);
+      reg.counter("device_verifications_run",
+                  "Verification re-executions run on this device")
+          .add(stats.verifications_run);
+      reg.gauge("device_blocklisted",
+                "1 when the integrity pipeline blocklisted this device")
+          .set(stats.blocklisted ? 1 : 0);
       dev.telemetry = s.telemetry;
       dev.metrics = std::shared_ptr<obs::MetricsRegistry>(
           s.telemetry, &s.telemetry->registry());
     }
 
-    FleetDeviceStats stats;
-    stats.name = s.spec.name;
-    stats.placed = s.placed;
-    stats.requeued_in = s.requeued_in;
-    stats.requeued_out = s.requeued_out;
-    stats.stolen_in = s.stolen_in;
-    stats.stolen_out = s.stolen_out;
-    stats.failed_over_in = s.failed_over_in;
-    stats.failed_over_out = s.failed_over_out;
-    stats.hedges_run = s.hedges_run;
-    stats.attempts_cancelled = s.attempts_cancelled;
-    stats.lifecycle_downs = s.lifecycle_downs;
-    if (s.device_breaker != nullptr) {
-      stats.breaker_trips = s.device_breaker->trips();
-      stats.breaker_probes = s.device_breaker->probes();
-      stats.breaker_rejected = s.device_breaker->rejected();
-      stats.breaker_final_state =
-          fault::breaker_state_name(s.device_breaker->state());
-    }
-    stats.sdc_injected = s.sdc_injected;
-    stats.sdc_detected = s.sdc_detected;
-    stats.sdc_blamed = s.sdc_blamed;
-    stats.verifications_run = s.verifications_run;
-    stats.sdc_score = s.sdc_score;
-    stats.blocklisted = s.blocklisted;
-    stats.blocklisted_at = s.blocklisted_at;
     stats.report = report;
-    fleet.placement_histogram.push_back(s.placed);
     fleet.devices.push_back(std::move(stats));
     result.devices.push_back(std::move(dev));
   }
 
   HQ_CHECK_MSG(
-      owned_total + state.shed_no_device + state.shed_failover_exhausted ==
+      owned_total + fleet.shed_no_device + fleet.shed_failover_exhausted ==
           jobs.size(),
       "fleet accounting lost jobs: "
-          << owned_total << " owned + " << state.shed_no_device
-          << " shed-no-device + " << state.shed_failover_exhausted
+          << owned_total << " owned + " << fleet.shed_no_device
+          << " shed-no-device + " << fleet.shed_failover_exhausted
           << " shed-failover-exhausted != " << jobs.size() << " arrived");
-  if (state.integrity_on) {
-    // Exact partition: every corrupted result was either caught by a
-    // mismatching comparison or served silently — nothing in between.
-    HQ_CHECK_MSG(
-        state.sdc_injected == state.sdc_detected + state.sdc_missed,
-        "integrity accounting broken: " << state.sdc_injected
-                                        << " injected != "
-                                        << state.sdc_detected << " detected + "
-                                        << state.sdc_missed << " missed");
-  }
+  // Exact partition: every corrupted result was either caught by a
+  // mismatching comparison or served silently — nothing in between.
+  HQ_CHECK_MSG(fleet.sdc_injected == fleet.sdc_detected + fleet.sdc_missed,
+               "integrity accounting broken: "
+                   << fleet.sdc_injected << " injected != "
+                   << fleet.sdc_detected << " detected + " << fleet.sdc_missed
+                   << " missed");
 
   // --- fleet aggregates ------------------------------------------------------
   fleet.num_devices = num_devices;
@@ -1822,25 +1742,11 @@ FleetResult FleetService::run() {
   fleet.work_stealing = config_.work_stealing;
   fleet.device_breaker_enabled = config_.device_breaker_enabled;
   fleet.seed = base.seed;
-  fleet.shed_no_device = state.shed_no_device;
-  fleet.fault_domains = config_.fault_domains_active();
   fleet.hedging = config_.hedging;
   fleet.failover_budget = config_.failover_budget;
-  fleet.shed_failover_exhausted = state.shed_failover_exhausted;
-  fleet.failed_over = state.failed_over_hops;
-  fleet.hedges_launched = state.hedges_launched;
-  fleet.hedge_wins = state.hedge_wins;
-  fleet.hedges_cancelled = state.hedges_cancelled;
-  fleet.attempts_cancelled = state.attempts_cancelled;
-  fleet.integrity = config_.integrity_active();
   fleet.integrity_policy = integrity_policy_name(config_.integrity);
   fleet.spotcheck_rate = config_.spotcheck_rate;
   fleet.sdc_blocklist_threshold = config_.sdc_blocklist_threshold;
-  fleet.sdc_injected = state.sdc_injected;
-  fleet.sdc_detected = state.sdc_detected;
-  fleet.sdc_missed = state.sdc_missed;
-  fleet.reexecutions = state.reexecutions;
-  fleet.devices_blocklisted = state.devices_blocklisted;
   for (const FleetDeviceStats& dev : fleet.devices) {
     const serve::ServeReport& r = dev.report;
     if (fleet.workload.empty()) fleet.workload = r.workload;
@@ -1990,25 +1896,19 @@ FleetResult FleetService::run() {
     reg.counter("fleet_attempts_cancelled",
                 "All cancelled attempts (failover and hedge)")
         .add(fleet.attempts_cancelled);
-    // Integrity-pipeline rollup: registered only when the pipeline is
-    // active, matching the per-device instrument gating.
-    if (config_.integrity_active()) {
-      reg.counter("fleet_sdc_injected",
-                  "Corrupted results produced fleet-wide")
-          .add(fleet.sdc_injected);
-      reg.counter("fleet_sdc_detected",
-                  "Corrupted results caught by a verification comparison")
-          .add(fleet.sdc_detected);
-      reg.counter("fleet_sdc_missed",
-                  "Corrupted results served without a mismatching compare")
-          .add(fleet.sdc_missed);
-      reg.counter("fleet_reexecutions",
-                  "Verification re-executions dispatched")
-          .add(fleet.reexecutions);
-      reg.counter("fleet_devices_blocklisted",
-                  "Devices blocklisted by the integrity pipeline")
-          .add(fleet.devices_blocklisted);
-    }
+    reg.counter("fleet_sdc_injected", "Corrupted results produced fleet-wide")
+        .add(fleet.sdc_injected);
+    reg.counter("fleet_sdc_detected",
+                "Corrupted results caught by a verification comparison")
+        .add(fleet.sdc_detected);
+    reg.counter("fleet_sdc_missed",
+                "Corrupted results served without a mismatching compare")
+        .add(fleet.sdc_missed);
+    reg.counter("fleet_reexecutions", "Verification re-executions dispatched")
+        .add(fleet.reexecutions);
+    reg.counter("fleet_devices_blocklisted",
+                "Devices blocklisted by the integrity pipeline")
+        .add(fleet.devices_blocklisted);
   }
   return result;
 }

@@ -65,8 +65,9 @@ namespace hq::fleet {
 
 /// How the fleet checks completed jobs for silent data corruption.
 enum class IntegrityPolicy : std::uint8_t {
-  /// Every completed result is accepted as correct (the historical
-  /// behavior; zero-perturbation baseline).
+  /// Every completed result is accepted as correct: its digest is still
+  /// consumed (SDC faults are counted as missed), but nothing is
+  /// re-executed, so the schedule is the one without the pipeline.
   Trust,
   /// A seeded fraction of completed jobs (`spotcheck_rate`) is re-executed
   /// on a different device and the two functional digests compared.
@@ -126,7 +127,8 @@ struct FleetConfig {
   double hedge_threshold = 2.0;
   std::size_t hedge_min_samples = 4;
 
-  /// Integrity pipeline (silent-data-corruption detection). Verification
+  /// Integrity pipeline (silent-data-corruption detection). It runs on
+  /// every fleet; the FleetReport always carries its section. Verification
   /// re-executions are extra attempts of the same job on a different
   /// device, consume the per-job failover_budget, and never change the
   /// winning completion's timing — the pipeline is pure post-completion
@@ -140,19 +142,6 @@ struct FleetConfig {
   double sdc_blocklist_threshold = 0.8;
   /// EWMA smoothing factor for the per-device SDC score.
   double sdc_score_alpha = 0.5;
-
-  /// True when any fleet fault-domain mechanism is configured: per-device
-  /// plans, lifecycle faults on the base plan, or hedging. Gates the extra
-  /// FleetReport fields so zero-chaos runs render byte-identically to
-  /// pre-fault-domain reports (the pinned goldens).
-  bool fault_domains_active() const;
-
-  /// True when the integrity pipeline can do anything: a non-Trust policy,
-  /// or an SDC fault configured on any device plan. Gates digest
-  /// computation, verification dispatch, and the FleetReport integrity
-  /// fields so Trust-plus-clean-plans runs render byte-identically to
-  /// pre-integrity reports (the pinned goldens).
-  bool integrity_active() const;
 
   std::size_t num_devices() const {
     return devices.empty() ? 1 : devices.size();

@@ -36,27 +36,23 @@ void render_fleet_report_text(std::ostream& os, const FleetReport& report) {
      << " device-breaker-trips=" << report.device_breaker_trips
      << " probes=" << report.device_breaker_probes
      << " rejected=" << report.device_breaker_rejected << "\n";
-  if (report.fault_domains) {
-    os << "  fault-domains: hedging=" << (report.hedging ? "on" : "off")
-       << " failover-budget=" << report.failover_budget
-       << " failed-over=" << report.failed_over
-       << " shed-failover-exhausted=" << report.shed_failover_exhausted
-       << " hedges=" << report.hedges_launched
-       << " hedge-wins=" << report.hedge_wins
-       << " hedges-cancelled=" << report.hedges_cancelled
-       << " attempts-cancelled=" << report.attempts_cancelled << "\n";
-  }
-  if (report.integrity) {
-    os << "  integrity: policy=" << report.integrity_policy
-       << " spotcheck-rate=" << obs::format_double(report.spotcheck_rate)
-       << " blocklist-threshold="
-       << obs::format_double(report.sdc_blocklist_threshold)
-       << " sdc-injected=" << report.sdc_injected
-       << " sdc-detected=" << report.sdc_detected
-       << " sdc-missed=" << report.sdc_missed
-       << " reexecutions=" << report.reexecutions
-       << " devices-blocklisted=" << report.devices_blocklisted << "\n";
-  }
+  os << "  fault-domains: hedging=" << (report.hedging ? "on" : "off")
+     << " failover-budget=" << report.failover_budget
+     << " failed-over=" << report.failed_over
+     << " shed-failover-exhausted=" << report.shed_failover_exhausted
+     << " hedges=" << report.hedges_launched
+     << " hedge-wins=" << report.hedge_wins
+     << " hedges-cancelled=" << report.hedges_cancelled
+     << " attempts-cancelled=" << report.attempts_cancelled << "\n";
+  os << "  integrity: policy=" << report.integrity_policy
+     << " spotcheck-rate=" << obs::format_double(report.spotcheck_rate)
+     << " blocklist-threshold="
+     << obs::format_double(report.sdc_blocklist_threshold)
+     << " sdc-injected=" << report.sdc_injected
+     << " sdc-detected=" << report.sdc_detected
+     << " sdc-missed=" << report.sdc_missed
+     << " reexecutions=" << report.reexecutions
+     << " devices-blocklisted=" << report.devices_blocklisted << "\n";
   os << "  slo: goodput=" << obs::format_double(report.goodput_per_sec)
      << "/s throughput=" << obs::format_double(report.throughput_per_sec)
      << "/s deadline-miss-ratio="
@@ -67,8 +63,8 @@ void render_fleet_report_text(std::ostream& os, const FleetReport& report) {
      << "J energy/completed="
      << obs::format_double(report.energy_per_completed) << "J\n";
   os << "  placement-histogram:";
-  for (std::size_t d = 0; d < report.placement_histogram.size(); ++d) {
-    os << " d" << d << "=" << report.placement_histogram[d];
+  for (std::size_t d = 0; d < report.devices.size(); ++d) {
+    os << " d" << d << "=" << report.devices[d].placed;
   }
   os << "\n";
   for (std::size_t d = 0; d < report.devices.size(); ++d) {
@@ -85,20 +81,16 @@ void render_fleet_report_text(std::ostream& os, const FleetReport& report) {
       os << " breaker=" << dev.breaker_final_state
          << " trips=" << dev.breaker_trips;
     }
-    if (report.fault_domains) {
-      os << " failed-over=" << dev.failed_over_in << "/" << dev.failed_over_out
-         << " hedges=" << dev.hedges_run
-         << " cancelled=" << dev.attempts_cancelled
-         << " downs=" << dev.lifecycle_downs;
-    }
-    if (report.integrity) {
-      os << " sdc=" << dev.sdc_injected << "/" << dev.sdc_detected
-         << " blamed=" << dev.sdc_blamed
-         << " verifications=" << dev.verifications_run
-         << " sdc-score=" << obs::format_double(dev.sdc_score);
-      if (dev.blocklisted) {
-        os << " blocklisted-at-us=" << dev.blocklisted_at / kMicrosecond;
-      }
+    os << " failed-over=" << dev.failed_over_in << "/" << dev.failed_over_out
+       << " hedges=" << dev.hedges_run
+       << " cancelled=" << dev.attempts_cancelled
+       << " downs=" << dev.lifecycle_downs;
+    os << " sdc=" << dev.sdc_injected << "/" << dev.sdc_detected
+       << " blamed=" << dev.sdc_blamed
+       << " verifications=" << dev.verifications_run
+       << " sdc-score=" << obs::format_double(dev.sdc_score);
+    if (dev.blocklisted) {
+      os << " blocklisted-at-us=" << dev.blocklisted_at / kMicrosecond;
     }
     os << "\n";
   }
@@ -106,7 +98,7 @@ void render_fleet_report_text(std::ostream& os, const FleetReport& report) {
 
 void write_fleet_report_json(std::ostream& os, const FleetReport& report) {
   os << "{\n";
-  os << "  \"schema_version\": 1,\n";
+  os << "  \"schema_version\": " << kFleetReportSchemaVersion << ",\n";
 
   os << "  \"fleet\": {\n";
   os << "    \"workload\": ";
@@ -140,41 +132,32 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& report) {
   os << "    \"stolen\": " << report.stolen << "\n";
   os << "  },\n";
 
-  // Rendered only for fault-domain runs so zero-chaos reports keep their
-  // pre-fault-domain bytes (the pinned golden digests).
-  if (report.fault_domains) {
-    os << "  \"fault_domains\": {\n";
-    os << "    \"hedging\": " << (report.hedging ? "true" : "false") << ",\n";
-    os << "    \"failover_budget\": " << report.failover_budget << ",\n";
-    os << "    \"shed_failover_exhausted\": "
-       << report.shed_failover_exhausted << ",\n";
-    os << "    \"failed_over\": " << report.failed_over << ",\n";
-    os << "    \"hedges_launched\": " << report.hedges_launched << ",\n";
-    os << "    \"hedge_wins\": " << report.hedge_wins << ",\n";
-    os << "    \"hedges_cancelled\": " << report.hedges_cancelled << ",\n";
-    os << "    \"attempts_cancelled\": " << report.attempts_cancelled << "\n";
-    os << "  },\n";
-  }
+  os << "  \"fault_domains\": {\n";
+  os << "    \"hedging\": " << (report.hedging ? "true" : "false") << ",\n";
+  os << "    \"failover_budget\": " << report.failover_budget << ",\n";
+  os << "    \"shed_failover_exhausted\": " << report.shed_failover_exhausted
+     << ",\n";
+  os << "    \"failed_over\": " << report.failed_over << ",\n";
+  os << "    \"hedges_launched\": " << report.hedges_launched << ",\n";
+  os << "    \"hedge_wins\": " << report.hedge_wins << ",\n";
+  os << "    \"hedges_cancelled\": " << report.hedges_cancelled << ",\n";
+  os << "    \"attempts_cancelled\": " << report.attempts_cancelled << "\n";
+  os << "  },\n";
 
-  // Likewise integrity-gated: Trust-plus-clean-plans reports keep their
-  // pre-integrity bytes.
-  if (report.integrity) {
-    os << "  \"integrity\": {\n";
-    os << "    \"policy\": ";
-    obs::write_json_quoted(os, report.integrity_policy);
-    os << ",\n";
-    os << "    \"spotcheck_rate\": "
-       << obs::format_double(report.spotcheck_rate) << ",\n";
-    os << "    \"sdc_blocklist_threshold\": "
-       << obs::format_double(report.sdc_blocklist_threshold) << ",\n";
-    os << "    \"sdc_injected\": " << report.sdc_injected << ",\n";
-    os << "    \"sdc_detected\": " << report.sdc_detected << ",\n";
-    os << "    \"sdc_missed\": " << report.sdc_missed << ",\n";
-    os << "    \"reexecutions\": " << report.reexecutions << ",\n";
-    os << "    \"devices_blocklisted\": " << report.devices_blocklisted
-       << "\n";
-    os << "  },\n";
-  }
+  os << "  \"integrity\": {\n";
+  os << "    \"policy\": ";
+  obs::write_json_quoted(os, report.integrity_policy);
+  os << ",\n";
+  os << "    \"spotcheck_rate\": " << obs::format_double(report.spotcheck_rate)
+     << ",\n";
+  os << "    \"sdc_blocklist_threshold\": "
+     << obs::format_double(report.sdc_blocklist_threshold) << ",\n";
+  os << "    \"sdc_injected\": " << report.sdc_injected << ",\n";
+  os << "    \"sdc_detected\": " << report.sdc_detected << ",\n";
+  os << "    \"sdc_missed\": " << report.sdc_missed << ",\n";
+  os << "    \"reexecutions\": " << report.reexecutions << ",\n";
+  os << "    \"devices_blocklisted\": " << report.devices_blocklisted << "\n";
+  os << "  },\n";
 
   os << "  \"slo\": {\n";
   os << "    \"goodput_per_sec\": "
@@ -200,9 +183,9 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& report) {
   os << "  },\n";
 
   os << "  \"placement_histogram\": [";
-  for (std::size_t d = 0; d < report.placement_histogram.size(); ++d) {
-    os << report.placement_histogram[d]
-       << (d + 1 < report.placement_histogram.size() ? ", " : "");
+  for (std::size_t d = 0; d < report.devices.size(); ++d) {
+    os << report.devices[d].placed
+       << (d + 1 < report.devices.size() ? ", " : "");
   }
   os << "],\n";
 
@@ -225,26 +208,20 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& report) {
     os << "      \"breaker_final_state\": ";
     obs::write_json_quoted(os, dev.breaker_final_state);
     os << ",\n";
-    if (report.fault_domains) {
-      os << "      \"failed_over_in\": " << dev.failed_over_in << ",\n";
-      os << "      \"failed_over_out\": " << dev.failed_over_out << ",\n";
-      os << "      \"hedges_run\": " << dev.hedges_run << ",\n";
-      os << "      \"attempts_cancelled\": " << dev.attempts_cancelled
-         << ",\n";
-      os << "      \"lifecycle_downs\": " << dev.lifecycle_downs << ",\n";
-    }
-    if (report.integrity) {
-      os << "      \"sdc_injected\": " << dev.sdc_injected << ",\n";
-      os << "      \"sdc_detected\": " << dev.sdc_detected << ",\n";
-      os << "      \"sdc_blamed\": " << dev.sdc_blamed << ",\n";
-      os << "      \"verifications_run\": " << dev.verifications_run
-         << ",\n";
-      os << "      \"sdc_score\": " << obs::format_double(dev.sdc_score)
-         << ",\n";
-      os << "      \"blocklisted\": " << (dev.blocklisted ? "true" : "false")
-         << ",\n";
-      os << "      \"blocklisted_at_ns\": " << dev.blocklisted_at << ",\n";
-    }
+    os << "      \"failed_over_in\": " << dev.failed_over_in << ",\n";
+    os << "      \"failed_over_out\": " << dev.failed_over_out << ",\n";
+    os << "      \"hedges_run\": " << dev.hedges_run << ",\n";
+    os << "      \"attempts_cancelled\": " << dev.attempts_cancelled << ",\n";
+    os << "      \"lifecycle_downs\": " << dev.lifecycle_downs << ",\n";
+    os << "      \"sdc_injected\": " << dev.sdc_injected << ",\n";
+    os << "      \"sdc_detected\": " << dev.sdc_detected << ",\n";
+    os << "      \"sdc_blamed\": " << dev.sdc_blamed << ",\n";
+    os << "      \"verifications_run\": " << dev.verifications_run << ",\n";
+    os << "      \"sdc_score\": " << obs::format_double(dev.sdc_score)
+       << ",\n";
+    os << "      \"blocklisted\": " << (dev.blocklisted ? "true" : "false")
+       << ",\n";
+    os << "      \"blocklisted_at_ns\": " << dev.blocklisted_at << ",\n";
     // The nested report keeps serve's own (top-level) indentation; JSON
     // whitespace carries no meaning and the bytes stay deterministic.
     os << "      \"report\": ";

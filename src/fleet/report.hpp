@@ -3,8 +3,12 @@
 // A FleetReport nests one full serve::ServeReport per device (the report
 // of the jobs that device terminally owns) under
 // fleet-level aggregates: cluster goodput/SLO numbers, the placement
-// histogram, shed/requeue/steal counters, and the per-device health-breaker
-// trajectories.
+// histogram, shed/requeue/steal counters, the per-device health-breaker
+// trajectories, and the fault-domain and integrity counters.
+//
+// Schema (kFleetReportSchemaVersion): every run renders the same sections
+// and the same per-device fields; a mechanism that is off reports zeros and
+// its config echo. The shape never depends on the configuration.
 //
 // Determinism contract: fleet_report_json renders byte-identically for a
 // given report (doubles through obs::format_double, fixed field order,
@@ -22,6 +26,11 @@
 
 namespace hq::fleet {
 
+/// The `schema_version` of fleet_report_json. Bump it whenever the rendered
+/// shape changes: fleet sweep journals key on it, because their records
+/// carry report digests.
+inline constexpr int kFleetReportSchemaVersion = 2;
+
 /// One device's slice of the fleet run: its full serving report plus the
 /// fleet-level routing counters that the single-device report cannot know.
 struct FleetDeviceStats {
@@ -38,15 +47,13 @@ struct FleetDeviceStats {
   std::uint64_t breaker_probes = 0;
   std::uint64_t breaker_rejected = 0;
   std::string breaker_final_state;  ///< "closed" / "open" / "half-open"; empty = disabled
-  // Fleet fault domains (all zero unless FleetReport::fault_domains;
-  // rendered only then, keeping zero-chaos reports byte-identical).
+  // Fleet fault domains (all zero without lifecycle faults or hedging).
   std::uint64_t failed_over_in = 0;   ///< jobs failed over onto this device
   std::uint64_t failed_over_out = 0;  ///< jobs moved away when this device went down
   std::uint64_t hedges_run = 0;       ///< hedge attempts dispatched here
   std::uint64_t attempts_cancelled = 0;  ///< attempts cancelled here (failover + lost hedges)
   std::uint64_t lifecycle_downs = 0;  ///< down transitions (a crash counts once)
-  // Integrity pipeline (all zero unless FleetReport::integrity; rendered
-  // only then, keeping pre-integrity reports byte-identical).
+  // Integrity pipeline (all zero under Trust with corruption-free plans).
   std::uint64_t sdc_injected = 0;  ///< corrupted results this device produced
   std::uint64_t sdc_detected = 0;  ///< of those, caught by a comparison
   std::uint64_t sdc_blamed = 0;    ///< vote outcomes that blamed this device
@@ -104,11 +111,6 @@ struct FleetReport {
   std::uint64_t device_breaker_rejected = 0;
 
   // --- fleet fault domains -------------------------------------------------
-  /// True when lifecycle faults, per-device fault plans, or hedging were
-  /// configured (FleetConfig::fault_domains_active). Gates every
-  /// fault-domain field in both renderings so zero-chaos reports stay
-  /// byte-identical to pre-fault-domain output (the pinned goldens).
-  bool fault_domains = false;
   bool hedging = false;
   int failover_budget = 0;
   /// Jobs dropped after exhausting the failover budget or the supply of
@@ -121,11 +123,6 @@ struct FleetReport {
   std::uint64_t attempts_cancelled = 0;  ///< all cancelled attempts (failover + hedge)
 
   // --- integrity pipeline ---------------------------------------------------
-  /// True when the integrity pipeline was active
-  /// (FleetConfig::integrity_active). Gates every integrity field in both
-  /// renderings so Trust-plus-clean-plans reports stay byte-identical to
-  /// pre-integrity output (the pinned goldens).
-  bool integrity = false;
   std::string integrity_policy;  ///< "trust" / "spotcheck" / "dmr"
   double spotcheck_rate = 0;
   double sdc_blocklist_threshold = 0;
@@ -137,8 +134,8 @@ struct FleetReport {
   std::uint64_t reexecutions = 0;  ///< verify + tiebreak attempts dispatched
   std::uint64_t devices_blocklisted = 0;
 
-  /// placement_histogram[d] == devices[d].placed (kept flat for reports).
-  std::vector<std::uint64_t> placement_histogram;
+  /// Per-device slices in index order; devices[d].placed is the placement
+  /// histogram.
   std::vector<FleetDeviceStats> devices;
 };
 

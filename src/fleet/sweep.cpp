@@ -75,6 +75,9 @@ std::uint64_t FleetSweep::grid_key(const FleetSweepGrid& grid,
                                    std::span<const FleetSweepPoint> points) {
   Fnv1a64 h;
   h.mix_string(kJournalMagic);
+  // Records carry report digests, so a journal written under another report
+  // schema must not resume.
+  h.mix_u64(static_cast<std::uint64_t>(kFleetReportSchemaVersion));
   h.mix_u64(points.size());
   for (const FleetSweepPoint& p : points) h.mix_string(p.label());
 

@@ -74,11 +74,11 @@ struct FleetSweep {
   static FleetSweepOutcome run_point(const FleetSweepGrid& grid,
                                      const FleetSweepPoint& point);
 
-  /// Fingerprint of the expanded grid: point labels plus every
-  /// result-affecting field of the base fleet config (device specs, fleet
-  /// knobs, and the full serving base config, including each class's
-  /// resolved application params). Two grids with the same key produce
-  /// interchangeable journals.
+  /// Fingerprint of the expanded grid: the fleet report schema version,
+  /// point labels, and every result-affecting field of the base fleet config
+  /// (device specs, fleet knobs, and the full serving base config, including
+  /// each class's resolved application params). Two grids with the same key
+  /// produce interchangeable journals.
   static std::uint64_t grid_key(const FleetSweepGrid& grid,
                                 std::span<const FleetSweepPoint> points);
 

@@ -29,8 +29,8 @@ namespace {
 using fw::testing::SyntheticApp;
 
 // The golden_fleet_test scenarios, re-run with the observability plane on.
-constexpr std::uint64_t kPinnedHomogeneousDigest = 0x71a2819fb95e7eadULL;
-constexpr std::uint64_t kPinnedHeterogeneousDigest = 0xc992d15f5854845bULL;
+constexpr std::uint64_t kPinnedHomogeneousDigest = 0x70c928e43781767aULL;
+constexpr std::uint64_t kPinnedHeterogeneousDigest = 0xf3bd565f7c28cf7cULL;
 
 serve::ServiceConfig golden_base() {
   serve::ServiceConfig config;
@@ -373,8 +373,10 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // Export goldens: the FNV-1a of the fleet Prometheus text and of the fleet
 // metrics JSON for the chaos scenario above. Any change to the telemetry
 // observer or the rollup merge that moves a single export byte fails here.
+// The metrics JSON embeds the report digest, so it was re-pinned 2026-10 for
+// fleet report schema v2; the Prometheus text does not and was not.
 constexpr std::uint64_t kPinnedChaosPrometheusFnv = 0xa6cebfab3dda77faULL;
-constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0x919393c1fbf06a7aULL;
+constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0xd08d7d352f53334dULL;
 
 TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {
   const FleetResult result = FleetService(export_golden_config()).run();

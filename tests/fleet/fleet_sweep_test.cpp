@@ -296,6 +296,33 @@ TEST(FleetSweepTest, ResumeRefusesJournalOfAnotherAppSize) {
   }
 }
 
+TEST(FleetSweepTest, ResumeRefusesJournalOfAnotherReportSchema) {
+  // A journal written under fleet report schema v1: its records carry v1
+  // report digests, so a build rendering another schema must not splice
+  // them into its sweep, even though the grid itself is unchanged.
+  FleetSweepGrid grid = small_grid();
+  grid.placements = {PlacementPolicy::RoundRobin};
+  ScratchFile scratch("fleet_sweep_schema_journal_test.log");
+  {
+    std::ofstream out(scratch.path);
+    out << "hq-fleet-journal version=v1 grid=452489d0d04f3cb1 points=2 end\n"
+        << "point index=0 arrived=40 ok=40 done=40 shed=0 requeued=0 "
+           "stolen=0 goodput=9516.701454175774 tput=9516.701454175774 "
+           "miss=0 energy=0.2719586207954686 total=4203137 "
+           "digest=c35782297e663991 end\n";
+  }
+  exec::GridOptions options;
+  options.journal_path = scratch.path;
+  options.resume = true;
+  try {
+    (void)exec::run_grid<FleetSweep>(grid, options);
+    FAIL() << "expected hq::Error";
+  } catch (const hq::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FleetSweepTest, CombinedDigestIsByteIdenticalAcrossJobCounts) {
   const FleetSweepGrid grid = small_grid();
   const auto serial = run(grid);

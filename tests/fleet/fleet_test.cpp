@@ -168,7 +168,7 @@ TEST(FleetTest, WorkStealingMovesJobsAndPreservesJobIdentity) {
   const FleetResult result = FleetService(config).run();
 
   EXPECT_GT(result.report.stolen, 0u);
-  EXPECT_EQ(result.report.placement_histogram[0], result.report.arrived);
+  EXPECT_EQ(result.report.devices[0].placed, result.report.arrived);
   std::uint64_t stolen_in = 0;
   std::uint64_t stolen_out = 0;
   for (const FleetDeviceStats& dev : result.report.devices) {

@@ -20,6 +20,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "serve/service.hpp"
+#include "tests/fleet/report_echo.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 #include "trace/trace.hpp"
 
@@ -27,10 +28,12 @@ namespace hq::fleet {
 namespace {
 
 using fw::testing::SyntheticApp;
+using testing::with_config_echo_of;
 
-// Pinned 2026-08 when the fleet layer landed.
-constexpr std::uint64_t kPinnedHomogeneousDigest = 0x71a2819fb95e7eadULL;
-constexpr std::uint64_t kPinnedHeterogeneousDigest = 0xc992d15f5854845bULL;
+// Re-pinned 2026-10 for fleet report schema v2, which renders the
+// fault-domain and integrity sections for every run.
+constexpr std::uint64_t kPinnedHomogeneousDigest = 0x70c928e43781767aULL;
+constexpr std::uint64_t kPinnedHeterogeneousDigest = 0xf3bd565f7c28cf7cULL;
 // Must equal zero_perturbation_test.cpp's constant: linking hq_fleet can
 // not perturb the existing surface.
 constexpr std::uint64_t kPinnedCombinedSurfaceDigest = 0x24c2fc138e23c24fULL;
@@ -104,50 +107,59 @@ TEST(GoldenFleetTest, GoldenScenariosAreByteIdenticalAcrossJobCounts) {
   }
 }
 
+/// Digest of the run of `config`, with the config echo of `baseline`'s run:
+/// inert knobs leave behaviour unchanged, and the echo shows them.
+std::uint64_t echoed_digest(const FleetConfig& config,
+                            const FleetConfig& baseline) {
+  return fleet_report_digest(
+      with_config_echo_of(FleetService(config).run().report,
+                          FleetService(baseline).run().report));
+}
+
 TEST(GoldenFleetTest, InertFaultDomainKnobsKeepPinnedDigests) {
   // The fault-domain layer's zero-perturbation contract: with no lifecycle
-  // faults and hedging off, the fault-domain knobs are invisible — the
-  // pinned digests hold even with all-disabled per-device plans supplied
-  // and every inert knob moved off its default.
+  // faults and hedging off, the fault-domain knobs change no behaviour —
+  // the pinned digests hold, apart from the config echo, even with
+  // all-disabled per-device plans supplied and every inert knob moved off
+  // its default.
   FleetConfig homogeneous = homogeneous_config();
   homogeneous.device_fault_plans.assign(4, fault::FaultPlan{});
   homogeneous.failover_budget = 0;
   homogeneous.hedge_threshold = 7.5;
   homogeneous.hedge_min_samples = 1;
-  ASSERT_FALSE(homogeneous.fault_domains_active());
-  const FleetResult a = FleetService(homogeneous).run();
-  EXPECT_EQ(fleet_report_digest(a.report), kPinnedHomogeneousDigest)
-      << std::hex << "digest moved: 0x" << fleet_report_digest(a.report);
+  const std::uint64_t a = echoed_digest(homogeneous, homogeneous_config());
+  EXPECT_EQ(a, kPinnedHomogeneousDigest)
+      << std::hex << "digest moved: 0x" << a;
 
   FleetConfig heterogeneous = heterogeneous_config();
   heterogeneous.failover_budget = 9;
-  const FleetResult b = FleetService(heterogeneous).run();
-  EXPECT_EQ(fleet_report_digest(b.report), kPinnedHeterogeneousDigest)
-      << std::hex << "digest moved: 0x" << fleet_report_digest(b.report);
+  const std::uint64_t b = echoed_digest(heterogeneous, heterogeneous_config());
+  EXPECT_EQ(b, kPinnedHeterogeneousDigest)
+      << std::hex << "digest moved: 0x" << b;
 }
 
 TEST(GoldenFleetTest, InertIntegrityKnobsKeepPinnedDigests) {
   // The integrity pipeline's zero-perturbation contract: with the Trust
-  // policy and no SDC faults configured, every integrity knob is invisible
-  // — the pinned digests hold even with the knobs moved off their
-  // defaults and corruption-free per-device plans supplied.
+  // policy and no SDC faults configured, the integrity knobs change no
+  // behaviour — the pinned digests hold, apart from the config echo, even
+  // with the knobs moved off their defaults and corruption-free per-device
+  // plans supplied.
   FleetConfig homogeneous = homogeneous_config();
   homogeneous.integrity = IntegrityPolicy::Trust;
   homogeneous.spotcheck_rate = 0.9;
   homogeneous.sdc_blocklist_threshold = 0.25;
   homogeneous.sdc_score_alpha = 0.9;
   homogeneous.device_fault_plans.assign(4, fault::FaultPlan{});
-  ASSERT_FALSE(homogeneous.integrity_active());
-  const FleetResult a = FleetService(homogeneous).run();
-  EXPECT_EQ(fleet_report_digest(a.report), kPinnedHomogeneousDigest)
-      << std::hex << "digest moved: 0x" << fleet_report_digest(a.report);
+  const std::uint64_t a = echoed_digest(homogeneous, homogeneous_config());
+  EXPECT_EQ(a, kPinnedHomogeneousDigest)
+      << std::hex << "digest moved: 0x" << a;
 
   FleetConfig heterogeneous = heterogeneous_config();
   heterogeneous.spotcheck_rate = 0.0;
   heterogeneous.sdc_blocklist_threshold = 1.0;
-  const FleetResult b = FleetService(heterogeneous).run();
-  EXPECT_EQ(fleet_report_digest(b.report), kPinnedHeterogeneousDigest)
-      << std::hex << "digest moved: 0x" << fleet_report_digest(b.report);
+  const std::uint64_t b = echoed_digest(heterogeneous, heterogeneous_config());
+  EXPECT_EQ(b, kPinnedHeterogeneousDigest)
+      << std::hex << "digest moved: 0x" << b;
 }
 
 TEST(GoldenFleetTest, LinkingFleetLeavesWholeSurfaceDigestUnchanged) {

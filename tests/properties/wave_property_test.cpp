@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "gpusim/block_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -20,6 +21,13 @@ struct LaunchCase {
   std::uint32_t regs_per_thread;
   Bytes smem_per_block;
 };
+
+// Names each instance by its launch shape. Without it gtest prints the raw
+// bytes of the struct, and its padding bytes differ from run to run.
+void PrintTo(const LaunchCase& c, std::ostream* os) {
+  *os << "grid=" << c.grid_blocks << " tpb=" << c.threads_per_block
+      << " regs=" << c.regs_per_thread << " smem=" << c.smem_per_block;
+}
 
 int analytic_residency(const DeviceSpec& spec, const LaunchCase& c) {
   int per_smx = spec.max_blocks_per_smx;
