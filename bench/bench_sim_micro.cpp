@@ -4,6 +4,8 @@
 // not the modelled hardware.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "bench/common.hpp"
 #include "gpusim/device.hpp"
 #include "hyperq/metrics.hpp"
@@ -27,6 +29,41 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1000)->Arg(100000);
+
+// Steady-state hold model: `n` events stay pending, and every dispatched
+// event schedules exactly one successor a pseudo-random delay ahead — the
+// block-completion pattern, where each completion places the next block.
+// Each step is a pop and a push on the same heap, which the drain-only
+// benchmark above never exercises.
+struct HoldEvent {
+  sim::Simulator* sim;
+  std::uint64_t* rng;
+  void operator()() const {
+    std::uint64_t x = *rng;  // xorshift64
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    sim->schedule(1 + x % 2000, *this);  // mean delay ~1 us
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < n; ++i) {
+    sim.schedule(static_cast<DurationNs>((i * 7919) % 2000),
+                 HoldEvent{&sim, &rng});
+  }
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    // ~n dispatches per iteration: the pending set turns over once.
+    events += static_cast<std::int64_t>(sim.run_for(kMicrosecond));
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1000)->Arg(100000);
 
 sim::Task ping_pong(sim::Simulator* sim, int hops) {
   for (int i = 0; i < hops; ++i) {

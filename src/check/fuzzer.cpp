@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -503,6 +504,67 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
          << fleet::fleet_report_digest(echoed) << " vs "
          << fleet::fleet_report_digest(baseline_run->report) << ")";
       fail(os);
+    }
+  }
+
+  // --- failover shed-back ---------------------------------------------------
+  // Even devices flap and odd devices crash inside a flap-up window, on a
+  // queue one slot deep: jobs that ran on a flapping device fail over to a
+  // crashing one, then fail back onto the device they ran on and are shed by
+  // its full queue. The run must pass its in-run serve accounting (which
+  // exempts such victims: their cancelled attempts own spans) and conserve,
+  // while every shed job that never dispatched stays span-free on every
+  // device.
+  fleet::FleetConfig flapping = cfg;
+  if (flapping.devices.size() < 2) {
+    flapping.devices.resize(2, flapping.devices.front());
+  }
+  flapping.device_fault_plans.assign(flapping.devices.size(),
+                                     fault::FaultPlan{});
+  flapping.base.queue_cap = flapping.base.max_inflight + 1;
+  for (std::size_t d = 0; d < flapping.devices.size(); ++d) {
+    fault::FaultPlan plan = fault::FaultPlan::zero();
+    plan.seed = case_seed + d;
+    if (d % 2 == 0) {
+      plan.flap_period = window / 4;
+      plan.flap_down = window / 16;
+      plan.flap_jitter = 0.5;
+    } else {
+      plan.crash_at = window / 2 + window / 8;
+    }
+    flapping.device_fault_plans[d] = plan;
+  }
+  flapping.failover_budget = std::max(cfg.failover_budget, 2);
+  flapping.base.collect_metrics = true;
+  if (const auto shed_back = run_with(flapping, "chaos-shed-back")) {
+    check_chaos_conservation(shed_back->report, "chaos-shed-back");
+    std::set<std::int32_t> span_owners;
+    for (const fleet::FleetDeviceResult& dev : shed_back->devices) {
+      for (const trace::Span& span : dev.trace->spans()) {
+        span_owners.insert(span.app_id);
+      }
+    }
+    for (const serve::JobRecord& job : shed_back->jobs) {
+      const bool shed = job.state == serve::JobState::ShedQueueFull ||
+                        job.state == serve::JobState::ShedBreaker ||
+                        job.state == serve::JobState::TimedOutQueued ||
+                        job.state == serve::JobState::ShedNoDevice ||
+                        job.state == serve::JobState::ShedFailoverExhausted;
+      if (!shed || span_owners.count(job.job_id) == 0) continue;
+      bool ran = false;
+      for (const serve::JobEvent& e : shed_back->lifecycle->events(job.job_id)) {
+        ran = ran || e.kind == serve::JobEventKind::Dispatched ||
+              e.kind == serve::JobEventKind::Hedged ||
+              e.kind == serve::JobEventKind::VerifyDispatched;
+      }
+      if (!ran) {
+        std::ostringstream os;
+        os << "chaos-shed-back: job " << job.job_id << " ended "
+           << serve::job_state_name(job.state)
+           << " without ever dispatching but owns trace spans";
+        fail(os);
+        break;
+      }
     }
   }
 

@@ -141,7 +141,8 @@ struct FuzzOptions {
   /// fleet iteration additionally runs the chaos oracles
   /// (run_fleet_chaos_case): no-job-lost conservation under arbitrary
   /// crash schedules, failover determinism, hedge-off/inert-knob runs
-  /// byte-identical to the baseline apart from the config echo, and
+  /// byte-identical to the baseline apart from the config echo, failover
+  /// victims shed back onto a flapping device they ran on, and
   /// all-devices-dead draining cleanly. 0 disables.
   double chaos_rate = 0.0;
   /// Probability in [0, 1] that each fleet device receives a seed-derived
@@ -206,8 +207,11 @@ class Fuzzer {
   /// random failover/hedging knobs. Checks no-job-lost conservation
   /// (including shed_failover_exhausted), two-run byte determinism, the
   /// inert-knob identity (hedging off + all-disabled plans == the
-  /// baseline report byte for byte, config echo aside), and the
-  /// all-devices-dead clean drain. Returns the violated oracles (empty = clean).
+  /// baseline report byte for byte, config echo aside), the failover
+  /// shed-back run (every device flapping: victims shed after failing back
+  /// onto a device they ran on keep their spans, while shed jobs that never
+  /// dispatched stay span-free), and the all-devices-dead clean drain.
+  /// Returns the violated oracles (empty = clean).
   static std::vector<std::string> run_fleet_chaos_case(
       std::uint64_t case_seed, double chaos_rate,
       std::string* summary_out = nullptr);

@@ -27,10 +27,11 @@ std::vector<std::string> verify_serve_accounting(const ServeAccounting& acc,
   const std::uint64_t sheds = acc.shed_queue_full + acc.shed_breaker +
                               acc.timed_out_queued + acc.shed_no_device +
                               acc.shed_failover_exhausted;
-  if (acc.undispatched_apps.size() != sheds) {
+  if (acc.undispatched_apps.size() + acc.shed_after_dispatch != sheds) {
     std::ostringstream os;
     os << "serve accounting: " << acc.undispatched_apps.size()
-       << " undispatched app ids reported but " << sheds
+       << " undispatched app ids + " << acc.shed_after_dispatch
+       << " shed after dispatch reported but " << sheds
        << " jobs were shed or expired";
     violations.push_back(os.str());
   }

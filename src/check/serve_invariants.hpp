@@ -8,9 +8,11 @@
 //      shed_queue_full + shed_breaker + timed_out_queued + quarantined.
 //      No job is lost or double-counted, even under faults and shedding.
 //
-//   2. Shed work is free: a job rejected before dispatch (shed or expired
-//      in the queue) never touched the device, so its app id must not
-//      appear on any trace span.
+//   2. Shed work is free: a job rejected before it ever dispatched (shed
+//      or expired in the queue) never touched the device, so its app id
+//      must not appear on any trace span. A fleet failover victim that ran,
+//      lost its device and was shed afterwards is exempt: its cancelled
+//      attempts own spans.
 //
 // The checks live in hq_check (not hq_serve) so the fuzz oracles can verify
 // serving runs through the same layer that validates device invariants.
@@ -44,8 +46,13 @@ struct ServeAccounting {
   /// that dispatched before their device went down are accounted only at
   /// the fleet level (their partial runs legitimately own trace spans).
   std::uint64_t shed_failover_exhausted = 0;
-  /// App ids of jobs rejected before dispatch (shed or expired while
-  /// queued); these must have no trace spans.
+  /// Fleet-only: jobs counted in a shed state above (queue-full, breaker,
+  /// timed-out) that had dispatched before their device went down and
+  /// were shed after failing over. Their cancelled attempts legitimately
+  /// own trace spans, so their ids stay out of undispatched_apps.
+  std::uint64_t shed_after_dispatch = 0;
+  /// App ids of jobs rejected before they ever dispatched (shed or expired
+  /// while queued); these must have no trace spans.
   std::vector<std::int32_t> undispatched_apps;
 };
 

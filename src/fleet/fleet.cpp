@@ -1431,6 +1431,17 @@ FleetResult FleetService::run() {
       report.workload += c.name;
     }
 
+    // A shed job that never dispatched must be span-free. A failover victim
+    // that dispatched, lost its device and was then shed (possibly back onto
+    // a device it ran on) legitimately owns spans of its cancelled attempts.
+    const auto note_shed = [&](const serve::JobRecord& job) {
+      if (exec[static_cast<std::size_t>(job.job_id)].dispatches == 0) {
+        acc.undispatched_apps.push_back(job.job_id);
+      } else {
+        ++acc.shed_after_dispatch;
+      }
+    };
+
     // Accounting over the jobs this device terminally owns.
     RunningStats turnaround;
     std::vector<double> turnaround_samples;
@@ -1456,17 +1467,17 @@ FleetResult FleetService::run() {
         case serve::JobState::ShedQueueFull:
           ++acc.shed_queue_full;
           ++c.shed_queue_full;
-          acc.undispatched_apps.push_back(job.job_id);
+          note_shed(job);
           break;
         case serve::JobState::ShedBreaker:
           ++acc.shed_breaker;
           ++c.shed_breaker;
-          acc.undispatched_apps.push_back(job.job_id);
+          note_shed(job);
           break;
         case serve::JobState::TimedOutQueued:
           ++acc.timed_out_queued;
           ++c.timed_out_queued;
-          acc.undispatched_apps.push_back(job.job_id);
+          note_shed(job);
           break;
         case serve::JobState::Quarantined:
           ++acc.quarantined;

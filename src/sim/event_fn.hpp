@@ -7,7 +7,8 @@
 // sweeps fan runs out over a pool. EventFn replaces it:
 //
 //   * trivially-copyable closures up to kInlineBytes (24) are stored inline
-//     in the event itself — this covers the coroutine-resume ([h]) and all
+//     in the EventFn — that is, in the event's slot of the simulator's
+//     callback slab — which covers the coroutine-resume ([h]) and all
 //     harness/device closures on the hot path;
 //   * anything larger (or not trivially copyable) is placement-newed into a
 //     fixed-size slot from a per-simulator EventPool freelist, so even the
@@ -37,7 +38,7 @@ namespace hq::sim {
 
 /// Counters describing how event callbacks were stored (per simulator).
 struct CallbackStats {
-  std::uint64_t inline_stored = 0;  ///< fit in the event's inline buffer
+  std::uint64_t inline_stored = 0;  ///< fit in the EventFn's inline buffer
   std::uint64_t pooled = 0;         ///< placed in a recycled pool slot
   std::uint64_t oversize = 0;       ///< exceeded kSlotBytes; plain heap
   std::uint64_t pool_slabs = 0;     ///< slabs the pool carved slots from
@@ -154,8 +155,8 @@ class EventFn {
 
   /// Invokes the callable; exceptions propagate to the caller exactly as
   /// they would through std::function. The storage stays valid until this
-  /// EventFn is destroyed (the simulator destroys the popped event even
-  /// when the callback throws).
+  /// EventFn is destroyed (the simulator moves a dispatched callback out of
+  /// its slab slot and destroys it even when the callback throws).
   void operator()() {
     HQ_CHECK_MSG(ops_ != nullptr, "invoking an empty EventFn");
     ops_->invoke(*this);

@@ -26,34 +26,55 @@ Simulator::~Simulator() {
   }
 }
 
-void Simulator::check_not_past(TimeNs t) const {
+void Simulator::reject_past(TimeNs t) const {
   HQ_CHECK_MSG(t >= now_, "cannot schedule into the past: t=" << t
                                                               << " now=" << now_);
 }
 
-void Simulator::sift_up() {
-  // Hole-based insertion into the 4-ary min-heap: bubble the hole up moving
-  // parents down, then drop the new event in — one move per level instead of
-  // the swap chain std::push_heap performs on 48-byte events. Heap shape
-  // never affects dispatch order: (time, seq) is a strict total order, so
-  // every correct priority queue pops the same sequence.
-  std::size_t i = heap_.size() - 1;
-  if (i == 0) return;
-  std::size_t parent = (i - 1) / kHeapArity;
-  if (!(heap_[parent] > heap_[i])) return;  // already in place: zero moves
-  Event ev = std::move(heap_[i]);
-  do {
-    heap_[i] = std::move(heap_[parent]);
-    i = parent;
-    parent = (i - 1) / kHeapArity;
-  } while (i > 0 && heap_[parent] > ev);
-  heap_[i] = std::move(ev);
+void Simulator::enqueue(TimeNs t, EventFn&& fn) {
+  HQ_CHECK_MSG(next_seq_ < kMaxSeq, "more than 2^40 events scheduled");
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    HQ_CHECK_MSG(slots_.size() <= kSlotMask, "more than 2^24 events pending");
+    slots_.emplace_back();
+    slot = static_cast<std::uint32_t>(slots_.size() - 1);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const Key key{t, next_seq_ << kSlotBits | slot};
+  if (root_vacant_) {
+    // Replace-top: the running callback's first event takes the root its
+    // own event vacated, settling with one sift_down.
+    root_vacant_ = false;
+    sift_down(key);
+  } else {
+    heap_.emplace_back();
+    sift_up(key);
+  }
+  slots_[slot] = std::move(fn);
+  ++next_seq_;
 }
 
-void Simulator::sift_down(Event tail) {
-  // Re-seat the former last element after a root pop, again moving a hole
-  // down instead of swapping. Four children per node halves the tree depth
-  // and keeps the child scan inside one cache line of Event keys.
+void Simulator::sift_up(Key key) {
+  // Hole-based insertion into the 4-ary min-heap: bubble the hole at the
+  // new leaf up, moving parents down, then drop the key in. Heap shape never
+  // affects dispatch order: (time, seq) is a strict total order, so every
+  // correct priority queue pops the same sequence.
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kHeapArity;
+    if (!(heap_[parent] > key)) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+void Simulator::sift_down(Key key) noexcept {
+  // Seat `key` at the root hole, moving the hole down instead of swapping.
+  // The four 16-byte child keys scanned per level are one cache line's
+  // worth of data.
   std::size_t i = 0;
   const std::size_t n = heap_.size();
   for (;;) {
@@ -64,11 +85,20 @@ void Simulator::sift_down(Event tail) {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (heap_[best] > heap_[c]) best = c;
     }
-    if (!(tail > heap_[best])) break;
-    heap_[i] = std::move(heap_[best]);
+    if (!(key > heap_[best])) break;
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = std::move(tail);
+  heap_[i] = key;
+}
+
+void Simulator::close_root() noexcept {
+  // The dispatched callback scheduled nothing (or threw): fill the vacant
+  // root with the tail, as a plain pop would.
+  root_vacant_ = false;
+  const Key tail = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(tail);
 }
 
 void Simulator::spawn(Task task) {
@@ -92,21 +122,24 @@ void Simulator::on_root_task_finished(Task::Handle h) {
 }
 
 void Simulator::dispatch_one() {
-  // Moving the event out of the heap before invoking keeps the storage alive
-  // across whatever the callback schedules, and its destructor reclaims the
-  // pooled slot even when the callback throws.
-  Event ev = std::move(heap_.front());
-  if (heap_.size() > 1) {
-    Event tail = std::move(heap_.back());
-    heap_.pop_back();
-    sift_down(std::move(tail));
-  } else {
-    heap_.pop_back();
-  }
-  HQ_CHECK(ev.time >= now_);
-  now_ = ev.time;
+  const Key top = heap_.front();
+  HQ_CHECK(top.time >= now_);
+  // Move the callback out and free its slot before invoking: the callback
+  // may schedule and so grow the slab, and the local keeps the storage
+  // alive and reclaims a pooled slot even when the callback throws.
+  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
+  free_slots_.push_back(slot);
+  EventFn fn = std::move(slots_[slot]);
+  root_vacant_ = true;
+  now_ = top.time;
   ++events_processed_;
-  ev.fn();
+  try {
+    fn();
+  } catch (...) {
+    if (root_vacant_) close_root();
+    throw;
+  }
+  if (root_vacant_) close_root();
   reap_finished_tasks();
   if (pending_exception_) {
     std::exception_ptr e = std::exchange(pending_exception_, nullptr);
@@ -122,6 +155,7 @@ void Simulator::reap_finished_tasks() {
 }
 
 std::size_t Simulator::run() {
+  HQ_CHECK_MSG(!root_vacant_, "Simulator::run called from an event callback");
   const std::uint64_t before = events_processed_;
   while (!heap_.empty()) {
     dispatch_one();
@@ -131,6 +165,8 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(TimeNs t) {
   HQ_CHECK_MSG(t >= now_, "run_until into the past");
+  HQ_CHECK_MSG(!root_vacant_,
+               "Simulator::run_until called from an event callback");
   const std::uint64_t before = events_processed_;
   while (!heap_.empty() && heap_.front().time <= t) {
     dispatch_one();

@@ -1,13 +1,20 @@
 // Deterministic discrete-event simulator.
 //
-// Single-threaded virtual-time engine: a 4-ary min-heap of (time, sequence,
-// callback) events with FIFO tie-breaking, so identical inputs always
-// produce identical schedules — the property every experiment in this
-// repository relies on.
+// Single-threaded virtual-time engine with FIFO tie-breaking on a
+// (time, sequence) key, so identical inputs always produce identical
+// schedules — the property every experiment in this repository relies on.
+//
+// The event queue is a 4-ary min-heap of 16-byte keys: the time plus one
+// word packing the sequence number (high 40 bits) and a slot index (low
+// 24 bits) into a slab of callbacks. Sifts move keys only; a callback stays
+// in its slot from schedule to dispatch. Dispatch is replace-top: the root
+// is left empty while its callback runs, and the first event that callback
+// schedules is sifted down from the root in one pass instead of a pop
+// followed by a push.
 //
 // Event callbacks are stored in sim::EventFn (see sim/event_fn.hpp): small
-// trivially-copyable closures live inline in the heap entry, larger ones in
-// a per-simulator recycled pool, so steady-state scheduling performs no
+// trivially-copyable closures live inline in their slab slot, larger ones
+// in a per-simulator recycled pool, so steady-state scheduling performs no
 // heap allocation. Callback storage never affects dispatch order — the
 // (time, seq) key alone decides it.
 #pragma once
@@ -47,10 +54,8 @@ class Simulator {
   /// Schedules a callback at absolute virtual time `t` (must be >= now()).
   template <typename F>
   void schedule_at(TimeNs t, F&& fn) {
-    check_not_past(t);
-    heap_.push_back(Event{t, next_seq_++,
-                          EventFn(pool_, callback_stats_, std::forward<F>(fn))});
-    sift_up();
+    if (t < now_) [[unlikely]] reject_past(t);
+    enqueue(t, EventFn(pool_, callback_stats_, std::forward<F>(fn)));
   }
 
   /// Awaitable that suspends the current task for `d` nanoseconds. A zero
@@ -74,11 +79,15 @@ class Simulator {
   /// events at the same instant).
   void spawn(Task task);
 
-  /// Pre-sizes the event heap for a run expected to keep up to `pending`
-  /// events in flight at once (a capacity hint, not a limit). Harnesses call
-  /// this with a workload-derived estimate so the heap never reallocates
-  /// mid-run.
-  void reserve_events(std::size_t pending) { heap_.reserve(pending); }
+  /// Pre-sizes the event heap and callback slab for a run expected to keep
+  /// up to `pending` events in flight at once (a capacity hint, not a
+  /// limit). Harnesses call this with a workload-derived estimate so neither
+  /// reallocates mid-run.
+  void reserve_events(std::size_t pending) {
+    heap_.reserve(pending);
+    slots_.reserve(pending);
+    free_slots_.reserve(pending);
+  }
 
   /// Runs until the event queue is empty. Returns events processed by this
   /// call. Rethrows the first exception escaping a root task.
@@ -90,8 +99,11 @@ class Simulator {
   /// Convenience: run_until(now() + d).
   std::size_t run_for(DurationNs d) { return run_until(now_ + d); }
 
-  bool idle() const { return heap_.empty(); }
-  std::size_t pending_events() const { return heap_.size(); }
+  /// Both leave out the root a running callback's event vacated.
+  bool idle() const { return pending_events() == 0; }
+  std::size_t pending_events() const {
+    return heap_.size() - (root_vacant_ ? 1 : 0);
+  }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// How scheduled callbacks were stored so far (inline / pooled / oversize).
@@ -108,22 +120,26 @@ class Simulator {
  private:
   friend struct Task::promise_type;
 
-  struct Event {
+  /// Heap entry: `seq_slot` packs the sequence number above the slot index.
+  /// Sequence numbers are unique, so comparing the packed word orders equal
+  /// times exactly as comparing `seq` alone would.
+  struct Key {
     TimeNs time;
-    std::uint64_t seq;
-    EventFn fn;
-    bool operator>(const Event& other) const {
+    std::uint64_t seq_slot;
+    bool operator>(const Key& other) const {
       if (time != other.time) return time > other.time;
-      return seq > other.seq;
+      return seq_slot > other.seq_slot;
     }
   };
 
   /// Called from a root task's final suspend point.
   void on_root_task_finished(Task::Handle h);
 
-  void check_not_past(TimeNs t) const;
-  void sift_up();
-  void sift_down(Event tail);
+  void reject_past(TimeNs t) const;  // throws hq::Error
+  void enqueue(TimeNs t, EventFn&& fn);
+  void sift_up(Key key);
+  void sift_down(Key key) noexcept;
+  void close_root() noexcept;
   void dispatch_one();
   void reap_finished_tasks();
 
@@ -131,16 +147,27 @@ class Simulator {
   /// and the arity is invisible to results: (time, seq) is a strict total
   /// order, so the pop sequence is the same for any correct priority queue.
   static constexpr std::size_t kHeapArity = 4;
+  /// Low bits of Key::seq_slot holding the slot index: at most 2^24 events
+  /// pending at once, and 2^40 scheduled over a simulator's lifetime.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
 
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  // pool_ must be declared before heap_: pending pooled events destroyed
-  // with the simulator return their slots to the pool, so the pool has to
-  // outlive the heap (members are destroyed in reverse declaration order).
+  // pool_ must be declared before slots_: pending pooled events destroyed
+  // with the simulator return their storage to the pool, so the pool has to
+  // outlive the slab (members are destroyed in reverse declaration order).
   EventPool pool_;
   CallbackStats callback_stats_;
-  std::vector<Event> heap_;  // 4-ary min-heap on (time, seq)
+  std::vector<EventFn> slots_;             // callback slab, indexed by slot
+  std::vector<std::uint32_t> free_slots_;  // stack of vacant slab slots
+  std::vector<Key> heap_;                  // 4-ary min-heap on (time, seq)
+  // True while a dispatched callback runs and heap_[0] is the empty root its
+  // event left: the callback's first schedule fills it with one sift_down.
+  bool root_vacant_ = false;
   std::vector<Task::Handle> live_tasks_;
   std::vector<Task::Handle> finished_tasks_;
   std::exception_ptr pending_exception_;

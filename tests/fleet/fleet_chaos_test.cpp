@@ -12,6 +12,7 @@
 #include "fault/lifecycle.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
+#include "rodinia/registry.hpp"
 #include "serve/report.hpp"
 #include "tests/fleet/report_echo.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
@@ -350,6 +351,65 @@ TEST(FleetChaosTest, GoodputDegradesWithEarlierCrash) {
     goodput.push_back(FleetService(config).run().report.goodput_per_sec);
   }
   EXPECT_LT(goodput[0], goodput[2]);
+}
+
+/// The hqserve failover configuration that once tripped the serve
+/// accounting check: gaussian jobs at size 64 on four least-loaded devices
+/// with stealing, hedging, a failover budget of 2 and 25% spot checks, under
+/// a crash on device 0, a flapping device 1 and SDC on device 2.
+FleetConfig failover_shed_back_config() {
+  FleetConfig config;
+  serve::ServiceConfig& base = config.base;
+  base.window = 20 * kMillisecond;
+  base.mean_interarrival = 60 * kMicrosecond;
+  base.num_streams = 4;
+  base.max_inflight = 3;
+  base.queue_cap = 24;
+  base.deadline = 4000 * kMicrosecond;
+  base.seed = 1;
+  base.collect_metrics = true;
+  rodinia::AppParams params;
+  params.size = 64;
+  base.classes.push_back({rodinia::make_app("gaussian", params), 0});
+  config.resize_homogeneous(4);
+  config.placement = PlacementPolicy::LeastLoaded;
+  config.work_stealing = true;
+  config.failover_budget = 2;
+  config.hedging = true;
+  config.integrity = IntegrityPolicy::SpotCheck;
+  config.spotcheck_rate = 0.25;
+  for (const char* text :
+       {"crash-at-us=12000,seed=3",
+        "flap-period-us=4000,flap-down-us=1000,flap-jitter=0.5,seed=5",
+        "sdc-kernel-rate=0.2,seed=7", "disabled"}) {
+    std::string error;
+    const auto plan = fault::parse_fault_plan(text, &error);
+    EXPECT_TRUE(plan.has_value()) << error;
+    config.device_fault_plans.push_back(plan.value_or(fault::FaultPlan{}));
+  }
+  return config;
+}
+
+TEST(FleetChaosTest, FailoverVictimShedBackOntoItsDeviceKeepsAccounting) {
+  // Job 95 dispatches on device 1, fails over to device 0 when device 1
+  // flaps down, dispatches there, and fails back onto device 1's full queue
+  // when device 0 crashes. It ends ShedQueueFull on device 1 while owning
+  // the spans of its cancelled first attempt: legal, and accounted.
+  FleetResult result = FleetService(failover_shed_back_config()).run();
+  const serve::JobRecord& victim = result.jobs[95];
+  EXPECT_EQ(victim.state, serve::JobState::ShedQueueFull);
+  EXPECT_EQ(result.owners[95], 1);
+  int dispatches = 0;
+  int failovers = 0;
+  for (const serve::JobEvent& e : result.lifecycle->events(95)) {
+    if (e.kind == serve::JobEventKind::Dispatched) ++dispatches;
+    if (e.kind == serve::JobEventKind::FailedOver) ++failovers;
+  }
+  EXPECT_EQ(dispatches, 2);
+  EXPECT_EQ(failovers, 2);
+  EXPECT_GE(result.devices[1].accounting.shed_after_dispatch, 1u);
+  EXPECT_EQ(result.report.arrived, 332u);
+  check_chaos_conservation(result);  // arrived == every terminal state
 }
 
 }  // namespace

@@ -65,5 +65,18 @@ TEST(ServeFuzzTest, RunnerAppendsServeIterations) {
   EXPECT_NE(summaries[0].find("serve seed="), std::string::npos);
 }
 
+TEST(FleetChaosFuzzTest, FailoverShedBackCaseIsClean) {
+  // In this case's failover shed-back run a job dispatches on flapping
+  // device 0, fails over when it goes down, and fails back onto device 0's
+  // full queue when device 1 crashes. It ends shed while owning the spans
+  // of its cancelled first attempt: a legal history the serve accounting
+  // check once rejected.
+  std::string summary;
+  const std::vector<std::string> problems =
+      Fuzzer::run_fleet_chaos_case(17202925169076741841ull, 0.5, &summary);
+  EXPECT_TRUE(problems.empty())
+      << "case " << summary << " violated:\n  " << problems[0];
+}
+
 }  // namespace
 }  // namespace hq::check

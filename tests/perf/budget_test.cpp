@@ -83,7 +83,7 @@ constexpr std::uint64_t kExpectedEvents = 683'135;
 constexpr std::size_t kExpectedNameCount = 8;
 // Heap-allocation budget for the run (measured + ~25% headroom). A per-event
 // allocation regression overshoots this by two orders of magnitude.
-constexpr std::uint64_t kAllocationBudget = 64'000;  // measured ~50.6K
+constexpr std::uint64_t kAllocationBudget = 64'000;  // measured 50,627
 
 fw::HarnessResult run_canonical() {
   return bench::run_pair({"gaussian", "nn"}, 16, 16, fw::Order::NaiveFifo,

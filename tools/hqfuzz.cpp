@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
                   "per-device lifecycle-fault probability in [0,1]; > 0 adds "
                   "the fleet chaos oracles (crash-schedule conservation, "
                   "failover determinism, inert-knob byte identity, "
-                  "all-devices-dead drain) to every fleet iteration",
+                  "failover shed-back, all-devices-dead drain) to every "
+                  "fleet iteration",
                   "0");
   args.add_option("sdc-rate",
                   "per-device silent-data-corruption probability in [0,1]; "
