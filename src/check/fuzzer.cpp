@@ -64,6 +64,97 @@ fleet::FleetReport with_config_echo_of(fleet::FleetReport report,
   return report;
 }
 
+fleet::FleetResult run_once(const fleet::FleetConfig& config) {
+  return fleet::FleetService(config).run();
+}
+
+serve::ServeResult run_once(const serve::ServiceConfig& config) {
+  return serve::Service(config).run();
+}
+
+fw::HarnessResult run_once(const fw::HarnessConfig& config,
+                           const std::vector<fw::WorkloadItem>& workload) {
+  fw::Harness harness(config);
+  return harness.run(workload);
+}
+
+/// Runs one configuration of a case. A run aborts (hq::Error) on an
+/// invariant violation — device invariants, the serve accounting and the
+/// fleet conservation checks inside the engines — so the error becomes the
+/// problem "<label>: <what>" and every oracle failure carries its seed.
+template <class... Args>
+auto run_guarded(std::vector<std::string>& problems, const char* label,
+                 const Args&... args)
+    -> std::optional<decltype(run_once(args...))> {
+  try {
+    return run_once(args...);
+  } catch (const hq::Error& e) {
+    problems.push_back(std::string(label) + ": " + e.what());
+    return std::nullopt;
+  }
+}
+
+/// The fleet conservation oracle, run on every fleet, chaos and SDC run.
+/// Every arrival lands in exactly one terminal state; the device reports
+/// plus the fleet-owned sheds reproduce the fleet's arrivals; per-device
+/// verifications, corrupted results and blocklist flags reproduce the fleet
+/// counters; and corrupted results partition exactly into detected and
+/// missed. Without chaos or corruption the last four hold at zero.
+void check_fleet_conservation(const fleet::FleetReport& r, const char* label,
+                              std::vector<std::string>& problems) {
+  const auto fail = [&](const std::ostringstream& os) {
+    problems.push_back(label + (": " + os.str()));
+  };
+  if (r.arrived != r.terminal()) {
+    std::ostringstream os;
+    os << "accounting leak (arrived " << r.arrived << " != terminal states "
+       << r.terminal() << ")";
+    fail(os);
+  }
+  std::uint64_t device_arrived = 0;
+  std::uint64_t device_verifications = 0;
+  std::uint64_t device_injected = 0;
+  std::uint64_t device_blocklisted = 0;
+  for (const fleet::FleetDeviceStats& dev : r.devices) {
+    device_arrived += dev.report.arrived;
+    device_verifications += dev.verifications_run;
+    device_injected += dev.sdc_injected;
+    if (dev.blocklisted) ++device_blocklisted;
+  }
+  if (device_arrived + r.shed_no_device + r.shed_failover_exhausted !=
+      r.arrived) {
+    std::ostringstream os;
+    os << "per-device arrivals " << device_arrived << " + shed_no_device "
+       << r.shed_no_device << " + shed_failover_exhausted "
+       << r.shed_failover_exhausted << " != fleet arrived " << r.arrived;
+    fail(os);
+  }
+  if (device_verifications != r.reexecutions) {
+    std::ostringstream os;
+    os << "per-device verifications " << device_verifications
+       << " != fleet reexecutions " << r.reexecutions;
+    fail(os);
+  }
+  if (device_injected != r.sdc_injected) {
+    std::ostringstream os;
+    os << "per-device sdc_injected " << device_injected
+       << " != fleet sdc_injected " << r.sdc_injected;
+    fail(os);
+  }
+  if (device_blocklisted != r.devices_blocklisted) {
+    std::ostringstream os;
+    os << "per-device blocklisted flags " << device_blocklisted
+       << " != fleet devices_blocklisted " << r.devices_blocklisted;
+    fail(os);
+  }
+  if (r.sdc_injected != r.sdc_detected + r.sdc_missed) {
+    std::ostringstream os;
+    os << "sdc partition broken (" << r.sdc_injected << " injected != "
+       << r.sdc_detected << " detected + " << r.sdc_missed << " missed)";
+    fail(os);
+  }
+}
+
 }  // namespace
 
 FuzzCase generate_case(std::uint64_t case_seed) {
@@ -235,51 +326,8 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
     problems.push_back(os.str());
   };
 
-  // A fleet run aborts (hq::Error) on an invariant violation — including
-  // per-device serve accounting and the fleet conservation identity checked
-  // inside FleetService::run — so every oracle failure carries its seed.
-  const auto run_with = [&](const fleet::FleetConfig& cfg, const char* label)
-      -> std::optional<fleet::FleetResult> {
-    try {
-      return fleet::FleetService(cfg).run();
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << label << ": " << e.what();
-      fail(os);
-      return std::nullopt;
-    }
-  };
-
-  // Reported conservation: every arrival lands in exactly one terminal
-  // state, and the per-device reports plus the fleet-only shed_no_device
-  // reproduce the fleet totals.
-  const auto check_conservation = [&](const fleet::FleetReport& r,
-                                      const char* label) {
-    const std::uint64_t terminal = r.completed_ok + r.completed_late +
-                                   r.shed_queue_full + r.shed_breaker +
-                                   r.shed_no_device + r.timed_out_queued +
-                                   r.quarantined;
-    if (r.arrived != terminal) {
-      std::ostringstream os;
-      os << label << ": fleet accounting leak (arrived " << r.arrived
-         << " != terminal states " << terminal << ")";
-      fail(os);
-    }
-    std::uint64_t device_arrived = 0;
-    for (const fleet::FleetDeviceStats& dev : r.devices) {
-      device_arrived += dev.report.arrived;
-    }
-    if (device_arrived + r.shed_no_device != r.arrived) {
-      std::ostringstream os;
-      os << label << ": per-device arrivals " << device_arrived
-         << " + shed_no_device " << r.shed_no_device
-         << " != fleet arrived " << r.arrived;
-      fail(os);
-    }
-  };
-
-  const auto fleet1 = run_with(c.config, "fleet-run1");
-  const auto fleet2 = run_with(c.config, "fleet-run2");
+  const auto fleet1 = run_guarded(problems, "fleet-run1", c.config);
+  const auto fleet2 = run_guarded(problems, "fleet-run2", c.config);
   if (!fleet1 || !fleet2) return problems;
 
   // --- determinism: identical config => byte-identical fleet report ---------
@@ -291,7 +339,7 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
        << fleet::fleet_report_digest(fleet2->report) << ")";
     fail(os);
   }
-  check_conservation(fleet1->report, "fleet-base");
+  check_fleet_conservation(fleet1->report, "fleet-base", problems);
 
   // --- observability zero-perturbation ---------------------------------------
   // Attaching the fleet observability plane (per-device telemetry, the job
@@ -299,8 +347,8 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
   // identical, and every export must itself be deterministic across runs.
   fleet::FleetConfig observed_cfg = c.config;
   observed_cfg.base.collect_metrics = true;
-  const auto observed1 = run_with(observed_cfg, "fleet-observed1");
-  const auto observed2 = run_with(observed_cfg, "fleet-observed2");
+  const auto observed1 = run_guarded(problems, "fleet-observed1", observed_cfg);
+  const auto observed2 = run_guarded(problems, "fleet-observed2", observed_cfg);
   if (observed1 && observed2) {
     if (fleet::fleet_report_json(observed1->report) !=
         fleet::fleet_report_json(fleet1->report)) {
@@ -344,8 +392,8 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
     faulted.placement = policy;
     std::ostringstream label;
     label << "fleet-faulted-" << fleet::placement_policy_name(policy);
-    if (const auto run = run_with(faulted, label.str().c_str())) {
-      check_conservation(run->report, label.str().c_str());
+    if (const auto run = run_guarded(problems, label.str().c_str(), faulted)) {
+      check_fleet_conservation(run->report, label.str().c_str(), problems);
     }
   }
 
@@ -356,7 +404,7 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
   if (c.config.num_devices() > 1 && summary_out != nullptr) {
     fleet::FleetConfig single;
     single.base = c.config.base;
-    const auto single_run = run_with(single, "fleet-single");
+    const auto single_run = run_guarded(problems, "fleet-single", single);
     if (single_run &&
         fleet1->report.completed < single_run->report.completed) {
       std::ostringstream os;
@@ -424,54 +472,10 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
     problems.push_back(os.str());
   };
 
-  const auto run_with = [&](const fleet::FleetConfig& run_cfg,
-                            const char* label)
-      -> std::optional<fleet::FleetResult> {
-    try {
-      return fleet::FleetService(run_cfg).run();
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << label << ": " << e.what();
-      fail(os);
-      return std::nullopt;
-    }
-  };
-
-  // No-job-lost conservation under arbitrary crash schedules: every
-  // arrival lands in exactly one terminal state — including the fleet-only
-  // shed_failover_exhausted — and per-device arrivals plus the fleet-only
-  // sheds reproduce the fleet total.
-  const auto check_chaos_conservation = [&](const fleet::FleetReport& r,
-                                            const char* label) {
-    const std::uint64_t terminal = r.completed_ok + r.completed_late +
-                                   r.shed_queue_full + r.shed_breaker +
-                                   r.shed_no_device + r.timed_out_queued +
-                                   r.quarantined + r.shed_failover_exhausted;
-    if (r.arrived != terminal) {
-      std::ostringstream os;
-      os << label << ": chaos accounting leak (arrived " << r.arrived
-         << " != terminal states " << terminal << ")";
-      fail(os);
-    }
-    std::uint64_t device_arrived = 0;
-    for (const fleet::FleetDeviceStats& dev : r.devices) {
-      device_arrived += dev.report.arrived;
-    }
-    if (device_arrived + r.shed_no_device + r.shed_failover_exhausted !=
-        r.arrived) {
-      std::ostringstream os;
-      os << label << ": per-device arrivals " << device_arrived
-         << " + shed_no_device " << r.shed_no_device
-         << " + shed_failover_exhausted " << r.shed_failover_exhausted
-         << " != fleet arrived " << r.arrived;
-      fail(os);
-    }
-  };
-
-  const auto chaos1 = run_with(cfg, "chaos-run1");
-  const auto chaos2 = run_with(cfg, "chaos-run2");
+  const auto chaos1 = run_guarded(problems, "chaos-run1", cfg);
+  const auto chaos2 = run_guarded(problems, "chaos-run2", cfg);
   if (!chaos1 || !chaos2) return problems;
-  check_chaos_conservation(chaos1->report, "chaos-base");
+  check_fleet_conservation(chaos1->report, "chaos-base", problems);
 
   // --- failover determinism --------------------------------------------------
   if (fleet::fleet_report_json(chaos1->report) !=
@@ -491,8 +495,8 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   inert.device_fault_plans.assign(n, fault::FaultPlan{});
   inert.hedging = false;
   const fleet::FleetConfig baseline = generate_fleet_case(case_seed).config;
-  const auto inert_run = run_with(inert, "chaos-inert");
-  const auto baseline_run = run_with(baseline, "chaos-baseline");
+  const auto inert_run = run_guarded(problems, "chaos-inert", inert);
+  const auto baseline_run = run_guarded(problems, "chaos-baseline", baseline);
   if (inert_run && baseline_run) {
     const fleet::FleetReport echoed =
         with_config_echo_of(inert_run->report, baseline_run->report);
@@ -536,8 +540,9 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   }
   flapping.failover_budget = std::max(cfg.failover_budget, 2);
   flapping.base.collect_metrics = true;
-  if (const auto shed_back = run_with(flapping, "chaos-shed-back")) {
-    check_chaos_conservation(shed_back->report, "chaos-shed-back");
+  if (const auto shed_back =
+          run_guarded(problems, "chaos-shed-back", flapping)) {
+    check_fleet_conservation(shed_back->report, "chaos-shed-back", problems);
     std::set<std::int32_t> span_owners;
     for (const fleet::FleetDeviceResult& dev : shed_back->devices) {
       for (const trace::Span& span : dev.trace->spans()) {
@@ -545,12 +550,9 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
       }
     }
     for (const serve::JobRecord& job : shed_back->jobs) {
-      const bool shed = job.state == serve::JobState::ShedQueueFull ||
-                        job.state == serve::JobState::ShedBreaker ||
-                        job.state == serve::JobState::TimedOutQueued ||
-                        job.state == serve::JobState::ShedNoDevice ||
-                        job.state == serve::JobState::ShedFailoverExhausted;
-      if (!shed || span_owners.count(job.job_id) == 0) continue;
+      if (!serve::is_dropped(job.state) || span_owners.count(job.job_id) == 0) {
+        continue;
+      }
       bool ran = false;
       for (const serve::JobEvent& e : shed_back->lifecycle->events(job.job_id)) {
         ran = ran || e.kind == serve::JobEventKind::Dispatched ||
@@ -576,11 +578,10 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   fault::FaultPlan crash_all = fault::FaultPlan::zero();
   crash_all.crash_at = window / 3;
   doomed.device_fault_plans.assign(n, crash_all);
-  if (const auto dead = run_with(doomed, "chaos-all-dead")) {
-    check_chaos_conservation(dead->report, "chaos-all-dead");
+  if (const auto dead = run_guarded(problems, "chaos-all-dead", doomed)) {
+    check_fleet_conservation(dead->report, "chaos-all-dead", problems);
     for (const serve::JobRecord& job : dead->jobs) {
-      if ((job.state == serve::JobState::CompletedOk ||
-           job.state == serve::JobState::CompletedLate) &&
+      if (serve::is_completed(job.state) &&
           job.completed_at > crash_all.crash_at) {
         std::ostringstream os;
         os << "chaos-all-dead: job " << job.job_id << " completed at "
@@ -653,86 +654,10 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
     problems.push_back(os.str());
   };
 
-  const auto run_with = [&](const fleet::FleetConfig& run_cfg,
-                            const char* label)
-      -> std::optional<fleet::FleetResult> {
-    try {
-      return fleet::FleetService(run_cfg).run();
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << label << ": " << e.what();
-      fail(os);
-      return std::nullopt;
-    }
-  };
-
-  // Conservation with verification re-executions counted as attempts:
-  // every arrival still lands in exactly one terminal state, per-device
-  // arrivals reproduce the fleet total, and every dispatched re-execution
-  // is attributed to exactly one device.
-  const auto check_sdc_conservation = [&](const fleet::FleetReport& r,
-                                          const char* label) {
-    const std::uint64_t terminal = r.completed_ok + r.completed_late +
-                                   r.shed_queue_full + r.shed_breaker +
-                                   r.shed_no_device + r.timed_out_queued +
-                                   r.quarantined + r.shed_failover_exhausted;
-    if (r.arrived != terminal) {
-      std::ostringstream os;
-      os << label << ": sdc accounting leak (arrived " << r.arrived
-         << " != terminal states " << terminal << ")";
-      fail(os);
-    }
-    std::uint64_t device_arrived = 0;
-    std::uint64_t device_verifications = 0;
-    std::uint64_t device_injected = 0;
-    std::uint64_t device_blocklisted = 0;
-    for (const fleet::FleetDeviceStats& dev : r.devices) {
-      device_arrived += dev.report.arrived;
-      device_verifications += dev.verifications_run;
-      device_injected += dev.sdc_injected;
-      if (dev.blocklisted) ++device_blocklisted;
-    }
-    if (device_arrived + r.shed_no_device + r.shed_failover_exhausted !=
-        r.arrived) {
-      std::ostringstream os;
-      os << label << ": per-device arrivals " << device_arrived
-         << " + fleet-only sheds don't reproduce fleet arrived "
-         << r.arrived;
-      fail(os);
-    }
-    if (device_verifications != r.reexecutions) {
-      std::ostringstream os;
-      os << label << ": per-device verifications " << device_verifications
-         << " != fleet reexecutions " << r.reexecutions;
-      fail(os);
-    }
-    if (device_injected != r.sdc_injected) {
-      std::ostringstream os;
-      os << label << ": per-device sdc_injected " << device_injected
-         << " != fleet sdc_injected " << r.sdc_injected;
-      fail(os);
-    }
-    if (device_blocklisted != r.devices_blocklisted) {
-      std::ostringstream os;
-      os << label << ": per-device blocklisted flags " << device_blocklisted
-         << " != fleet devices_blocklisted " << r.devices_blocklisted;
-      fail(os);
-    }
-    // The exact partition: every corrupted result was either caught by a
-    // mismatching comparison or served silently.
-    if (r.sdc_injected != r.sdc_detected + r.sdc_missed) {
-      std::ostringstream os;
-      os << label << ": sdc partition broken (" << r.sdc_injected
-         << " injected != " << r.sdc_detected << " detected + "
-         << r.sdc_missed << " missed)";
-      fail(os);
-    }
-  };
-
-  const auto sdc1 = run_with(cfg, "sdc-run1");
-  const auto sdc2 = run_with(cfg, "sdc-run2");
+  const auto sdc1 = run_guarded(problems, "sdc-run1", cfg);
+  const auto sdc2 = run_guarded(problems, "sdc-run2", cfg);
   if (!sdc1 || !sdc2) return problems;
-  check_sdc_conservation(sdc1->report, "sdc-base");
+  check_fleet_conservation(sdc1->report, "sdc-base", problems);
 
   // --- determinism -----------------------------------------------------------
   if (fleet::fleet_report_json(sdc1->report) !=
@@ -752,8 +677,8 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
   inert.device_fault_plans.assign(n, fault::FaultPlan{});
   inert.integrity = fleet::IntegrityPolicy::Trust;
   const fleet::FleetConfig baseline = generate_fleet_case(case_seed).config;
-  const auto inert_run = run_with(inert, "sdc-inert");
-  const auto baseline_run = run_with(baseline, "sdc-baseline");
+  const auto inert_run = run_guarded(problems, "sdc-inert", inert);
+  const auto baseline_run = run_guarded(problems, "sdc-baseline", baseline);
   if (inert_run && baseline_run) {
     const fleet::FleetReport echoed =
         with_config_echo_of(inert_run->report, baseline_run->report);
@@ -813,23 +738,8 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
     problems.push_back(os.str());
   };
 
-  // A serve run aborts (hq::Error) on an invariant violation — including
-  // the serve-accounting identity checked inside Service::run — so every
-  // oracle failure is reported with its case seed.
-  const auto run_with = [&](const serve::ServiceConfig& cfg, const char* label)
-      -> std::optional<serve::ServeResult> {
-    try {
-      return serve::Service(cfg).run();
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << label << ": " << e.what();
-      fail(os);
-      return std::nullopt;
-    }
-  };
-
-  const auto base1 = run_with(c.config, "serve-run1");
-  const auto base2 = run_with(c.config, "serve-run2");
+  const auto base1 = run_guarded(problems, "serve-run1", c.config);
+  const auto base2 = run_guarded(problems, "serve-run2", c.config);
   if (!base1 || !base2) return problems;
 
   // --- determinism: identical config => byte-identical report ---------------
@@ -843,8 +753,7 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
 
   // --- accounting: conservation + shed jobs consume no device time ----------
   const serve::ServeReport& r = base1->report;
-  if (r.arrived != r.completed_ok + r.completed_late + r.shed_queue_full +
-                       r.shed_breaker + r.timed_out_queued + r.quarantined) {
+  if (r.arrived != r.terminal()) {
     std::ostringstream os;
     os << "serve accounting: arrived " << r.arrived
        << " != completed_ok " << r.completed_ok << " + completed_late "
@@ -854,10 +763,8 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
     fail(os);
   }
   for (const serve::JobRecord& job : base1->jobs) {
-    const bool undispatched = job.state == serve::JobState::ShedQueueFull ||
-                              job.state == serve::JobState::ShedBreaker ||
-                              job.state == serve::JobState::TimedOutQueued;
-    if (undispatched && (job.dispatched_at != 0 || job.completed_at != 0)) {
+    if (serve::is_dropped(job.state) &&
+        (job.dispatched_at != 0 || job.completed_at != 0)) {
       std::ostringstream os;
       os << "serve accounting: job " << job.job_id << " is "
          << serve::job_state_name(job.state)
@@ -870,7 +777,8 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   // --- queue-cap monotonicity ------------------------------------------------
   serve::ServiceConfig uncapped = c.config;
   uncapped.queue_cap = 0;
-  if (const auto unbounded = run_with(uncapped, "serve-uncapped")) {
+  if (const auto unbounded =
+          run_guarded(problems, "serve-uncapped", uncapped)) {
     if (unbounded->report.arrived != r.arrived) {
       std::ostringstream os;
       os << "serve metamorphic: arrivals depend on the queue cap ("
@@ -893,8 +801,8 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   loose.deadline = 4 * kMillisecond;
   serve::ServiceConfig tight = loose;
   tight.deadline = kMillisecond;
-  const auto loose_run = run_with(loose, "serve-deadline-loose");
-  const auto tight_run = run_with(tight, "serve-deadline-tight");
+  const auto loose_run = run_guarded(problems, "serve-deadline-loose", loose);
+  const auto tight_run = run_guarded(problems, "serve-deadline-tight", tight);
   if (loose_run && tight_run) {
     if (loose_run->report.trace_digest != tight_run->report.trace_digest) {
       std::ostringstream os;
@@ -929,8 +837,8 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   serve::ServiceConfig plain = bare;
   plain.fault_plan = {};
   plain.collect_metrics = false;
-  const auto bare_run = run_with(bare, "serve-bare");
-  const auto plain_run = run_with(plain, "serve-plain");
+  const auto bare_run = run_guarded(problems, "serve-bare", bare);
+  const auto plain_run = run_guarded(problems, "serve-plain", plain);
   if (bare_run && plain_run &&
       (bare_run->report.trace_digest != plain_run->report.trace_digest ||
        bare_run->report.arrived != plain_run->report.arrived)) {
@@ -985,29 +893,14 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   const auto workload =
       rodinia::build_workload(c.slots, c.type_names, c.params);
 
-  // A harness run aborts (hq::Error) on an invariant violation; catch it so
-  // every oracle failure of the case is reported with its seed.
-  const auto run_with = [&](const fw::HarnessConfig& cfg, const char* label)
-      -> std::optional<fw::HarnessResult> {
-    try {
-      fw::Harness harness(cfg);
-      return harness.run(workload);
-    } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << label << ": " << e.what();
-      fail(os);
-      return std::nullopt;
-    }
-  };
-
-  const auto hyperq1 = run_with(c.config, "hyperq-run1");
-  const auto hyperq2 = run_with(c.config, "hyperq-run2");
+  const auto hyperq1 = run_guarded(problems, "hyperq-run1", c.config, workload);
+  const auto hyperq2 = run_guarded(problems, "hyperq-run2", c.config, workload);
   fw::HarnessConfig serial_cfg = c.config;
   serial_cfg.num_streams = 1;
-  const auto serial = run_with(serial_cfg, "serial");
+  const auto serial = run_guarded(problems, "serial", serial_cfg, workload);
   fw::HarnessConfig fermi_cfg = c.config;
   fermi_cfg.device = gpu::DeviceSpec::fermi_single_queue();
-  const auto fermi = run_with(fermi_cfg, "fermi");
+  const auto fermi = run_guarded(problems, "fermi", fermi_cfg, workload);
   if (!hyperq1 || !hyperq2 || !serial || !fermi) return problems;
 
   // --- determinism: identical seed => identical run --------------------------
@@ -1146,7 +1039,7 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
     // Attaching an all-zero-rate plan must perturb nothing.
     fw::HarnessConfig zero_cfg = c.config;
     zero_cfg.fault_plan = fault::FaultPlan::zero();
-    const auto zeroed = run_with(zero_cfg, "fault-zero");
+    const auto zeroed = run_guarded(problems, "fault-zero", zero_cfg, workload);
     if (zeroed) {
       if (trace::digest(*zeroed->trace) != digest1) {
         std::ostringstream os;
@@ -1166,8 +1059,10 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
 
     fw::HarnessConfig fault_cfg = c.config;
     fault_cfg.fault_plan = case_fault_plan(case_seed, fault_rate);
-    const auto faulted1 = run_with(fault_cfg, "fault-run1");
-    const auto faulted2 = run_with(fault_cfg, "fault-run2");
+    const auto faulted1 =
+        run_guarded(problems, "fault-run1", fault_cfg, workload);
+    const auto faulted2 =
+        run_guarded(problems, "fault-run2", fault_cfg, workload);
     if (faulted1 && faulted2) {
       // Determinism: the same plan + seed reproduces the faulted run.
       if (trace::digest(*faulted1->trace) != trace::digest(*faulted2->trace) ||

@@ -97,9 +97,10 @@ ServeFuzzCase generate_serve_case(std::uint64_t case_seed);
 ///
 ///   - Determinism: the same config twice yields a byte-identical
 ///     FleetReport (JSON and digest).
-///   - Conservation: fleet arrivals equal the sum of every terminal state
-///     (including the fleet-only shed_no_device), and per-device arrivals
-///     plus shed_no_device reproduce the fleet total.
+///   - Conservation (the one fleet conservation oracle, shared with the
+///     chaos and SDC cases): fleet arrivals equal JobTally::terminal(),
+///     per-device arrivals plus the fleet-owned sheds reproduce the fleet
+///     total, and the per-device integrity counters reproduce the fleet's.
 ///   - Placement permutation safety: every placement policy yields valid
 ///     conservation, even with a transient fault plan and the device
 ///     health breaker active.

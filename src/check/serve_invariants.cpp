@@ -10,28 +10,25 @@ std::vector<std::string> verify_serve_accounting(const ServeAccounting& acc,
                                                  const trace::Recorder* trace) {
   std::vector<std::string> violations;
 
-  const std::uint64_t accounted = acc.completed_ok + acc.completed_late +
-                                  acc.shed_queue_full + acc.shed_breaker +
-                                  acc.timed_out_queued + acc.quarantined;
-  if (accounted != acc.arrived) {
+  if (acc.terminal() != acc.arrived) {
     std::ostringstream os;
     os << "serve accounting: arrived " << acc.arrived
-       << " != accounted " << accounted << " (ok " << acc.completed_ok
+       << " != accounted " << acc.terminal() << " (ok " << acc.completed_ok
        << " + late " << acc.completed_late << " + shed-queue "
        << acc.shed_queue_full << " + shed-breaker " << acc.shed_breaker
+       << " + shed-no-device " << acc.shed_no_device
+       << " + shed-failover-exhausted " << acc.shed_failover_exhausted
        << " + timed-out " << acc.timed_out_queued << " + quarantined "
        << acc.quarantined << ")";
     violations.push_back(os.str());
   }
 
-  const std::uint64_t sheds = acc.shed_queue_full + acc.shed_breaker +
-                              acc.timed_out_queued + acc.shed_no_device +
-                              acc.shed_failover_exhausted;
-  if (acc.undispatched_apps.size() + acc.shed_after_dispatch != sheds) {
+  const std::uint64_t dropped = acc.shed() + acc.timed_out_queued;
+  if (acc.undispatched_apps.size() + acc.shed_after_dispatch != dropped) {
     std::ostringstream os;
     os << "serve accounting: " << acc.undispatched_apps.size()
        << " undispatched app ids + " << acc.shed_after_dispatch
-       << " shed after dispatch reported but " << sheds
+       << " shed after dispatch reported but " << dropped
        << " jobs were shed or expired";
     violations.push_back(os.str());
   }

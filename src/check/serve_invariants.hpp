@@ -4,15 +4,14 @@
 // terminal state. Two properties must hold for any configuration, fault
 // plan, and seed:
 //
-//   1. Conservation: arrived == completed_ok + completed_late +
-//      shed_queue_full + shed_breaker + timed_out_queued + quarantined.
-//      No job is lost or double-counted, even under faults and shedding.
+//   1. Conservation: arrived == JobTally::terminal(). No job is lost or
+//      double-counted, even under faults and shedding.
 //
-//   2. Shed work is free: a job rejected before it ever dispatched (shed
-//      or expired in the queue) never touched the device, so its app id
-//      must not appear on any trace span. A fleet failover victim that ran,
-//      lost its device and was shed afterwards is exempt: its cancelled
-//      attempts own spans.
+//   2. Shed work is free: a job dropped before it ever dispatched (shed or
+//      expired in the queue) never touched the device, so its app id must
+//      not appear on any trace span. A fleet failover victim that ran, lost
+//      its device and was dropped afterwards is exempt: its cancelled
+//      attempts own spans. Every dropped job is one or the other.
 //
 // The checks live in hq_check (not hq_serve) so the fuzz oracles can verify
 // serving runs through the same layer that validates device invariants.
@@ -22,38 +21,34 @@
 #include <string>
 #include <vector>
 
+#include "serve/job_tally.hpp"
 #include "trace/trace.hpp"
 
 namespace hq::check {
 
-/// Final job accounting of one serving device (filled per fleet device).
-struct ServeAccounting {
-  std::uint64_t arrived = 0;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t completed_late = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t timed_out_queued = 0;
-  std::uint64_t quarantined = 0;
-  /// Fleet-only: arrivals rejected because no healthy device existed. Not
-  /// part of this device's `arrived` (no device ever saw them), but their
-  /// ids still ride in undispatched_apps for the span-free check.
-  std::uint64_t shed_no_device = 0;
-  /// Fleet-only: jobs dropped after exhausting their failover budget (or
-  /// the supply of healthy survivors) WITHOUT ever dispatching. Like
-  /// shed_no_device they are not part of this device's `arrived`, and
-  /// their ids ride in undispatched_apps for the span-free check. Jobs
-  /// that dispatched before their device went down are accounted only at
-  /// the fleet level (their partial runs legitimately own trace spans).
-  std::uint64_t shed_failover_exhausted = 0;
-  /// Fleet-only: jobs counted in a shed state above (queue-full, breaker,
-  /// timed-out) that had dispatched before their device went down and
-  /// were shed after failing over. Their cancelled attempts legitimately
-  /// own trace spans, so their ids stay out of undispatched_apps.
+/// Final job accounting of one serving device (filled per fleet device):
+/// the tally of the jobs it terminally owns plus the shed evidence the span
+/// check needs. A fleet verifies each device against its own accounting
+/// plus the fleet-owned one (shed_no_device and shed_failover_exhausted
+/// jobs), because fleet-owned ids must be span-free on every recorder.
+struct ServeAccounting : serve::JobTally {
+  /// Dropped jobs (is_dropped: shed or timed out) that had dispatched
+  /// before their device went down and were dropped after failing over.
+  /// Their cancelled attempts legitimately own trace spans, so their ids
+  /// stay out of undispatched_apps.
   std::uint64_t shed_after_dispatch = 0;
-  /// App ids of jobs rejected before they ever dispatched (shed or expired
-  /// while queued); these must have no trace spans.
+  /// App ids of dropped jobs that never dispatched; these must have no
+  /// trace spans.
   std::vector<std::int32_t> undispatched_apps;
+
+  ServeAccounting& operator+=(const ServeAccounting& o) {
+    serve::JobTally::operator+=(o);
+    shed_after_dispatch += o.shed_after_dispatch;
+    undispatched_apps.insert(undispatched_apps.end(),
+                             o.undispatched_apps.begin(),
+                             o.undispatched_apps.end());
+    return *this;
+  }
 };
 
 /// Verifies the serve accounting invariants. Returns human-readable

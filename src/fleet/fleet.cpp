@@ -290,15 +290,14 @@ struct FleetService::RunState {
   /// and ShedFailoverExhausted.
   std::vector<int>* owners = nullptr;
 
-  /// The report run() returns; fleet-level counters are counted in place.
+  /// The report run() returns; fleet-level counters are counted in place,
+  /// job outcomes are tallied at drain.
   FleetReport* report = nullptr;
 
   bool admission_closed = false;
   TimeNs window_closed_at = 0;
 
   // --- fleet fault domains --------------------------------------------------
-  /// Exhausted jobs that never dispatched: span-free like shed_no_device.
-  std::vector<std::int32_t> exhausted_undispatched;
   /// Running per-class mean of winning service times (dispatch ->
   /// completion) feeding the hedge straggler threshold.
   struct ClassService {
@@ -617,9 +616,7 @@ struct FleetService::RunState {
     }
     if (!target.has_value()) {
       job.state = serve::JobState::ShedFailoverExhausted;
-      ++report->shed_failover_exhausted;
       (*owners)[static_cast<std::size_t>(q.job_id)] = -1;
-      if (ex.dispatches == 0) exhausted_undispatched.push_back(q.job_id);
       trace_job(q.job_id, serve::JobEventKind::ShedFailoverExhausted, -1,
                 static_cast<int>(from.index));
       return;
@@ -966,7 +963,6 @@ struct FleetService::RunState {
     const auto target = placer->place(snapshot_loads(), klass);
     if (!target.has_value()) {
       job.state = serve::JobState::ShedNoDevice;
-      ++report->shed_no_device;
       trace_job(job_id, serve::JobEventKind::ShedNoDevice);
       return;
     }
@@ -1207,8 +1203,7 @@ sim::Task FleetService::job_lifecycle(RunState* st,
       default:
         break;
     }
-    if (job.state == serve::JobState::CompletedOk ||
-        job.state == serve::JobState::CompletedLate) {
+    if (serve::is_completed(job.state)) {
       ++s.completed_jobs;
       if (s.completed_series != nullptr) {
         s.completed_series->sample(st->sim->now(),
@@ -1398,131 +1393,101 @@ FleetResult FleetService::run() {
     }
   }
 
-  // --- per-device accounting & reports --------------------------------------
+  // --- drain: one pass over every job ----------------------------------------
+  // Each job joins the accounting and class slice of the device that
+  // terminally owns it, or the fleet-owned accounting (owner -1). A dropped
+  // job also records whether it ever dispatched, for the span-free check.
   result.jobs.assign(jobs.begin(), jobs.end());
   result.owners = owners;
-
-  // Jobs no device ever saw; they must be span-free on every recorder.
-  // Failover-exhausted jobs that never dispatched join them (exhausted jobs
-  // that DID dispatch legitimately own spans from their cancelled attempts
-  // and are accounted only at the fleet level).
-  std::vector<std::int32_t> no_device_ids;
-  for (const serve::JobRecord& job : jobs) {
-    if (job.state == serve::JobState::ShedNoDevice) {
-      no_device_ids.push_back(job.job_id);
-    }
-  }
-
-  std::uint64_t owned_total = 0;
-  for (Shard& s : shards) {
-    FleetDeviceResult dev;
-    dev.trace = s.recorder;
-    if (s.injector != nullptr) dev.fault_stats = s.injector->stats();
-    dev.controller_transitions = s.controller.transitions();
-    check::ServeAccounting& acc = dev.accounting;
-    serve::ServeReport& report = dev.report;
-
-    report.classes.resize(base.classes.size());
+  result.devices.resize(num_devices);
+  for (FleetDeviceResult& dev : result.devices) {
+    dev.report.classes.resize(base.classes.size());
     for (std::size_t i = 0; i < base.classes.size(); ++i) {
-      serve::ClassStats& c = report.classes[i];
+      serve::ClassStats& c = dev.report.classes[i];
       c.name = base.classes[i].item.type_name;
       c.priority = base.classes[i].priority;
-      if (!report.workload.empty()) report.workload += '+';
-      report.workload += c.name;
+      if (!dev.report.workload.empty()) dev.report.workload += '+';
+      dev.report.workload += c.name;
     }
-
-    // A shed job that never dispatched must be span-free. A failover victim
-    // that dispatched, lost its device and was then shed (possibly back onto
-    // a device it ran on) legitimately owns spans of its cancelled attempts.
-    const auto note_shed = [&](const serve::JobRecord& job) {
+  }
+  struct Latency {
+    RunningStats turnaround;
+    std::vector<double> turnaround_samples;
+    RunningStats queue_wait;
+  };
+  std::vector<Latency> latency(num_devices);
+  check::ServeAccounting fleet_owned;
+  for (const serve::JobRecord& job : jobs) {
+    const int owner = owners[static_cast<std::size_t>(job.job_id)];
+    HQ_CHECK_MSG((owner < 0) == serve::is_fleet_owned(job.state),
+                 "fleet job " << job.job_id << " owned by device " << owner
+                              << " ended the run in state "
+                              << serve::job_state_name(job.state));
+    check::ServeAccounting& acc =
+        owner < 0 ? fleet_owned
+                  : result.devices[static_cast<std::size_t>(owner)].accounting;
+    acc.add(job.state);
+    if (serve::is_dropped(job.state)) {
       if (exec[static_cast<std::size_t>(job.job_id)].dispatches == 0) {
         acc.undispatched_apps.push_back(job.job_id);
       } else {
         ++acc.shed_after_dispatch;
       }
-    };
-
-    // Accounting over the jobs this device terminally owns.
-    RunningStats turnaround;
-    std::vector<double> turnaround_samples;
-    RunningStats queue_wait;
-    for (const serve::JobRecord& job : jobs) {
-      if (owners[static_cast<std::size_t>(job.job_id)] !=
-          static_cast<int>(s.index)) {
-        continue;
-      }
-      ++owned_total;
-      serve::ClassStats& c = report.classes[job.klass];
-      ++acc.arrived;
-      ++c.arrived;
-      switch (job.state) {
-        case serve::JobState::CompletedOk:
-          ++acc.completed_ok;
-          ++c.completed_ok;
-          break;
-        case serve::JobState::CompletedLate:
-          ++acc.completed_late;
-          ++c.completed_late;
-          break;
-        case serve::JobState::ShedQueueFull:
-          ++acc.shed_queue_full;
-          ++c.shed_queue_full;
-          note_shed(job);
-          break;
-        case serve::JobState::ShedBreaker:
-          ++acc.shed_breaker;
-          ++c.shed_breaker;
-          note_shed(job);
-          break;
-        case serve::JobState::TimedOutQueued:
-          ++acc.timed_out_queued;
-          ++c.timed_out_queued;
-          note_shed(job);
-          break;
-        case serve::JobState::Quarantined:
-          ++acc.quarantined;
-          ++c.quarantined;
-          break;
-        case serve::JobState::ShedNoDevice:
-        case serve::JobState::ShedFailoverExhausted:  // fleet-owned (owner -1)
-        case serve::JobState::Queued:
-        case serve::JobState::Inflight:
-          HQ_CHECK_MSG(false, "fleet job "
-                                  << job.job_id << " owned by device "
-                                  << s.index
-                                  << " ended the run in unexpected state "
-                                  << serve::job_state_name(job.state));
-      }
-      const bool dispatched = job.state == serve::JobState::CompletedOk ||
-                              job.state == serve::JobState::CompletedLate ||
-                              job.state == serve::JobState::Quarantined;
-      if (dispatched) {
-        queue_wait.add(
-            static_cast<double>(job.dispatched_at - job.arrived_at));
-      }
-      if (job.state == serve::JobState::CompletedOk ||
-          job.state == serve::JobState::CompletedLate) {
-        const auto t = static_cast<double>(job.completed_at - job.arrived_at);
-        turnaround.add(t);
-        turnaround_samples.push_back(t);
-      }
     }
+    if (owner < 0) continue;
+    const auto d = static_cast<std::size_t>(owner);
+    result.devices[d].report.classes[job.klass].add(job.state);
+    if (serve::is_dispatched(job.state)) {
+      latency[d].queue_wait.add(
+          static_cast<double>(job.dispatched_at - job.arrived_at));
+    }
+    if (serve::is_completed(job.state)) {
+      const auto t = static_cast<double>(job.completed_at - job.arrived_at);
+      latency[d].turnaround.add(t);
+      latency[d].turnaround_samples.push_back(t);
+    }
+  }
 
-    {
+  // The fleet tally is the devices' tallies plus the fleet-owned one; it
+  // must account every job counted at arrival.
+  serve::JobTally& fleet_tally = fleet;
+  fleet_tally = fleet_owned;
+  for (const FleetDeviceResult& dev : result.devices) {
+    fleet_tally += dev.accounting;
+  }
+  HQ_CHECK_MSG(fleet.arrived == jobs.size() && fleet.terminal() == jobs.size(),
+               "fleet accounting lost jobs: " << fleet.arrived << " tallied, "
+                   << fleet.terminal() << " in terminal states ("
+                   << fleet_owned.terminal() << " fleet-owned) != "
+                   << jobs.size() << " arrived");
+  // Exact partition: every corrupted result was either caught by a
+  // mismatching comparison or served silently — nothing in between.
+  HQ_CHECK_MSG(fleet.sdc_injected == fleet.sdc_detected + fleet.sdc_missed,
+               "integrity accounting broken: "
+                   << fleet.sdc_injected << " injected != "
+                   << fleet.sdc_detected << " detected + " << fleet.sdc_missed
+                   << " missed");
+
+  // --- per-device reports ----------------------------------------------------
+  const DurationNs drain_time = state.finished_at >= state.window_closed_at
+                                    ? state.finished_at - state.window_closed_at
+                                    : 0;
+  for (Shard& s : shards) {
+    FleetDeviceResult& dev = result.devices[s.index];
+    dev.trace = s.recorder;
+    if (s.injector != nullptr) dev.fault_stats = s.injector->stats();
+    dev.controller_transitions = s.controller.transitions();
+    const check::ServeAccounting& acc = dev.accounting;
+    serve::ServeReport& report = dev.report;
+
+    // Fleet-owned jobs were seen by no device, or by one whose cancelled
+    // attempts may stand on any recorder: check them against every device.
+    if (base.check_invariants) {
       check::ServeAccounting verify_acc = acc;
-      verify_acc.shed_no_device = no_device_ids.size();
-      verify_acc.undispatched_apps.insert(verify_acc.undispatched_apps.end(),
-                                          no_device_ids.begin(),
-                                          no_device_ids.end());
-      verify_acc.shed_failover_exhausted =
-          state.exhausted_undispatched.size();
-      verify_acc.undispatched_apps.insert(
-          verify_acc.undispatched_apps.end(),
-          state.exhausted_undispatched.begin(),
-          state.exhausted_undispatched.end());
+      verify_acc += fleet_owned;
       const std::vector<std::string> violations =
           check::verify_serve_accounting(verify_acc, s.recorder.get());
-      if (base.check_invariants && !violations.empty()) {
+      if (!violations.empty()) {
         std::ostringstream os;
         for (const std::string& v : violations) os << v << "\n";
         HQ_CHECK_MSG(false, "fleet device " << s.index
@@ -1546,46 +1511,20 @@ FleetResult FleetService::run() {
     report.fault_plan =
         fault::fault_plan_to_string(effective_fault_plan(config_, s.index));
 
-    report.arrived = acc.arrived;
-    report.admitted = acc.arrived - acc.shed_queue_full - acc.shed_breaker;
-    report.completed = acc.completed_ok + acc.completed_late;
-    report.completed_ok = acc.completed_ok;
-    report.completed_late = acc.completed_late;
-    report.shed_queue_full = acc.shed_queue_full;
-    report.shed_breaker = acc.shed_breaker;
-    report.timed_out_queued = acc.timed_out_queued;
-    report.quarantined = acc.quarantined;
-
-    report.total_time = state.finished_at;
-    report.drain_time = report.total_time >= state.window_closed_at
-                            ? report.total_time - state.window_closed_at
-                            : 0;
-    report.energy = s.final_energy;
+    static_cast<serve::JobTally&>(report) = acc;
+    serve::fill_slo(report, state.finished_at, s.final_energy);
+    report.drain_time = drain_time;
     report.average_occupancy = s.final_occupancy;
-    if (report.total_time > 0) {
-      const double seconds = to_seconds(report.total_time);
-      report.goodput_per_sec =
-          static_cast<double>(report.completed_ok) / seconds;
-      report.throughput_per_sec =
-          static_cast<double>(report.completed) / seconds;
-    }
-    if (report.admitted > 0) {
-      report.deadline_miss_ratio =
-          static_cast<double>(report.completed_late +
-                              report.timed_out_queued) /
-          static_cast<double>(report.admitted);
-    }
+    Latency& lat = latency[s.index];
     if (report.completed > 0) {
-      report.mean_turnaround = static_cast<DurationNs>(turnaround.mean());
-      report.max_turnaround = static_cast<DurationNs>(turnaround.max());
+      report.mean_turnaround = static_cast<DurationNs>(lat.turnaround.mean());
+      report.max_turnaround = static_cast<DurationNs>(lat.turnaround.max());
       report.p95_turnaround = static_cast<DurationNs>(
-          percentile(std::move(turnaround_samples), 95));
-      report.energy_per_completed =
-          report.energy / static_cast<double>(report.completed);
+          percentile(std::move(lat.turnaround_samples), 95));
     }
-    if (queue_wait.count() > 0) {
-      report.mean_queue_wait = static_cast<DurationNs>(queue_wait.mean());
-      report.max_queue_wait = static_cast<DurationNs>(queue_wait.max());
+    if (lat.queue_wait.count() > 0) {
+      report.mean_queue_wait = static_cast<DurationNs>(lat.queue_wait.mean());
+      report.max_queue_wait = static_cast<DurationNs>(lat.queue_wait.max());
     }
     report.peak_queue_depth = s.queue.peak_depth();
     report.peak_inflight = s.peak_inflight;
@@ -1728,23 +1667,7 @@ FleetResult FleetService::run() {
 
     stats.report = report;
     fleet.devices.push_back(std::move(stats));
-    result.devices.push_back(std::move(dev));
   }
-
-  HQ_CHECK_MSG(
-      owned_total + fleet.shed_no_device + fleet.shed_failover_exhausted ==
-          jobs.size(),
-      "fleet accounting lost jobs: "
-          << owned_total << " owned + " << fleet.shed_no_device
-          << " shed-no-device + " << fleet.shed_failover_exhausted
-          << " shed-failover-exhausted != " << jobs.size() << " arrived");
-  // Exact partition: every corrupted result was either caught by a
-  // mismatching comparison or served silently — nothing in between.
-  HQ_CHECK_MSG(fleet.sdc_injected == fleet.sdc_detected + fleet.sdc_missed,
-               "integrity accounting broken: "
-                   << fleet.sdc_injected << " injected != "
-                   << fleet.sdc_detected << " detected + " << fleet.sdc_missed
-                   << " missed");
 
   // --- fleet aggregates ------------------------------------------------------
   fleet.num_devices = num_devices;
@@ -1758,46 +1681,18 @@ FleetResult FleetService::run() {
   fleet.integrity_policy = integrity_policy_name(config_.integrity);
   fleet.spotcheck_rate = config_.spotcheck_rate;
   fleet.sdc_blocklist_threshold = config_.sdc_blocklist_threshold;
+  Joules energy = 0;  // summed over devices
   for (const FleetDeviceStats& dev : fleet.devices) {
-    const serve::ServeReport& r = dev.report;
-    if (fleet.workload.empty()) fleet.workload = r.workload;
-    fleet.arrived += r.arrived;
-    fleet.admitted += r.admitted;
-    fleet.completed += r.completed;
-    fleet.completed_ok += r.completed_ok;
-    fleet.completed_late += r.completed_late;
-    fleet.shed_queue_full += r.shed_queue_full;
-    fleet.shed_breaker += r.shed_breaker;
-    fleet.timed_out_queued += r.timed_out_queued;
-    fleet.quarantined += r.quarantined;
-    fleet.energy += r.energy;
+    if (fleet.workload.empty()) fleet.workload = dev.report.workload;
+    energy += dev.report.energy;
     fleet.requeued += dev.requeued_in;
     fleet.stolen += dev.stolen_in;
     fleet.device_breaker_trips += dev.breaker_trips;
     fleet.device_breaker_probes += dev.breaker_probes;
     fleet.device_breaker_rejected += dev.breaker_rejected;
   }
-  fleet.arrived += fleet.shed_no_device + fleet.shed_failover_exhausted;
-  fleet.total_time = state.finished_at;
-  fleet.drain_time = fleet.total_time >= state.window_closed_at
-                         ? fleet.total_time - state.window_closed_at
-                         : 0;
-  if (fleet.total_time > 0) {
-    const double seconds = to_seconds(fleet.total_time);
-    fleet.goodput_per_sec =
-        static_cast<double>(fleet.completed_ok) / seconds;
-    fleet.throughput_per_sec =
-        static_cast<double>(fleet.completed) / seconds;
-  }
-  if (fleet.admitted > 0) {
-    fleet.deadline_miss_ratio =
-        static_cast<double>(fleet.completed_late + fleet.timed_out_queued) /
-        static_cast<double>(fleet.admitted);
-  }
-  if (fleet.completed > 0) {
-    fleet.energy_per_completed =
-        fleet.energy / static_cast<double>(fleet.completed);
-  }
+  serve::fill_slo(fleet, state.finished_at, energy);
+  fleet.drain_time = drain_time;
 
   // --- fleet-scope observability ---------------------------------------------
   // Deterministic latency breakdown per job: queue wait (arrival ->
@@ -1812,10 +1707,7 @@ FleetResult FleetService::run() {
 
     std::vector<double> wait, placement_lat, service, turnaround;
     for (const serve::JobRecord& job : jobs) {
-      const bool dispatched = job.state == serve::JobState::CompletedOk ||
-                              job.state == serve::JobState::CompletedLate ||
-                              job.state == serve::JobState::Quarantined;
-      if (!dispatched) continue;
+      if (!serve::is_dispatched(job.state)) continue;
       wait.push_back(static_cast<double>(job.dispatched_at - job.arrived_at));
       // Placement latency: 0 for jobs dispatched where first placed; the
       // time to the final hop for rebalanced/stolen jobs.
@@ -1830,7 +1722,7 @@ FleetResult FleetService::run() {
         }
       }
       placement_lat.push_back(static_cast<double>(placed_at - job.arrived_at));
-      if (job.state != serve::JobState::Quarantined) {
+      if (serve::is_completed(job.state)) {
         service.push_back(
             static_cast<double>(job.completed_at - job.dispatched_at));
         turnaround.push_back(

@@ -72,7 +72,7 @@ void render_fleet_report_text(std::ostream& os, const FleetReport& report) {
     const serve::ServeReport& r = dev.report;
     os << "  device " << d << " (" << dev.name << "): arrived=" << r.arrived
        << " ok=" << r.completed_ok << " late=" << r.completed_late
-       << " shed=" << (r.shed_queue_full + r.shed_breaker)
+       << " shed=" << r.shed()
        << " quarantined=" << r.quarantined << " placed=" << dev.placed
        << " requeued=" << dev.requeued_in << "/" << dev.requeued_out
        << " stolen=" << dev.stolen_in << "/" << dev.stolen_out

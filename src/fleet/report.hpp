@@ -66,7 +66,9 @@ struct FleetDeviceStats {
   serve::ServeReport report;
 };
 
-struct FleetReport {
+/// The tally counts every job of the run: the devices' tallies plus the
+/// fleet-owned shed_no_device and shed_failover_exhausted jobs.
+struct FleetReport : serve::JobTally {
   // --- configuration echo --------------------------------------------------
   std::string workload;  ///< class names joined with '+'
   std::size_t num_devices = 0;
@@ -76,19 +78,11 @@ struct FleetReport {
   bool device_breaker_enabled = false;
   std::uint64_t seed = 0;
 
-  // --- fleet job accounting ------------------------------------------------
-  std::uint64_t arrived = 0;
+  // --- fleet job accounting (the counters are the JobTally base) ----------
+  /// JobTally::admitted() and completed() frozen by serve::fill_slo (see
+  /// ServeReport).
   std::uint64_t admitted = 0;
   std::uint64_t completed = 0;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t completed_late = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_breaker = 0;
-  /// Arrivals rejected because no healthy device existed (fleet-only
-  /// terminal state; never attributed to a device).
-  std::uint64_t shed_no_device = 0;
-  std::uint64_t timed_out_queued = 0;
-  std::uint64_t quarantined = 0;
   /// Queued jobs moved off a device whose health breaker tripped.
   std::uint64_t requeued = 0;
   /// Queued jobs taken by an idle device (work stealing).
@@ -113,9 +107,6 @@ struct FleetReport {
   // --- fleet fault domains -------------------------------------------------
   bool hedging = false;
   int failover_budget = 0;
-  /// Jobs dropped after exhausting the failover budget or the supply of
-  /// healthy survivors (fleet-only terminal state, like shed_no_device).
-  std::uint64_t shed_failover_exhausted = 0;
   std::uint64_t failed_over = 0;  ///< failover hops across the fleet
   std::uint64_t hedges_launched = 0;
   std::uint64_t hedge_wins = 0;  ///< completions won by the hedge attempt

@@ -59,7 +59,7 @@ FleetSweepOutcome FleetSweep::run_point(const FleetSweepGrid& grid,
   o.arrived = r.arrived;
   o.completed_ok = r.completed_ok;
   o.completed = r.completed;
-  o.shed = r.shed_queue_full + r.shed_breaker + r.shed_no_device;
+  o.shed = r.shed();
   o.requeued = r.requeued;
   o.stolen = r.stolen;
   o.goodput_per_sec = r.goodput_per_sec;
@@ -165,7 +165,9 @@ FleetSweep::journal_fields() {
       {"arrived", K::U64, &O::arrived},
       {"ok", K::U64, &O::completed_ok},
       {"done", K::U64, &O::completed},
-      {"shed", K::U64, &O::shed},
+      // Renamed from "shed", whose records left out failover-exhausted
+      // jobs: a journal of an older build re-runs those points.
+      {"sheds", K::U64, &O::shed},
       {"requeued", K::U64, &O::requeued},
       {"stolen", K::U64, &O::stolen},
       {"goodput", K::Double, &O::goodput_per_sec},

@@ -43,7 +43,7 @@ struct FleetSweepOutcome {
   std::uint64_t arrived = 0;
   std::uint64_t completed_ok = 0;
   std::uint64_t completed = 0;
-  std::uint64_t shed = 0;  ///< queue-full + breaker + no-device
+  std::uint64_t shed = 0;  ///< JobTally::shed(): every Shed* state
   std::uint64_t requeued = 0;
   std::uint64_t stolen = 0;
   double goodput_per_sec = 0;

@@ -18,21 +18,15 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "serve/job_tally.hpp"
 
 namespace hq::serve {
 
-/// Per-application-class slice of the accounting plus the class breaker's
-/// final trajectory.
-struct ClassStats {
+/// Per-application-class slice of the accounting (the tally of the
+/// device's jobs of this class) plus the class breaker's final trajectory.
+struct ClassStats : JobTally {
   std::string name;
   int priority = 0;
-  std::uint64_t arrived = 0;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t completed_late = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t timed_out_queued = 0;
-  std::uint64_t quarantined = 0;
   // Breaker counters (all zero when the breaker is disabled).
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_probes = 0;
@@ -40,7 +34,10 @@ struct ClassStats {
   std::string breaker_final_state;  ///< "closed" / "open" / "half-open"
 };
 
-struct ServeReport {
+/// The tally is the accounting of the jobs the device terminally owns; a
+/// device never owns a fleet-owned (shed_no_device, shed_failover_exhausted)
+/// job, so the renderers leave those two counters out.
+struct ServeReport : JobTally {
   // --- configuration echo --------------------------------------------------
   std::string workload;  ///< class names joined with '+'
   int num_streams = 0;
@@ -57,16 +54,11 @@ struct ServeReport {
   bool breaker_enabled = false;
   std::string fault_plan;  ///< canonical plan string, or "disabled"
 
-  // --- job accounting ------------------------------------------------------
-  std::uint64_t arrived = 0;
-  std::uint64_t admitted = 0;  ///< arrived - shed (queue-full + breaker)
-  std::uint64_t completed = 0;  ///< completed_ok + completed_late
-  std::uint64_t completed_ok = 0;
-  std::uint64_t completed_late = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t timed_out_queued = 0;
-  std::uint64_t quarantined = 0;
+  // --- job accounting (the counters are the JobTally base) ----------------
+  /// JobTally::admitted() and completed() frozen by fill_slo; these fields
+  /// hide the functions, so `report.completed` reads the stored value.
+  std::uint64_t admitted = 0;
+  std::uint64_t completed = 0;
 
   // --- SLO -----------------------------------------------------------------
   /// Jobs that completed within their deadline, per second of total time.
@@ -106,6 +98,33 @@ struct ServeReport {
   std::vector<ClassStats> classes;
   std::uint64_t trace_digest = 0;
 };
+
+/// Sets a ServeReport's or FleetReport's total time and energy and derives
+/// the SLO block both share (admitted, completed, goodput, throughput,
+/// deadline-miss ratio, energy per completed job) from the report's own
+/// tally.
+template <class Report>
+void fill_slo(Report& report, DurationNs total_time, Joules energy) {
+  const JobTally& tally = report;
+  report.total_time = total_time;
+  report.energy = energy;
+  report.admitted = tally.admitted();
+  report.completed = tally.completed();
+  if (total_time > 0) {
+    const double seconds = to_seconds(total_time);
+    report.goodput_per_sec = static_cast<double>(tally.completed_ok) / seconds;
+    report.throughput_per_sec = static_cast<double>(report.completed) / seconds;
+  }
+  if (report.admitted > 0) {
+    report.deadline_miss_ratio =
+        static_cast<double>(tally.completed_late + tally.timed_out_queued) /
+        static_cast<double>(report.admitted);
+  }
+  if (report.completed > 0) {
+    report.energy_per_completed =
+        energy / static_cast<double>(report.completed);
+  }
+}
 
 /// Human-readable multi-line summary (the hqserve default output).
 void render_report_text(std::ostream& os, const ServeReport& report);

@@ -4,22 +4,6 @@
 
 namespace hq::serve {
 
-const char* job_state_name(JobState state) {
-  switch (state) {
-    case JobState::Queued: return "queued";
-    case JobState::Inflight: return "inflight";
-    case JobState::CompletedOk: return "completed-ok";
-    case JobState::CompletedLate: return "completed-late";
-    case JobState::ShedQueueFull: return "shed-queue-full";
-    case JobState::ShedBreaker: return "shed-breaker";
-    case JobState::TimedOutQueued: return "timed-out-queued";
-    case JobState::Quarantined: return "quarantined";
-    case JobState::ShedNoDevice: return "shed-no-device";
-    case JobState::ShedFailoverExhausted: return "shed-failover-exhausted";
-  }
-  return "?";
-}
-
 void ServiceConfig::validate() const {
   HQ_CHECK_MSG(!classes.empty(),
                "serve config: classes must not be empty "

@@ -41,6 +41,7 @@
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/controller.hpp"
+#include "serve/job_tally.hpp"
 #include "serve/report.hpp"
 
 namespace hq::serve {
@@ -112,28 +113,6 @@ struct ServiceConfig {
   /// Throws hq::Error on an unusable configuration.
   void validate() const;
 };
-
-/// Terminal (and transient) states of one job.
-enum class JobState : std::uint8_t {
-  Queued,          ///< transient: waiting in the admission queue
-  Inflight,        ///< transient: dispatched, running its lifecycle
-  CompletedOk,     ///< completed within its deadline (or had none)
-  CompletedLate,   ///< completed past its deadline
-  ShedQueueFull,   ///< rejected by the admission queue
-  ShedBreaker,     ///< rejected because the class breaker was open
-  TimedOutQueued,  ///< expired in the queue before dispatch
-  Quarantined,     ///< dispatched but failed (launch abort / allocation)
-  /// Fleet only: every device's health breaker rejected the arrival, so
-  /// no placement was possible. Never produced by a Service.
-  ShedNoDevice,
-  /// Fleet only: the job's device went down (crash or flap) and the
-  /// per-job failover budget was exhausted — or no healthy survivor
-  /// existed — before it could complete elsewhere. Never produced by a
-  /// Service, which rejects crash/flap plans.
-  ShedFailoverExhausted,
-};
-
-const char* job_state_name(JobState state);
 
 struct JobRecord {
   int job_id = -1;  ///< arrival index; doubles as the trace app id

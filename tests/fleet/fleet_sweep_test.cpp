@@ -323,6 +323,31 @@ TEST(FleetSweepTest, ResumeRefusesJournalOfAnotherReportSchema) {
   }
 }
 
+TEST(FleetSweepTest, ShedCountsEveryShedStateOnACrashPlanGrid) {
+  // Every device crashes mid-window: jobs in flight at the crash have no
+  // survivor to fail over to, and later arrivals find no device, so the
+  // shed column must count both fleet-owned states.
+  FleetSweepGrid grid = small_grid();
+  grid.placements = {PlacementPolicy::RoundRobin};
+  grid.base.base.fault_plan = fault::FaultPlan::zero();
+  grid.base.base.fault_plan.crash_at = 2 * kMillisecond;
+  const auto points = FleetSweep::expand(grid);
+  const auto outcomes = run(grid);
+  ASSERT_EQ(outcomes.size(), points.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const FleetSweepOutcome& o = outcomes[i];
+    // No deadline and a crash-only plan: nothing times out or is
+    // quarantined, so every arrival either completed or was shed.
+    EXPECT_EQ(o.arrived, o.completed + o.shed) << o.point.label();
+    const FleetReport r =
+        FleetService(apply_fleet_point(grid, points[i])).run().report;
+    EXPECT_GT(r.shed_failover_exhausted, 0u) << o.point.label();
+    EXPECT_EQ(o.shed, r.shed_queue_full + r.shed_breaker + r.shed_no_device +
+                          r.shed_failover_exhausted)
+        << o.point.label();
+  }
+}
+
 TEST(FleetSweepTest, CombinedDigestIsByteIdenticalAcrossJobCounts) {
   const FleetSweepGrid grid = small_grid();
   const auto serial = run(grid);

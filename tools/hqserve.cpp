@@ -939,7 +939,7 @@ int main(int argc, char** argv) {
           table.add_row(
               {caps[i] == 0 ? std::string("inf") : std::to_string(caps[i]),
                std::to_string(r.arrived), std::to_string(r.completed),
-               std::to_string(r.shed_queue_full + r.shed_breaker),
+               std::to_string(r.shed()),
                std::to_string(r.timed_out_queued),
                format_fixed(r.goodput_per_sec, 1),
                format_fixed(r.deadline_miss_ratio, 3),
