@@ -1,12 +1,49 @@
 #include "gpusim/device.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <string_view>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace hq::gpu {
+
+namespace {
+
+/// The table behind Device::dynamic_power_term: entry rt is
+/// pow(rt / max_threads, exponent), computed with the same division the
+/// block scheduler caches as thread_occupancy(), so every entry is the
+/// double a direct std::pow call would return. One immutable table per
+/// distinct (max_threads, exponent), built once under a lock and kept for
+/// the life of the process, so devices on sweep worker threads share it
+/// without racing; a process sees only a few distinct device shapes.
+const std::vector<double>& dynamic_power_table(int max_threads,
+                                               double exponent) {
+  static std::mutex mutex;
+  static std::map<std::pair<int, std::uint64_t>,
+                  std::unique_ptr<const std::vector<double>>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& table = tables[{max_threads, std::bit_cast<std::uint64_t>(exponent)}];
+  if (table == nullptr) {
+    std::vector<double> pows(
+        static_cast<std::size_t>(std::max(max_threads, 0)) + 1);
+    for (std::size_t rt = 0; rt < pows.size(); ++rt) {
+      const double u =
+          static_cast<double>(rt) / static_cast<double>(max_threads);
+      pows[rt] = std::pow(u, exponent);
+    }
+    table = std::make_unique<const std::vector<double>>(std::move(pows));
+  }
+  return *table;
+}
+
+}  // namespace
 
 Device::Device(sim::Simulator& sim, DeviceSpec spec, trace::Recorder* recorder)
     : sim_(sim), spec_(std::move(spec)), recorder_(recorder) {
@@ -27,6 +64,8 @@ Device::Device(sim::Simulator& sim, DeviceSpec spec, trace::Recorder* recorder)
                                          [this] { pre_state_change(); });
   }
   queues_.resize(static_cast<std::size_t>(spec_.num_work_queues));
+  dyn_pow_table_ = dynamic_power_table(spec_.max_resident_threads(),
+                                       spec_.power_exponent);
   last_integration_ = sim_.now();
 }
 
@@ -296,21 +335,11 @@ double Device::busy_seconds() const {
 
 double Device::dynamic_power_term() const {
   const int rt = scheduler_->resident_threads();
-  const double u = scheduler_->thread_occupancy();
-  if (rt < 0) return std::pow(u, spec_.power_exponent);  // defensive; unseen
-  if (dyn_pow_memo_.empty()) {
-    dyn_pow_memo_.assign(
-        static_cast<std::size_t>(spec_.max_resident_threads()) + 1,
-        std::numeric_limits<double>::quiet_NaN());
+  if (rt >= 0 && static_cast<std::size_t>(rt) < dyn_pow_table_.size()) {
+    return dyn_pow_table_[static_cast<std::size_t>(rt)];
   }
-  if (static_cast<std::size_t>(rt) >= dyn_pow_memo_.size()) {
-    return std::pow(u, spec_.power_exponent);  // defensive; unseen
-  }
-  double& slot = dyn_pow_memo_[static_cast<std::size_t>(rt)];
-  // u is a pure function of rt (one division by a constant), so caching by
-  // rt returns the exact double std::pow produced for this occupancy.
-  if (std::isnan(slot)) slot = std::pow(u, spec_.power_exponent);
-  return slot;
+  return std::pow(scheduler_->thread_occupancy(),
+                  spec_.power_exponent);  // defensive; unseen
 }
 
 Watts Device::instantaneous_power() const {

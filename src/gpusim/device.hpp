@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -150,10 +151,10 @@ class Device {
   /// Integrates power/occupancy up to the current instant; must run before
   /// every state mutation.
   void pre_state_change();
-  /// The u^exponent term of the dynamic-power model, memoized per distinct
-  /// resident-thread count (u is a pure function of it). std::pow dominated
-  /// the power integrator before memoization; the cached value is the exact
-  /// double std::pow returns, so energies are bit-identical.
+  /// The u^exponent term of the dynamic-power model, read from a table
+  /// indexed by resident-thread count (u is a pure function of it). std::pow
+  /// dominated the power integrator before the table; each entry is the
+  /// exact double std::pow returns, so energies are bit-identical.
   double dynamic_power_term() const;
 
   sim::Simulator& sim_;
@@ -179,9 +180,10 @@ class Device {
   double occupancy_weighted_ns_ = 0.0;
   double busy_ns_ = 0.0;
   TimeNs last_integration_ = 0;
-  /// Lazily filled pow(u, exponent) memo indexed by resident_threads
-  /// (NaN = not yet computed). Sized on first use.
-  mutable std::vector<double> dyn_pow_memo_;
+  /// pow(u, exponent) for every resident_threads in [0, max]: immutable and
+  /// shared by every device with the same max_resident_threads and
+  /// power_exponent (see device.cpp).
+  std::span<const double> dyn_pow_table_;
 };
 
 }  // namespace hq::gpu

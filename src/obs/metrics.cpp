@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -34,19 +36,132 @@ void Histogram::merge(const Histogram& other) {
 }
 
 void Series::sample(TimeNs t, double value) {
-  if (!points_.empty()) {
-    HQ_CHECK_MSG(t >= points_.back().time,
-                 "series sampled backwards in time");
-    if (points_.back().time == t) {
+  if (size_ != 0) {
+    HQ_CHECK_MSG(t >= last_time_, "series sampled backwards in time");
+    if (t == last_time_) {
       // Several transitions at one instant: keep the final value.
-      points_.back().value = value;
+      values_[0] = value;
       peak_ = std::max(peak_, value);
       return;
     }
-    if (points_.back().value == value) return;  // unchanged: no event
+    if (values_[0] == value) return;  // unchanged: no event
+    // A later instant seals the open point under its dictionary entry.
+    chunks_.back().points.back().index = intern(values_[0]);
+  } else if (values_.empty()) {
+    values_.push_back(0.0);  // the open point's slot
   }
-  points_.push_back(Point{t, value});
+  append(t);
+  last_time_ = t;
+  values_[0] = value;
   peak_ = std::max(peak_, value);
+}
+
+void Series::append(TimeNs t) {
+  if (chunks_.empty() || chunks_.back().points.size() == kChunkPoints ||
+      t - chunks_.back().base > std::numeric_limits<std::uint32_t>::max()) {
+    ragged_ = ragged_ || (!chunks_.empty() &&
+                          chunks_.back().points.size() != kChunkPoints);
+    chunks_.push_back(Chunk{t, size_, {}});
+    chunks_.back().points.reserve(kFirstChunkPoints);
+  }
+  std::vector<Packed>& points = chunks_.back().points;
+  if (points.size() == points.capacity()) {
+    points.reserve(std::min(2 * points.capacity(), kChunkPoints));
+  }
+  points.push_back(
+      Packed{static_cast<std::uint32_t>(t - chunks_.back().base), 0});
+  ++size_;
+}
+
+std::uint32_t Series::intern(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  // A quantity toggling between two levels (a queue depth at 0/1, a
+  // breaker state) finds its value here without probing the table.
+  if (bits == recent_bits_[0] && recent_index_[0] != 0) {
+    return recent_index_[0];
+  }
+  if (bits == recent_bits_[1] && recent_index_[1] != 0) {
+    std::swap(recent_bits_[0], recent_bits_[1]);
+    std::swap(recent_index_[0], recent_index_[1]);
+    return recent_index_[0];
+  }
+  if (2 * values_.size() > slots_.size()) {
+    // Grow to keep the table at most half full, then re-insert every entry.
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    for (std::size_t i = 1; i < values_.size(); ++i) {
+      std::size_t s = slot_of(std::bit_cast<std::uint64_t>(values_[i]));
+      while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
+      slots_[s] = static_cast<std::uint32_t>(i);
+    }
+  }
+  std::size_t s = slot_of(bits);
+  while (slots_[s] != 0 &&
+         std::bit_cast<std::uint64_t>(values_[slots_[s]]) != bits) {
+    s = (s + 1) & (slots_.size() - 1);
+  }
+  if (slots_[s] == 0) {
+    slots_[s] = static_cast<std::uint32_t>(values_.size());
+    values_.push_back(value);
+  }
+  recent_bits_[1] = recent_bits_[0];
+  recent_index_[1] = recent_index_[0];
+  recent_bits_[0] = bits;
+  recent_index_[0] = slots_[s];
+  return slots_[s];
+}
+
+std::size_t Series::slot_of(std::uint64_t bits) const {
+  // Fibonacci hashing: the top bits of the product index the table.
+  const int shift = 64 - std::countr_zero(slots_.size());
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+std::size_t Series::chunk_of(std::size_t i) const {
+  if (!ragged_) return i / kChunkPoints;
+  const auto it = std::upper_bound(
+      chunks_.begin(), chunks_.end(), i,
+      [](std::size_t index, const Chunk& c) { return index < c.first; });
+  return static_cast<std::size_t>(it - chunks_.begin()) - 1;
+}
+
+Series::Point Series::point(std::size_t i) const {
+  const Chunk& c = chunks_[chunk_of(i)];
+  const Packed p = c.points[i - c.first];
+  return Point{c.base + p.offset, values_[p.index]};
+}
+
+std::size_t Series::storage_bytes() const {
+  std::size_t bytes = chunks_.capacity() * sizeof(Chunk) +
+                      values_.capacity() * sizeof(double) +
+                      slots_.capacity() * sizeof(std::uint32_t);
+  for (const Chunk& c : chunks_) bytes += c.points.capacity() * sizeof(Packed);
+  return bytes;
+}
+
+Series::Cursor::Cursor(const Series& series)
+    : series_(&series), values_(series.values_.data()) {
+  enter(0);
+}
+
+void Series::Cursor::enter(std::size_t chunk) {
+  chunk_ = chunk;
+  if (chunk_ == series_->chunks_.size()) {
+    at_ = end_ = nullptr;
+    return;
+  }
+  const Chunk& c = series_->chunks_[chunk_];
+  base_ = c.base;
+  at_ = c.points.data();
+  end_ = at_ + c.points.size();
+  time_ = base_ + at_->offset;
+}
+
+void Series::Cursor::next() {
+  if (++at_ == end_) {
+    enter(chunk_ + 1);
+  } else {
+    time_ = base_ + at_->offset;
+  }
 }
 
 const char* metric_kind_name(MetricKind kind) {

@@ -17,6 +17,7 @@
 // (the PR-2 determinism contract extended to telemetry).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -87,27 +88,108 @@ class Histogram {
 };
 
 /// Event-driven time series of a piecewise-constant quantity.
+///
+/// Storage contract (one layout, no options): at most 8 bytes per stored
+/// point plus a per-series dictionary of distinct values.
+///   * Points live in chunks of at most kChunkPoints. A chunk keeps a 64-bit
+///     base time (the time of its first point) and packed points of a
+///     32-bit time offset from that base and a 32-bit dictionary index. A
+///     new chunk starts when the open one is full or when the next offset
+///     would not fit in 32 bits (a gap of 2^32 ns, about 4.3 s, or more).
+///   * Only the open (last) chunk grows: it starts at kFirstChunkPoints and
+///     doubles up to kChunkPoints, so a short series stays small and a full
+///     chunk is never reallocated or copied.
+///   * The dictionary is keyed by a value's bit pattern, not by ==, so every
+///     point decodes to exactly the double that was sampled (0.0 and -0.0,
+///     or NaNs with different payloads, are distinct entries).
+///   * point(i) is O(1): chunk i / kChunkPoints. Only after a time gap has
+///     closed a chunk early does it binary-search the chunks instead.
+/// The sampling semantics below do not depend on the layout.
 class Series {
+  struct Packed;  // one stored point; defined below
+
  public:
   struct Point {
     TimeNs time = 0;
     double value = 0.0;
   };
 
+  static constexpr std::size_t kChunkPoints = 4096;
+  static constexpr std::size_t kFirstChunkPoints = 16;
+
   /// Records the value at `t`. Consecutive samples with an unchanged value
-  /// are dropped; several samples at the same instant coalesce to the last
-  /// one (the value in effect after the instant's transitions). `t` must not
-  /// decrease between calls.
+  /// (under ==) are dropped; several samples at the same instant coalesce
+  /// to the last one (the value in effect after the instant's transitions),
+  /// kept bit for bit. `t` must not decrease between calls.
   void sample(TimeNs t, double value);
 
-  const std::vector<Point>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
-  double last() const { return points_.empty() ? 0.0 : points_.back().value; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// The i-th point in time order; requires i < size().
+  Point point(std::size_t i) const;
+  double last() const { return empty() ? 0.0 : values_[0]; }
   double peak() const { return peak_; }
+  /// Allocated bytes of the chunk store plus the dictionary.
+  std::size_t storage_bytes() const;
+
+  /// Sequential reader over the points in time order. The head's time is
+  /// decoded once per step, so sweeps over many series compare cached
+  /// times. Invalidated by a later sample() on the series.
+  class Cursor {
+   public:
+    explicit Cursor(const Series& series);
+    bool done() const { return at_ == end_; }
+    /// Head point; both require !done().
+    TimeNs time() const { return time_; }
+    double value() const { return values_[at_->index]; }
+    void next();
+
+   private:
+    void enter(std::size_t chunk);
+
+    const Series* series_;
+    const double* values_;
+    std::size_t chunk_ = 0;
+    const Packed* at_ = nullptr;
+    const Packed* end_ = nullptr;
+    TimeNs base_ = 0;
+    TimeNs time_ = 0;
+  };
 
  private:
-  std::vector<Point> points_;
+  struct Packed {
+    std::uint32_t offset;  ///< time - chunk base
+    std::uint32_t index;   ///< into values_ (0: the newest point)
+  };
+  struct Chunk {
+    TimeNs base = 0;
+    std::size_t first = 0;  ///< series index of the chunk's first point
+    std::vector<Packed> points;
+  };
+
+  /// Dictionary index of `value`'s bit pattern, inserting it if new.
+  std::uint32_t intern(double value);
+  std::size_t slot_of(std::uint64_t bits) const;
+  /// Opens a point at `t` under the open-point slot.
+  void append(TimeNs t);
+  std::size_t chunk_of(std::size_t i) const;
+
+  std::vector<Chunk> chunks_;
+  std::size_t size_ = 0;
+  bool ragged_ = false;  ///< a chunk before the open one was closed early
+  TimeNs last_time_ = 0;
   double peak_ = 0.0;
+
+  // Dictionary. values_[0] holds the value of the newest point, which keeps
+  // index 0 while later samples at its instant rewrite it; the first sample
+  // at a later instant interns it. Distinct values follow from index 1 in
+  // first-seen order, found through an open-addressing table (slot = index,
+  // 0 = empty; at most half full). The two most recently interned entries
+  // (index 0 = none yet) are checked before the table.
+  std::vector<double> values_;
+  std::vector<std::uint32_t> slots_;
+  std::uint64_t recent_bits_[2] = {};
+  std::uint32_t recent_index_[2] = {};
 };
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram, Series };

@@ -79,10 +79,11 @@ void write_metric_entry(std::ostream& os, const MetricsRegistry::Entry& e) {
     case MetricKind::Series: {
       const Series& s = std::get<Series>(e.metric);
       os << ", \"peak\": " << format_double(s.peak()) << ", \"points\": [";
-      for (std::size_t i = 0; i < s.points().size(); ++i) {
-        if (i != 0) os << ", ";
-        os << "[" << s.points()[i].time << ", "
-           << format_double(s.points()[i].value) << "]";
+      const char* sep = "";
+      for (Series::Cursor c(s); !c.done(); c.next()) {
+        os << sep << "[" << c.time() << ", " << format_double(c.value())
+           << "]";
+        sep = ", ";
       }
       os << "]";
       break;
@@ -205,9 +206,9 @@ std::vector<trace::CounterTrack> counter_tracks(
     const Series& s = std::get<Series>(e.metric);
     trace::CounterTrack track;
     track.name = e.name;
-    track.points.reserve(s.points().size());
-    for (const Series::Point& p : s.points()) {
-      track.points.push_back(trace::CounterPoint{p.time, p.value});
+    track.points.reserve(s.size());
+    for (Series::Cursor c(s); !c.done(); c.next()) {
+      track.points.push_back(trace::CounterPoint{c.time(), c.value()});
     }
     tracks.push_back(std::move(track));
   });

@@ -41,12 +41,18 @@ const std::vector<FleetRollup::DeviceEntry>& FleetRollup::devices() const {
 }
 
 double series_value_at(const Series& series, TimeNs t) {
-  const auto& pts = series.points();
-  const auto it = std::upper_bound(
-      pts.begin(), pts.end(), t,
-      [](TimeNs time, const Series::Point& p) { return time < p.time; });
-  if (it == pts.begin()) return 0.0;
-  return std::prev(it)->value;
+  // Binary search for the first point after `t`.
+  std::size_t lo = 0;
+  std::size_t hi = series.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (t < series.point(mid).time) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo == 0 ? 0.0 : series.point(lo - 1).value;
 }
 
 namespace {
@@ -92,8 +98,7 @@ template <typename Sink>
 void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
                       Sink&& sink) {
   struct Cursor {
-    const Series::Point* next;
-    const Series::Point* end;
+    Series::Cursor head;
     double value = 0.0;  ///< in effect before the first point
   };
   std::vector<Cursor> cursors;
@@ -101,10 +106,10 @@ void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
   bool more = false;
   TimeNs t = 0;
   for (const MetricsRegistry::Entry* e : sources) {
-    const auto& pts = std::get<Series>(e->metric).points();
-    cursors.push_back(Cursor{pts.data(), pts.data() + pts.size()});
-    if (!pts.empty()) {
-      t = more ? std::min(t, pts.front().time) : pts.front().time;
+    const Cursor& c = cursors.emplace_back(
+        Cursor{Series::Cursor(std::get<Series>(e->metric))});
+    if (!c.head.done()) {
+      t = more ? std::min(t, c.head.time()) : c.head.time();
       more = true;
     }
   }
@@ -115,10 +120,13 @@ void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
     TimeNs next = 0;
     more = false;
     for (Cursor& c : cursors) {
-      if (c.next != c.end && c.next->time == t) c.value = (c.next++)->value;
+      if (!c.head.done() && c.head.time() == t) {
+        c.value = c.head.value();
+        c.head.next();
+      }
       sum += c.value;
-      if (c.next != c.end) {
-        next = more ? std::min(next, c.next->time) : c.next->time;
+      if (!c.head.done()) {
+        next = more ? std::min(next, c.head.time()) : c.head.time();
         more = true;
       }
     }

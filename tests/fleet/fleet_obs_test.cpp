@@ -377,6 +377,11 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // fleet report schema v2; the Prometheus text does not and was not.
 constexpr std::uint64_t kPinnedChaosPrometheusFnv = 0xa6cebfab3dda77faULL;
 constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0xd08d7d352f53334dULL;
+// The two series readers the exports above do not cover: the Chrome trace's
+// counter tracks (obs::counter_tracks walks every point) and the snapshot
+// JSONL (obs::series_value_at binary-searches each series).
+constexpr std::uint64_t kPinnedChaosChromeTraceFnv = 0x8694e79b41ab84a0ULL;
+constexpr std::uint64_t kPinnedChaosSnapshotsFnv = 0x1ad2236d6a047f10ULL;
 
 TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {
   const FleetResult result = FleetService(export_golden_config()).run();
@@ -390,6 +395,32 @@ TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {
       << std::hex << "fleet Prometheus bytes moved: 0x" << fnv1a(prom);
   EXPECT_EQ(fnv1a(json), kPinnedChaosMetricsJsonFnv)
       << std::hex << "fleet metrics JSON bytes moved: 0x" << fnv1a(json);
+  const std::string trace = fleet_chrome_trace_json(result);
+  const std::string snaps = fleet_snapshots_jsonl(result, 500 * kMicrosecond);
+  EXPECT_EQ(fnv1a(trace), kPinnedChaosChromeTraceFnv)
+      << std::hex << "fleet Chrome trace bytes moved: 0x" << fnv1a(trace);
+  EXPECT_EQ(fnv1a(snaps), kPinnedChaosSnapshotsFnv)
+      << std::hex << "fleet snapshot JSONL bytes moved: 0x" << fnv1a(snaps);
+}
+
+// The compact series store's budget on a real run: chunk slack and every
+// series dictionary included, the device registries hold at most 8.5 bytes
+// per stored point (16-byte points in growing vectors read over 16).
+TEST(FleetObsTest, ChaosSeriesStoreAtMostEightAndAHalfBytesPerPoint) {
+  const FleetResult result = FleetService(export_golden_config()).run();
+  std::size_t points = 0;
+  std::size_t bytes = 0;
+  for (const FleetDeviceResult& dev : result.devices) {
+    dev.metrics->for_each([&](const obs::MetricsRegistry::Entry& e) {
+      if (e.kind != obs::MetricKind::Series) return;
+      const auto& series = std::get<obs::Series>(e.metric);
+      points += series.size();
+      bytes += series.storage_bytes();
+    });
+  }
+  ASSERT_GT(points, 100'000u);
+  EXPECT_LE(static_cast<double>(bytes), 8.5 * static_cast<double>(points))
+      << bytes << " bytes for " << points << " points";
 }
 
 TEST(FleetObsTest, ExportsRequireMetricsCollection) {

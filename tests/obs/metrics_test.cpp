@@ -79,11 +79,11 @@ TEST(MetricsTest, SeriesDropsUnchangedAndCoalescesInstants) {
   s.sample(20, 2.0);
   s.sample(20, 3.0);  // same instant: keep final value
   s.sample(30, 0.0);
-  ASSERT_EQ(s.points().size(), 3u);
-  EXPECT_EQ(s.points()[0].time, 0);
-  EXPECT_EQ(s.points()[1].time, 20);
-  EXPECT_EQ(s.points()[1].value, 3.0);
-  EXPECT_EQ(s.points()[2].value, 0.0);
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.point(0).time, 0u);
+  EXPECT_EQ(s.point(1).time, 20u);
+  EXPECT_EQ(s.point(1).value, 3.0);
+  EXPECT_EQ(s.point(2).value, 0.0);
   EXPECT_EQ(s.last(), 0.0);
   EXPECT_EQ(s.peak(), 3.0);
 }

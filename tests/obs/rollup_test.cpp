@@ -148,7 +148,7 @@ TEST(FleetRollupTest, NoDevicesStillRendersWellFormedJson) {
 Series reference_merge(const std::vector<const Series*>& sources) {
   std::vector<TimeNs> times;
   for (const Series* s : sources) {
-    for (const Series::Point& p : s->points()) times.push_back(p.time);
+    for (Series::Cursor c(*s); !c.done(); c.next()) times.push_back(c.time());
   }
   std::sort(times.begin(), times.end());
   times.erase(std::unique(times.begin(), times.end()), times.end());
@@ -227,17 +227,19 @@ void expect_matches_reference(const FleetRollup& rollup) {
     }
     const Series want = reference_merge(sources);
     const Series& have = std::get<Series>(got->metric);
-    ASSERT_EQ(have.points().size(), want.points().size()) << name;
-    for (std::size_t i = 0; i < want.points().size(); ++i) {
-      EXPECT_EQ(have.points()[i].time, want.points()[i].time) << name << i;
-      EXPECT_EQ(bits(have.points()[i].value), bits(want.points()[i].value))
+    ASSERT_EQ(have.size(), want.size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(have.point(i).time, want.point(i).time) << name << i;
+      EXPECT_EQ(bits(have.point(i).value), bits(want.point(i).value))
           << name << " point " << i;
     }
     EXPECT_EQ(bits(have.last()), bits(want.last())) << name;
     EXPECT_EQ(bits(have.peak()), bits(want.peak())) << name;
 
     Series& ref = reference.series("fleet_" + name, got->help);
-    for (const Series::Point& p : want.points()) ref.sample(p.time, p.value);
+    for (Series::Cursor c(want); !c.done(); c.next()) {
+      ref.sample(c.time(), c.value());
+    }
   }
 
   // The merged section closes the Prometheus text (the fleet-scope
@@ -287,9 +289,9 @@ TEST(FleetRollupDifferentialTest, OffsettingStepsDropTheMergedPoint) {
   rollup.add_device(1, "b", b);
   const MetricsRegistry merged = rollup.merged();
   const Series& depth = std::get<Series>(merged.find("depth")->metric);
-  ASSERT_EQ(depth.points().size(), 1u);
-  EXPECT_EQ(depth.points()[0].time, 0);
-  EXPECT_EQ(depth.points()[0].value, 1.0);
+  ASSERT_EQ(depth.size(), 1u);
+  EXPECT_EQ(depth.point(0).time, 0u);
+  EXPECT_EQ(depth.point(0).value, 1.0);
   expect_matches_reference(rollup);
 }
 

@@ -1,0 +1,271 @@
+// The compact Series store against a 16-byte reference model: the original
+// vector-of-{time, value} series with the same sampling rules. Seeded random
+// streams mix same-instant rewrites, unchanged drops, 0.0 / -0.0 (equal under
+// == but different bits), NaNs, time gaps of 2^32 ns and more, chunk
+// boundaries and more than 65,536 distinct values; every stored point must
+// decode bit for bit, and last(), peak(), series_value_at and the fleet
+// series merge must agree with the reference.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "obs/metrics.hpp"
+#include "obs/rollup.hpp"
+
+namespace hq::obs {
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The series as it was stored before the compact layout: one 16-byte
+/// point per event, with the same sampling rules.
+struct ReferenceSeries {
+  std::vector<Series::Point> points;
+  double peak = 0.0;
+
+  void sample(TimeNs t, double value) {
+    if (!points.empty()) {
+      if (points.back().time == t) {
+        points.back().value = value;
+        peak = std::max(peak, value);
+        return;
+      }
+      if (points.back().value == value) return;
+    }
+    points.push_back(Series::Point{t, value});
+    peak = std::max(peak, value);
+  }
+  double last() const { return points.empty() ? 0.0 : points.back().value; }
+  double value_at(TimeNs t) const {
+    const auto it = std::upper_bound(
+        points.begin(), points.end(), t,
+        [](TimeNs time, const Series::Point& p) { return time < p.time; });
+    return it == points.begin() ? 0.0 : std::prev(it)->value;
+  }
+};
+
+constexpr TimeNs kGap32 = TimeNs{1} << 32;
+
+/// Samples `n` events of a seeded random stream into both stores. Times
+/// step by 0 (a same-instant rewrite), a few ns, or now and then by a gap
+/// of 2^32 - 1, 2^32 or more ns; values come from a small pool (so unchanged
+/// samples drop and the dictionary's recent-entry path hits), signed zeros,
+/// two NaN payloads, and fresh random doubles.
+void sample_random(Rng& rng, std::size_t n, Series& s, ReferenceSeries& ref) {
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  const double nan_b = std::bit_cast<double>(bits(nan_a) | 0x1234);
+  const double pool[] = {0.0, -0.0, 1.0, 2.5, nan_a, nan_b, -7.25};
+  TimeNs t = rng.next_below(1000);
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = 0.0;
+    switch (rng.next_below(5)) {
+      case 0: v = ref.last(); break;  // unchanged (or equal under ==)
+      case 1: v = rng.next_double_in(-1e6, 1e6); break;
+      default: v = pool[rng.next_below(std::size(pool))]; break;
+    }
+    s.sample(t, v);
+    ref.sample(t, v);
+    switch (rng.next_below(200)) {
+      case 0: t += kGap32 - 1; break;  // still fits a 32-bit offset
+      case 1: t += kGap32; break;      // just does not
+      case 2: t += 3 * kGap32 + rng.next_below(100); break;
+      default: t += rng.next_below(4) * rng.next_below(400); break;
+    }
+  }
+}
+
+void expect_same(const Series& s, const ReferenceSeries& ref) {
+  ASSERT_EQ(s.size(), ref.points.size());
+  EXPECT_EQ(s.empty(), ref.points.empty());
+  for (std::size_t i = 0; i < ref.points.size(); ++i) {
+    const Series::Point p = s.point(i);
+    ASSERT_EQ(p.time, ref.points[i].time) << "point " << i;
+    ASSERT_EQ(bits(p.value), bits(ref.points[i].value)) << "point " << i;
+  }
+  std::size_t i = 0;
+  for (Series::Cursor c(s); !c.done(); c.next(), ++i) {
+    ASSERT_LT(i, ref.points.size());
+    ASSERT_EQ(c.time(), ref.points[i].time) << "cursor " << i;
+    ASSERT_EQ(bits(c.value()), bits(ref.points[i].value)) << "cursor " << i;
+  }
+  EXPECT_EQ(i, ref.points.size());
+  EXPECT_EQ(bits(s.last()), bits(ref.last()));
+  EXPECT_EQ(bits(s.peak()), bits(ref.peak));
+}
+
+/// series_value_at on every point, just before and after it, and before the
+/// first point.
+void expect_same_value_at(const Series& s, const ReferenceSeries& ref) {
+  std::vector<TimeNs> probes = {0};
+  for (const Series::Point& p : ref.points) {
+    probes.push_back(p.time);
+    probes.push_back(p.time + 1);
+    if (p.time > 0) probes.push_back(p.time - 1);
+  }
+  for (const TimeNs t : probes) {
+    ASSERT_EQ(bits(series_value_at(s, t)), bits(ref.value_at(t)))
+        << "t " << t;
+  }
+}
+
+TEST(SeriesStorageTest, RandomStreamsMatchTheReferenceBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Series s;
+    ReferenceSeries ref;
+    // Short streams stay in the first chunk; long ones cross several.
+    sample_random(rng, seed % 4 == 0 ? 20'000 : rng.next_below(600), s, ref);
+    expect_same(s, ref);
+    expect_same_value_at(s, ref);
+  }
+}
+
+TEST(SeriesStorageTest, SignedZerosAndNansFollowTheSamplingRules) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Series s;
+  ReferenceSeries ref;
+  const auto both = [&](TimeNs t, double v) {
+    s.sample(t, v);
+    ref.sample(t, v);
+  };
+  both(0, 0.0);
+  both(10, -0.0);  // == 0.0 at a new instant: dropped
+  both(20, 1.0);
+  both(20, -0.0);  // same-instant rewrite: kept with its sign bit
+  both(30, 0.0);   // == -0.0: dropped
+  both(40, nan);   // NaN != anything: stored
+  both(50, nan);   // NaN != NaN: stored again
+  both(50, 2.0);
+  expect_same(s, ref);
+  ASSERT_EQ(s.size(), 4u);
+  EXPECT_EQ(bits(s.point(1).value), bits(-0.0));
+  EXPECT_TRUE(std::isnan(s.point(2).value));
+  EXPECT_EQ(s.point(3).value, 2.0);
+}
+
+TEST(SeriesStorageTest, ChunkBoundariesAndLargeGaps) {
+  Series s;
+  ReferenceSeries ref;
+  const auto both = [&](TimeNs t, double v) {
+    s.sample(t, v);
+    ref.sample(t, v);
+  };
+  // Exactly one full chunk, then one more point.
+  TimeNs t = 5;
+  for (std::size_t i = 0; i <= Series::kChunkPoints; ++i) {
+    both(t, static_cast<double>(i % 3));
+    t += 7;
+  }
+  // A gap whose offset from the open chunk's base still fits in 32 bits,
+  // then one that does not: the open chunk closes early.
+  const TimeNs base = ref.points[Series::kChunkPoints].time;
+  both(base + kGap32 - 1, 9.0);
+  both(base + kGap32, 10.0);
+  both(base + kGap32 + 1, 11.0);
+  // Several early-closed chunks in a row, then a full one after them.
+  for (int i = 0; i < 5; ++i) {
+    t = ref.points.back().time + kGap32 * 2;
+    both(t, 20.0 + i);
+  }
+  for (std::size_t i = 0; i < Series::kChunkPoints + 3; ++i) {
+    both(t += 1, static_cast<double>(i));
+  }
+  expect_same(s, ref);
+  expect_same_value_at(s, ref);
+}
+
+TEST(SeriesStorageTest, MoreThan65536DistinctValues) {
+  Series s;
+  ReferenceSeries ref;
+  Rng rng(99);
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    // Distinct values, with every third sample revisiting an older one.
+    const double v = i % 3 == 0 ? static_cast<double>(rng.next_below(i + 1))
+                                : static_cast<double>(i) + 0.5;
+    s.sample(i * 3, v);
+    ref.sample(i * 3, v);
+  }
+  std::vector<std::uint64_t> distinct;
+  for (const Series::Point& p : ref.points) distinct.push_back(bits(p.value));
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  ASSERT_GT(distinct.size(), 65'536u);
+  expect_same(s, ref);
+}
+
+TEST(SeriesStorageTest, CopiesDecodeLikeTheOriginal) {
+  Series s;
+  ReferenceSeries ref;
+  Rng rng(5);
+  sample_random(rng, 9'000, s, ref);
+  const Series copy = s;
+  expect_same(copy, ref);
+}
+
+TEST(SeriesStorageTest, StaysWithinEightBytesPerPointPlusItsDictionary) {
+  Series small;
+  for (TimeNs t = 0; t < 10; ++t) small.sample(t * 100, static_cast<double>(t));
+  EXPECT_LT(small.storage_bytes(), 1024u);
+
+  // A long series over a handful of values: the dictionary is negligible
+  // and only the open chunk carries slack.
+  Series big;
+  for (TimeNs t = 0; t < 10 * Series::kChunkPoints; ++t) {
+    big.sample(t * 10, static_cast<double>(t % 7));
+  }
+  EXPECT_LE(big.storage_bytes(), big.size() * 8 + 4096);
+}
+
+TEST(SeriesStorageTest, RejectsTimeGoingBackwardsAcrossChunks) {
+  Series s;
+  s.sample(10, 1.0);
+  s.sample(10 + kGap32, 2.0);  // opens a second chunk
+  EXPECT_ANY_THROW(s.sample(10 + kGap32 - 1, 3.0));
+  EXPECT_EQ(s.size(), 2u);
+}
+
+/// The fleet merge (one cursor sweep over compact series) against the
+/// reference: the sum, in ascending device order from 0.0, of each device's
+/// value in effect at every event time, re-sampled through the reference.
+TEST(SeriesStorageTest, FleetMergeMatchesTheReferenceSum) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 31);
+    const std::size_t devices = 1 + rng.next_below(5);
+    FleetRollup rollup;
+    std::vector<ReferenceSeries> refs(devices);
+    for (std::size_t d = 0; d < devices; ++d) {
+      auto reg = std::make_shared<MetricsRegistry>();
+      sample_random(rng, rng.next_below(6'000), reg->series("power"),
+                    refs[d]);
+      rollup.add_device(static_cast<int>(d), "dev", reg);
+    }
+    std::vector<TimeNs> times;
+    for (const ReferenceSeries& r : refs) {
+      for (const Series::Point& p : r.points) times.push_back(p.time);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    ReferenceSeries want;
+    for (const TimeNs t : times) {
+      double sum = 0.0;
+      for (const ReferenceSeries& r : refs) sum += r.value_at(t);
+      want.sample(t, sum);
+    }
+    const MetricsRegistry merged = rollup.merged();
+    expect_same(std::get<Series>(merged.find("power")->metric), want);
+  }
+}
+
+}  // namespace
+}  // namespace hq::obs

@@ -39,12 +39,12 @@ TEST(TelemetryTest, QueueDepthCountsInServiceTransactions) {
   t.on_copy_served(50, CopyDirection::HtoD, 1, 0, 0, 50, 100);
   t.on_copy_served(90, CopyDirection::HtoD, 2, 1, 50, 90, 100);
 
-  const auto& pts = series_of(t, "copy_queue_depth_htod").points();
-  ASSERT_EQ(pts.size(), 4u);
-  EXPECT_EQ(pts[0].value, 1.0);
-  EXPECT_EQ(pts[1].value, 2.0);  // second enqueue while first in service
-  EXPECT_EQ(pts[2].value, 1.0);
-  EXPECT_EQ(pts[3].value, 0.0);
+  const Series& depth = series_of(t, "copy_queue_depth_htod");
+  ASSERT_EQ(depth.size(), 4u);
+  EXPECT_EQ(depth.point(0).value, 1.0);
+  EXPECT_EQ(depth.point(1).value, 2.0);  // second enqueue while first served
+  EXPECT_EQ(depth.point(2).value, 1.0);
+  EXPECT_EQ(depth.point(3).value, 0.0);
   EXPECT_EQ(series_of(t, "copy_queue_depth_htod").peak(), 2.0);
   // The DtoH queue never saw traffic.
   EXPECT_TRUE(series_of(t, "copy_queue_depth_dtoh").empty());
@@ -117,12 +117,12 @@ TEST(TelemetryTest, PowerSeriesRecordsSegmentsAndEnergyIntegral) {
   t.on_power_integrated(1'000'000'000, 100.0, 0.5);
   t.on_power_integrated(3'000'000'000, 50.0, 0.25);
   t.finalize();
-  const auto& pts = series_of(t, "power_watts").points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].time, 0);
-  EXPECT_EQ(pts[0].value, 100.0);
-  EXPECT_EQ(pts[1].time, 1'000'000'000);
-  EXPECT_EQ(pts[1].value, 50.0);
+  const Series& power = series_of(t, "power_watts");
+  ASSERT_EQ(power.size(), 2u);
+  EXPECT_EQ(power.point(0).time, 0u);
+  EXPECT_EQ(power.point(0).value, 100.0);
+  EXPECT_EQ(power.point(1).time, 1'000'000'000u);
+  EXPECT_EQ(power.point(1).value, 50.0);
   const auto* e = t.registry().find("energy_joules");
   ASSERT_NE(e, nullptr);
   EXPECT_DOUBLE_EQ(std::get<Gauge>(e->metric).value(), 200.0);
