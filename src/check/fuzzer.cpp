@@ -545,7 +545,7 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
     check_fleet_conservation(shed_back->report, "chaos-shed-back", problems);
     std::set<std::int32_t> span_owners;
     for (const fleet::FleetDeviceResult& dev : shed_back->devices) {
-      for (const trace::Span& span : dev.trace->spans()) {
+      for (const trace::Span& span : *dev.trace) {
         span_owners.insert(span.app_id);
       }
     }

@@ -37,7 +37,7 @@ std::vector<std::string> verify_serve_accounting(const ServeAccounting& acc,
     const std::set<std::int32_t> undispatched(acc.undispatched_apps.begin(),
                                               acc.undispatched_apps.end());
     std::map<std::int32_t, std::size_t> leaked;
-    for (const trace::Span& s : trace->spans()) {
+    for (const trace::Span& s : *trace) {
       if (undispatched.count(s.app_id) != 0) ++leaked[s.app_id];
     }
     for (const auto& [app_id, count] : leaked) {

@@ -189,12 +189,11 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
   }
 
   sim::Simulator sim;
-  // Capacity hints from the workload shape: the event heap's high-water mark
-  // and the span count both scale with the number of concurrently-resident
-  // apps. Over-reserving slightly is cheap; reallocating mid-run is not.
+  // Capacity hint from the workload shape: the event heap's high-water mark
+  // scales with the number of concurrently-resident apps. Over-reserving
+  // slightly is cheap; reallocating mid-run is not.
   sim.reserve_events(256 + 16 * workload.size());
   auto recorder = std::make_shared<trace::Recorder>();
-  recorder->reserve(64 * workload.size());
   gpu::Device device(sim, device_spec, recorder.get());
   rt::RuntimeOptions rt_options;
   rt_options.functional = config_.functional;
@@ -325,10 +324,10 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
         own_transfer_time(index, m.app_id, trace::SpanKind::MemcpyHtoD);
     m.htod_bytes = apps[i]->htod_bytes();
     m.dtoh_bytes = apps[i]->dtoh_bytes();
-    const auto& spans = index.spans_for(m.app_id);
+    const trace::AppSpans spans = index.spans_for(m.app_id);
     if (!spans.empty()) {
-      TimeNs first = spans.front()->begin;
-      for (const trace::Span* s : spans) first = std::min(first, s->begin);
+      TimeNs first = spans[0].begin;
+      for (const trace::Span& s : spans) first = std::min(first, s.begin);
       m.first_activity = first;
     }
   }

@@ -46,8 +46,8 @@ std::optional<DurationNs> effective_transfer_latency(
     const trace::AppIndex& index, int app_id, trace::SpanKind direction) {
   check_direction(direction);
   LatencyWindow window;
-  for (const trace::Span* s : index.spans_for(app_id)) {
-    if (s->kind == direction) window.observe(*s);
+  for (const trace::Span& s : index.spans_for(app_id)) {
+    if (s.kind == direction) window.observe(s);
   }
   return window.latency();
 }
@@ -64,8 +64,8 @@ DurationNs own_transfer_time(const trace::Recorder& recorder, int app_id,
 DurationNs own_transfer_time(const trace::AppIndex& index, int app_id,
                              trace::SpanKind direction) {
   DurationNs total = 0;
-  for (const trace::Span* s : index.spans_for(app_id)) {
-    if (s->kind == direction) total += s->duration();
+  for (const trace::Span& s : index.spans_for(app_id)) {
+    if (s.kind == direction) total += s.duration();
   }
   return total;
 }

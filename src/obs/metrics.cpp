@@ -75,16 +75,6 @@ void Series::append(TimeNs t) {
 
 std::uint32_t Series::intern(double value) {
   const auto bits = std::bit_cast<std::uint64_t>(value);
-  // A quantity toggling between two levels (a queue depth at 0/1, a
-  // breaker state) finds its value here without probing the table.
-  if (bits == recent_bits_[0] && recent_index_[0] != 0) {
-    return recent_index_[0];
-  }
-  if (bits == recent_bits_[1] && recent_index_[1] != 0) {
-    std::swap(recent_bits_[0], recent_bits_[1]);
-    std::swap(recent_index_[0], recent_index_[1]);
-    return recent_index_[0];
-  }
   if (2 * values_.size() > slots_.size()) {
     // Grow to keep the table at most half full, then re-insert every entry.
     slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
@@ -103,10 +93,6 @@ std::uint32_t Series::intern(double value) {
     slots_[s] = static_cast<std::uint32_t>(values_.size());
     values_.push_back(value);
   }
-  recent_bits_[1] = recent_bits_[0];
-  recent_index_[1] = recent_index_[0];
-  recent_bits_[0] = bits;
-  recent_index_[0] = slots_[s];
   return slots_[s];
 }
 

@@ -184,12 +184,9 @@ class Series {
   // index 0 while later samples at its instant rewrite it; the first sample
   // at a later instant interns it. Distinct values follow from index 1 in
   // first-seen order, found through an open-addressing table (slot = index,
-  // 0 = empty; at most half full). The two most recently interned entries
-  // (index 0 = none yet) are checked before the table.
+  // 0 = empty; at most half full).
   std::vector<double> values_;
   std::vector<std::uint32_t> slots_;
-  std::uint64_t recent_bits_[2] = {};
-  std::uint32_t recent_index_[2] = {};
 };
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram, Series };

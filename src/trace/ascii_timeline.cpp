@@ -48,7 +48,7 @@ std::string render_ascii_timeline(const Recorder& recorder,
 
   // Lane -> (row characters, rank per cell for overwrite priority).
   std::map<std::int32_t, std::pair<std::string, std::vector<int>>> rows;
-  for (const Span& s : recorder.spans()) {
+  for (const Span& s : recorder) {
     if (s.end <= t0 || s.begin >= t1) continue;
     auto [it, inserted] = rows.try_emplace(
         s.lane, std::string(static_cast<std::size_t>(width), '.'),

@@ -46,7 +46,7 @@ void write_chrome_trace(const Recorder& recorder,
                         std::ostream& os) {
   os << "[";
   bool first = true;
-  for (const Span& s : recorder.spans()) {
+  for (const Span& s : recorder) {
     if (!first) os << ",";
     first = false;
     os << "\n  {\"name\": \"";
@@ -79,7 +79,7 @@ namespace {
 
 void write_spans(std::ostream& os, const Recorder& recorder, int pid,
                  bool& first) {
-  for (const Span& s : recorder.spans()) {
+  for (const Span& s : recorder) {
     if (!first) os << ",";
     first = false;
     os << "\n  {\"name\": \"";

@@ -1,6 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -19,16 +21,18 @@ const char* span_kind_name(SpanKind kind) {
 }
 
 std::uint64_t digest(const Recorder& recorder) {
+  // The digest covers the resolved name bytes (not the id), so it is
+  // unchanged from the pre-interning representation and independent of
+  // the order names happened to be interned in. Resolve each name once.
+  std::vector<std::string_view> names(recorder.name_count());
+  for (NameId id = 0; id < names.size(); ++id) names[id] = recorder.name_of(id);
   Fnv1a64 h;
   h.mix_u64(recorder.size());
-  for (const Span& s : recorder.spans()) {
+  for (const Span s : recorder) {
     h.mix_i64(s.lane);
     h.mix_i64(s.app_id);
     h.mix_u64(static_cast<std::uint64_t>(s.kind));
-    // The digest covers the resolved name bytes (not the id), so it is
-    // unchanged from the pre-interning representation and independent of
-    // the order names happened to be interned in.
-    h.mix_string(recorder.name_of(s.name));
+    h.mix_string(names[s.name]);
     h.mix_u64(s.begin);
     h.mix_u64(s.end);
   }
@@ -60,75 +64,169 @@ void Recorder::add(Span span) {
                                << " not interned in this recorder");
   HQ_CHECK_MSG(span.end >= span.begin,
                "span '" << name_of(span.name) << "' ends before it begins");
-  spans_.push_back(span);
+  constexpr DurationNs kMaxOffset = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t index = size();
+  if (chunks_.empty() || chunks_.back().records.size() == kChunkSpans ||
+      span.end < chunks_.back().base ||
+      span.end - chunks_.back().base > kMaxOffset) {
+    if (!chunks_.empty()) chunks_.back().records.shrink_to_fit();
+    const TimeNs base =
+        span.end - std::min<DurationNs>(span.duration(), kMaxOffset);
+    chunks_.push_back(Chunk{base, index, {}});
+    chunks_.back().records.reserve(kFirstChunkSpans);
+  }
+  Chunk& chunk = chunks_.back();
+  if (chunk.records.size() == chunk.records.capacity()) {
+    chunk.records.reserve(std::min(2 * chunk.records.capacity(), kChunkSpans));
+  }
+  std::uint32_t duration = kEscaped;
+  if (span.duration() < kEscaped) {
+    duration = static_cast<std::uint32_t>(span.duration());
+  } else {
+    escapes_.push_back(Escape{index, span.duration()});
+  }
+  chunk.records.push_back(
+      Record{static_cast<std::uint32_t>(span.end - chunk.base), duration,
+             span.app_id, shape_of(span)});
 }
 
-void Recorder::clear() {
-  spans_.clear();
-  ids_.clear();
-  names_.clear();
+std::uint32_t Recorder::shape_of(const Span& span) {
+  const Shape key{span.lane, span.name, span.kind};
+  if (2 * shapes_.size() >= slots_.size()) {
+    // Grow to keep the table at most half full, then re-insert every entry.
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    for (std::size_t i = 0; i < shapes_.size(); ++i) {
+      std::size_t s = slot_of(shapes_[i]);
+      while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
+      slots_[s] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  std::size_t s = slot_of(key);
+  while (slots_[s] != 0) {
+    const Shape& seen = shapes_[slots_[s] - 1];
+    if (seen.lane == key.lane && seen.name == key.name &&
+        seen.kind == key.kind) {
+      return slots_[s] - 1;
+    }
+    s = (s + 1) & (slots_.size() - 1);
+  }
+  HQ_CHECK_MSG(shapes_.size() < kEscaped, "span dictionary overflow");
+  shapes_.push_back(key);
+  slots_[s] = static_cast<std::uint32_t>(shapes_.size());
+  return slots_[s] - 1;
+}
+
+std::size_t Recorder::slot_of(const Shape& shape) const {
+  // Fibonacci hashing of the whole triple: the top bits of the product
+  // index the table.
+  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  const std::uint64_t key =
+      (std::uint64_t{static_cast<std::uint32_t>(shape.lane)} << 32) |
+      shape.name;
+  const std::uint64_t h =
+      (key * kGolden ^ static_cast<std::uint64_t>(shape.kind)) * kGolden;
+  const int shift = 64 - std::countr_zero(slots_.size());
+  return static_cast<std::size_t>(h >> shift);
+}
+
+std::size_t Recorder::chunk_of(std::size_t i) const {
+  // Every chunk before the open one is full unless one was closed early,
+  // and then the open chunk does not start at a multiple of kChunkSpans.
+  if (chunks_.back().first == (chunks_.size() - 1) * kChunkSpans) {
+    return i / kChunkSpans;
+  }
+  const auto it = std::upper_bound(
+      chunks_.begin(), chunks_.end(), i,
+      [](std::size_t index, const Chunk& c) { return index < c.first; });
+  return static_cast<std::size_t>(it - chunks_.begin()) - 1;
+}
+
+Span Recorder::span(std::size_t i) const {
+  const Chunk& c = chunks_[chunk_of(i)];
+  const Record& r = c.records[i - c.first];
+  DurationNs duration = r.duration;
+  if (r.duration == kEscaped) {
+    duration = std::lower_bound(escapes_.begin(), escapes_.end(), i,
+                                [](const Escape& e, std::size_t index) {
+                                  return e.index < index;
+                                })
+                   ->duration;
+  }
+  return decode(c.base, r, duration);
+}
+
+std::size_t Recorder::dictionary_bytes() const {
+  return shapes_.capacity() * sizeof(Shape) +
+         slots_.capacity() * sizeof(std::uint32_t);
+}
+
+std::size_t Recorder::storage_bytes() const {
+  std::size_t bytes = chunks_.capacity() * sizeof(Chunk) +
+                      escapes_.capacity() * sizeof(Escape) +
+                      dictionary_bytes();
+  for (const Chunk& c : chunks_) bytes += c.records.capacity() * sizeof(Record);
+  return bytes;
 }
 
 std::vector<Span> Recorder::by_app(std::int32_t app_id) const {
   std::vector<Span> out;
-  std::copy_if(spans_.begin(), spans_.end(), std::back_inserter(out),
-               [app_id](const Span& s) { return s.app_id == app_id; });
+  for_each_app(app_id, [&out](const Span& s) { out.push_back(s); });
   return out;
 }
 
 std::vector<Span> Recorder::by_kind(SpanKind kind) const {
   std::vector<Span> out;
-  std::copy_if(spans_.begin(), spans_.end(), std::back_inserter(out),
-               [kind](const Span& s) { return s.kind == kind; });
+  for_each_kind(kind, [&out](const Span& s) { out.push_back(s); });
   return out;
 }
 
 std::vector<Span> Recorder::by_lane(std::int32_t lane) const {
   std::vector<Span> out;
-  std::copy_if(spans_.begin(), spans_.end(), std::back_inserter(out),
-               [lane](const Span& s) { return s.lane == lane; });
+  for_each_if([lane](const Span& s) { return s.lane == lane; },
+              [&out](const Span& s) { out.push_back(s); });
   return out;
 }
 
 std::optional<TimeNs> Recorder::min_time() const {
-  if (spans_.empty()) return std::nullopt;
-  TimeNs t = spans_.front().begin;
-  for (const Span& s : spans_) t = std::min(t, s.begin);
+  if (empty()) return std::nullopt;
+  TimeNs t = std::numeric_limits<TimeNs>::max();
+  for (const Span s : *this) t = std::min(t, s.begin);
   return t;
 }
 
 std::optional<TimeNs> Recorder::max_time() const {
-  if (spans_.empty()) return std::nullopt;
-  TimeNs t = spans_.front().end;
-  for (const Span& s : spans_) t = std::max(t, s.end);
+  if (empty()) return std::nullopt;
+  TimeNs t = 0;
+  for (const Span s : *this) t = std::max(t, s.end);
   return t;
 }
 
-AppIndex::AppIndex(const Recorder& recorder) {
-  const std::vector<Span>& spans = recorder.spans();
-  if (spans.empty()) {
+AppIndex::AppIndex(const Recorder& recorder) : recorder_(&recorder) {
+  if (recorder.empty()) {
     offsets_.push_back(0);
     return;
   }
+  HQ_CHECK_MSG(recorder.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "AppIndex holds 32-bit span indices; the recorder has "
+                   << recorder.size() << " spans");
+  std::vector<std::int32_t> apps;
+  apps.reserve(recorder.size());
+  for (const Span s : recorder) apps.push_back(s.app_id);
 
   // Harness app ids are dense small integers (workload index, plus -1 for
   // unattributed spans), so a counting scatter over [min, max] is both the
   // fast path and the common one. A hostile id range (sparse 32-bit ids)
   // would explode the bucket array, so fall back to a stable sort there.
-  std::int64_t min_id = spans.front().app_id;
-  std::int64_t max_id = spans.front().app_id;
-  for (const Span& s : spans) {
-    min_id = std::min<std::int64_t>(min_id, s.app_id);
-    max_id = std::max<std::int64_t>(max_id, s.app_id);
-  }
-  const std::int64_t range = max_id - min_id + 1;
+  const auto [lo, hi] = std::minmax_element(apps.begin(), apps.end());
+  const std::int64_t min_id = *lo;
+  const std::int64_t range = std::int64_t{*hi} - min_id + 1;
 
-  ptrs_.resize(spans.size());
+  spans_.resize(apps.size());
   const std::int64_t kDenseRangeCap = 1 << 20;
   if (range <= kDenseRangeCap) {
     std::vector<std::size_t> counts(static_cast<std::size_t>(range), 0);
-    for (const Span& s : spans) {
-      ++counts[static_cast<std::size_t>(s.app_id - min_id)];
+    for (const std::int32_t app : apps) {
+      ++counts[static_cast<std::size_t>(app - min_id)];
     }
     offsets_.reserve(16);
     std::vector<std::size_t> starts(counts.size(), 0);
@@ -141,32 +239,35 @@ AppIndex::AppIndex(const Recorder& recorder) {
       running += counts[b];
     }
     offsets_.push_back(running);
-    for (const Span& s : spans) {
-      ptrs_[starts[static_cast<std::size_t>(s.app_id - min_id)]++] = &s;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      spans_[starts[static_cast<std::size_t>(apps[i] - min_id)]++] =
+          static_cast<std::uint32_t>(i);
     }
   } else {
-    for (std::size_t i = 0; i < spans.size(); ++i) ptrs_[i] = &spans[i];
-    std::stable_sort(ptrs_.begin(), ptrs_.end(),
-                     [](const Span* a, const Span* b) {
-                       return a->app_id < b->app_id;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      spans_[i] = static_cast<std::uint32_t>(i);
+    }
+    std::stable_sort(spans_.begin(), spans_.end(),
+                     [&apps](std::uint32_t a, std::uint32_t b) {
+                       return apps[a] < apps[b];
                      });
     // offsets_[k] = first index of group k; final entry = total span count.
-    for (std::size_t i = 0; i < ptrs_.size(); ++i) {
-      if (i == 0 || ptrs_[i]->app_id != ptrs_[i - 1]->app_id) {
-        ids_.push_back(ptrs_[i]->app_id);
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+      if (i == 0 || apps[spans_[i]] != apps[spans_[i - 1]]) {
+        ids_.push_back(apps[spans_[i]]);
         offsets_.push_back(i);
       }
     }
-    offsets_.push_back(ptrs_.size());
+    offsets_.push_back(spans_.size());
   }
 }
 
-std::span<const Span* const> AppIndex::spans_for(std::int32_t app_id) const {
+AppSpans AppIndex::spans_for(std::int32_t app_id) const {
   const auto it = std::lower_bound(ids_.begin(), ids_.end(), app_id);
   if (it == ids_.end() || *it != app_id) return {};
   const std::size_t k = static_cast<std::size_t>(it - ids_.begin());
-  return {ptrs_.data() + offsets_[k],
-          offsets_[k + 1] - offsets_[k]};
+  return {recorder_, {spans_.data() + offsets_[k],
+                      offsets_[k + 1] - offsets_[k]}};
 }
 
 }  // namespace hq::trace

@@ -9,17 +9,38 @@
 //   * the effective-memory-transfer-latency metric (paper Eq. 1-2).
 //
 // Span names are interned: each distinct name string is stored once in a
-// per-recorder symbol table and spans carry a 32-bit NameId. A run emits a
-// handful of distinct names ("Fan1", "htod", ...) across hundreds of
-// thousands of spans, so interning removes a std::string construction (and
-// usually a heap allocation) per span. Every reader that needs the text —
-// digest, Chrome trace, tests — resolves it through Recorder::name_of, so
-// rendered output and digests are byte-identical to the pre-interning
-// representation.
+// per-recorder symbol table and spans carry a 32-bit NameId. Every reader
+// that needs the text (digest, Chrome trace, tests) resolves it through
+// Recorder::name_of, so rendered output and digests cover the name bytes,
+// not the ids.
+//
+// Span storage contract (one layout, no options): at most 16 bytes per span
+// plus chunk slack and a per-recorder dictionary, and every span reads back
+// exactly as it was added.
+//   * Spans live in chunks of at most kChunkSpans records. A chunk keeps a
+//     64-bit base time (the first span's begin, or its end minus 2^32 - 1
+//     when it is longer than that) and 16-byte records of
+//     {u32 end offset from the base, u32 duration, i32 app id, u32 shape}.
+//     A new chunk starts when the open one is full, when a span ends before
+//     the base, or when its end offset would not fit in 32 bits.
+//   * Only the open (last) chunk grows: it starts at kFirstChunkSpans and
+//     doubles up to kChunkSpans, so a short trace stays small and a full
+//     chunk is never reallocated or copied. A chunk closed early is shrunk
+//     to its records.
+//   * `shape` indexes a dictionary of the distinct (lane, kind, NameId)
+//     triples, found through an open-addressing table keyed by the whole
+//     triple. A device repeats a few dozen triples across all its spans.
+//   * A duration of 2^32 - 1 ns or more is stored as a sentinel plus an
+//     entry {span index, duration} in a side table of escapes.
+//   * span(i) is O(1): chunk i / kChunkSpans. Only after a chunk was closed
+//     early does it binary-search the chunks instead. Iteration walks the
+//     chunks in order without searching.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -72,14 +93,21 @@ class Recorder;
 std::uint64_t digest(const Recorder& recorder);
 
 /// Append-only collection of spans with simple query helpers and the name
-/// symbol table the spans' NameIds index into.
+/// symbol table the spans' NameIds index into. Spans are stored compactly
+/// (see the storage contract above) and read back by value.
 class Recorder {
+  struct Record;  // one stored span; defined below
+
  public:
+  static constexpr std::size_t kChunkSpans = 4096;
+  static constexpr std::size_t kFirstChunkSpans = 16;
+
   Recorder() = default;
   /// Not copyable: ids_ keys are string_views into names_, so a memberwise
   /// copy would leave the copy's map keys pointing at the source's strings.
   /// Moving is fine — a deque move transfers its blocks without relocating
   /// elements, so the views (and any NameIds already handed out) stay valid.
+  /// A moved-from recorder is empty.
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
   Recorder(Recorder&&) = default;
@@ -107,15 +135,57 @@ class Recorder {
     add(Span{lane, app_id, kind, intern(name), begin, end});
   }
 
-  /// Pre-sizes span storage for an expected span count (capacity hint).
-  void reserve(std::size_t spans) { spans_.reserve(spans); }
+  bool empty() const { return chunks_.empty(); }
+  std::size_t size() const {
+    return empty() ? 0 : chunks_.back().first + chunks_.back().records.size();
+  }
+  /// The i-th span in recording order; requires i < size().
+  Span span(std::size_t i) const;
+  /// Drops spans and the name table and frees their storage (all
+  /// previously issued NameIds become invalid — there are no spans left to
+  /// hold them).
+  void clear() { *this = Recorder(); }
 
-  const std::vector<Span>& spans() const { return spans_; }
-  bool empty() const { return spans_.empty(); }
-  std::size_t size() const { return spans_.size(); }
-  /// Drops spans and the name table (all previously issued NameIds become
-  /// invalid — there are no spans left to hold them).
-  void clear();
+  /// Allocated bytes of the span store: chunks, the (lane, kind, name)
+  /// dictionary and the duration escapes. The name table is not included.
+  std::size_t storage_bytes() const;
+  /// The dictionary's share of storage_bytes().
+  std::size_t dictionary_bytes() const;
+
+  /// Forward iterator over the spans in recording order, yielding each by
+  /// value. Invalidated by add() and clear().
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Span;
+    using reference = Span;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Span operator*() const;
+    Iterator& operator++();
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+   private:
+    friend class Recorder;
+    Iterator(const Recorder& recorder, std::size_t chunk);
+    void enter(std::size_t chunk);
+
+    const Recorder* recorder_ = nullptr;
+    std::size_t chunk_ = 0;
+    const Record* at_ = nullptr;
+    const Record* end_ = nullptr;
+    TimeNs base_ = 0;
+    std::size_t escape_ = 0;  ///< next unread duration escape
+  };
+  Iterator begin() const { return Iterator(*this, 0); }
+  Iterator end() const { return Iterator(*this, chunks_.size()); }
 
   std::vector<Span> by_app(std::int32_t app_id) const;
   std::vector<Span> by_kind(SpanKind kind) const;
@@ -127,7 +197,7 @@ class Recorder {
   /// allocation + full copy per app.
   template <typename Pred, typename Fn>
   void for_each_if(Pred&& pred, Fn&& fn) const {
-    for (const Span& s : spans_) {
+    for (const Span s : *this) {
       if (pred(s)) fn(s);
     }
   }
@@ -146,12 +216,137 @@ class Recorder {
   std::optional<TimeNs> max_time() const;
 
  private:
-  std::vector<Span> spans_;
+  /// Duration sentinel: the span's duration is in escapes_.
+  static constexpr std::uint32_t kEscaped = 0xFFFFFFFFu;
+
+  struct Record {
+    std::uint32_t end_offset;  ///< span end - chunk base
+    std::uint32_t duration;    ///< end - begin, or kEscaped
+    std::int32_t app_id;
+    std::uint32_t shape;       ///< into shapes_
+  };
+  struct Chunk {
+    TimeNs base = 0;
+    std::size_t first = 0;  ///< recorder index of the chunk's first span
+    std::vector<Record> records;
+  };
+  struct Shape {
+    std::int32_t lane;
+    NameId name;
+    SpanKind kind;
+  };
+  struct Escape {
+    std::size_t index;  ///< recorder index of the span
+    DurationNs duration;
+  };
+
+  /// Dictionary index of the span's (lane, kind, name), inserting it if new.
+  std::uint32_t shape_of(const Span& span);
+  std::size_t slot_of(const Shape& shape) const;
+  std::size_t chunk_of(std::size_t i) const;
+  Span decode(TimeNs base, const Record& r, DurationNs duration) const;
+
+  std::vector<Chunk> chunks_;
+  std::vector<Escape> escapes_;  ///< ascending by index
+
+  // Dictionary: distinct triples in first-seen order, found through an
+  // open-addressing table (slot = index + 1, 0 = empty; at most half full).
+  std::vector<Shape> shapes_;
+  std::vector<std::uint32_t> slots_;
+
   /// Name storage with stable element addresses (a deque never relocates),
   /// so the string_view keys in ids_ and the views name_of hands out stay
   /// valid as the table grows.
   std::deque<std::string> names_;
   std::unordered_map<std::string_view, NameId> ids_;
+};
+
+// The iterator and decode are inline: every reader walks them once per
+// span.
+inline Span Recorder::decode(TimeNs base, const Record& r,
+                             DurationNs duration) const {
+  const Shape& shape = shapes_[r.shape];
+  const TimeNs end = base + r.end_offset;
+  return Span{shape.lane, r.app_id, shape.kind, shape.name, end - duration,
+              end};
+}
+
+inline Recorder::Iterator::Iterator(const Recorder& recorder,
+                                    std::size_t chunk)
+    : recorder_(&recorder) {
+  enter(chunk);
+}
+
+inline void Recorder::Iterator::enter(std::size_t chunk) {
+  chunk_ = chunk;
+  if (chunk_ == recorder_->chunks_.size()) {
+    at_ = end_ = nullptr;
+    return;
+  }
+  const Chunk& c = recorder_->chunks_[chunk_];
+  base_ = c.base;
+  at_ = c.records.data();
+  end_ = at_ + c.records.size();
+}
+
+inline Span Recorder::Iterator::operator*() const {
+  return recorder_->decode(base_, *at_,
+                           at_->duration == kEscaped
+                               ? recorder_->escapes_[escape_].duration
+                               : at_->duration);
+}
+
+inline Recorder::Iterator& Recorder::Iterator::operator++() {
+  if (at_->duration == kEscaped) ++escape_;
+  if (++at_ == end_) enter(chunk_ + 1);
+  return *this;
+}
+
+/// Spans of one app, in recording order: a view of span indices into the
+/// recorder an AppIndex was built from, read back by value.
+class AppSpans {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Span;
+    using reference = Span;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Iterator(const Recorder* recorder, const std::uint32_t* at)
+        : recorder_(recorder), at_(at) {}
+    Span operator*() const { return recorder_->span(*at_); }
+    Iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++at_;
+      return old;
+    }
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+   private:
+    const Recorder* recorder_ = nullptr;
+    const std::uint32_t* at_ = nullptr;
+  };
+
+  AppSpans() = default;
+  AppSpans(const Recorder* recorder, std::span<const std::uint32_t> indices)
+      : recorder_(recorder), indices_(indices) {}
+
+  std::size_t size() const { return indices_.size(); }
+  bool empty() const { return indices_.empty(); }
+  Span operator[](std::size_t k) const { return recorder_->span(indices_[k]); }
+  Iterator begin() const { return {recorder_, indices_.data()}; }
+  Iterator end() const { return {recorder_, indices_.data() + size()}; }
+
+ private:
+  const Recorder* recorder_ = nullptr;
+  std::span<const std::uint32_t> indices_;
 };
 
 /// One-pass per-app span index over a flat, sorted layout. Extracting
@@ -160,15 +355,15 @@ class Recorder {
 /// O(spans + app-id range) (a counting scatter over the dense app-id range,
 /// falling back to a stable sort for pathological sparse ids) and each
 /// subsequent per-app lookup is a binary search over the distinct ids,
-/// O(log apps). The pointers alias the source recorder, which must outlive
-/// the index and not grow while the index is in use.
+/// O(log apps). The index holds 32-bit span indices into the source
+/// recorder, which must outlive the index and not change while it is used.
 class AppIndex {
  public:
   explicit AppIndex(const Recorder& recorder);
 
   /// Spans of one app, in recording order; empty for an unknown app (ids
   /// never seen in the trace, including -1 when every span is attributed).
-  std::span<const Span* const> spans_for(std::int32_t app_id) const;
+  AppSpans spans_for(std::int32_t app_id) const;
 
   /// Distinct app ids seen, ascending (includes -1 for unattributed spans).
   const std::vector<std::int32_t>& app_ids() const { return ids_; }
@@ -176,9 +371,10 @@ class AppIndex {
   std::size_t app_count() const { return ids_.size(); }
 
  private:
+  const Recorder* recorder_;
   std::vector<std::int32_t> ids_;        ///< distinct app ids, ascending
-  std::vector<std::size_t> offsets_;     ///< ids_.size()+1 bounds into ptrs_
-  std::vector<const Span*> ptrs_;        ///< grouped by app, recording order
+  std::vector<std::size_t> offsets_;     ///< ids_.size()+1 bounds into spans_
+  std::vector<std::uint32_t> spans_;     ///< grouped by app, recording order
 };
 
 }  // namespace hq::trace

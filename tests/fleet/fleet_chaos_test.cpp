@@ -279,7 +279,7 @@ TEST(FleetChaosTest, ExhaustedJobsNeverDispatchedAreSpanFree) {
     }
     if (dispatched) continue;  // cancelled attempts legitimately own spans
     for (const FleetDeviceResult& dev : result.devices) {
-      for (const trace::Span& span : dev.trace->spans()) {
+      for (const trace::Span& span : *dev.trace) {
         EXPECT_NE(span.app_id, job.job_id)
             << "undispatched exhausted job owns a span";
       }

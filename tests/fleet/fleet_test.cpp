@@ -14,6 +14,7 @@
 
 #include "exec/parallel.hpp"
 #include "fleet/report.hpp"
+#include "rodinia/registry.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 
 namespace hq::fleet {
@@ -261,6 +262,41 @@ TEST(FleetTest, ValidateRejectsBadConfigs) {
   bad_penalty.base = serve_base();
   bad_penalty.copy_penalty = -1.0;
   EXPECT_THROW(bad_penalty.validate(), hq::Error);
+}
+
+// The compact span store's budget on a real run. Each device recorder holds
+// at most 16 bytes per span plus one chunk of slack and its dictionary, and
+// summed over the fleet the store costs at most 17.5 bytes per span.
+// 32-byte spans in a doubling vector take more than 32 bytes each and fail
+// both.
+TEST(FleetTest, SpanStoreAtMostSeventeenAndAHalfBytesPerSpan) {
+  FleetConfig config;
+  rodinia::AppParams params;
+  params.size = 96;
+  config.base.classes.push_back({rodinia::make_app("gaussian", params), 0});
+  config.base.classes.push_back({rodinia::make_app("needle", params), 0});
+  config.base.num_streams = 8;
+  config.base.seed = 1;
+  config.base.collect_metrics = false;
+  config.base.window = 50 * kMillisecond;
+  config.base.mean_interarrival = 112 * kMicrosecond;
+  config.resize_homogeneous(4);
+  config.placement = PlacementPolicy::LeastLoaded;
+  const FleetResult result = FleetService(config).run();
+
+  std::size_t spans = 0;
+  std::size_t bytes = 0;
+  for (const FleetDeviceResult& dev : result.devices) {
+    const trace::Recorder& trace = *dev.trace;
+    EXPECT_GE(trace.size(), 8192u);
+    EXPECT_LE(trace.storage_bytes(),
+              16 * trace.size() + 64 * 1024 + trace.dictionary_bytes())
+        << trace.size() << " spans";
+    spans += trace.size();
+    bytes += trace.storage_bytes();
+  }
+  EXPECT_LE(static_cast<double>(bytes), 17.5 * static_cast<double>(spans))
+      << bytes << " bytes for " << spans << " spans";
 }
 
 }  // namespace

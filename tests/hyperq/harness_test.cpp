@@ -115,7 +115,7 @@ TEST(HarnessTest, StreamsBoundedByPool) {
   Harness harness(config);
   const auto result = harness.run(synthetic_workload(6, {}));
   std::set<std::int32_t> lanes;
-  for (const auto& span : result.trace->spans()) lanes.insert(span.lane);
+  for (const auto& span : *result.trace) lanes.insert(span.lane);
   EXPECT_LE(lanes.size(), 2u);
 }
 

@@ -100,8 +100,8 @@ TEST(AppIndexTest, GroupsSpansByAppInRecordingOrder) {
   EXPECT_EQ(index.app_count(), 3u);
   EXPECT_EQ(index.app_ids(), (std::vector<std::int32_t>{-1, 0, 2}));
   ASSERT_EQ(index.spans_for(2).size(), 2u);
-  EXPECT_EQ(index.spans_for(2)[0]->begin, 0);
-  EXPECT_EQ(index.spans_for(2)[1]->begin, 20);
+  EXPECT_EQ(index.spans_for(2)[0].begin, 0);
+  EXPECT_EQ(index.spans_for(2)[1].begin, 20);
   EXPECT_TRUE(index.spans_for(4).empty());
 }
 

@@ -8,9 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "common/hash.hpp"
+#include "trace/ascii_timeline.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
 namespace hq {
@@ -92,6 +96,41 @@ TEST(GoldenPairDigestsTest, FaultInjectorZeroRateIsZeroPerturbation) {
     EXPECT_EQ(trace::digest(*memsync_run.trace), g.memsync_digest)
         << "{" << g.x << ", " << g.y << "} memsync + zero-rate injector";
     EXPECT_EQ(memsync_run.degraded.stats.total(), 0u);
+  }
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  Fnv1a64 h;
+  for (const char c : bytes) h.mix_byte(static_cast<std::uint8_t>(c));
+  return h.value();
+}
+
+// Renderer goldens: the FNV-1a of the Chrome-trace JSON and of the ASCII
+// timeline of the {gaussian, nn} run above. The trace digest covers the
+// recorded spans; these cover the bytes each exporter reads out of the
+// recorder, so a change to span storage that alters what a reader sees
+// (a time, a lane, a name, the order) fails here even if it slipped past
+// the digest.
+constexpr std::uint64_t kPinnedChromeTraceFnv = 0x7684525df25aa810ULL;
+constexpr std::uint64_t kPinnedChromeTraceMemsyncFnv = 0x35f1aa1ce841dde8ULL;
+constexpr std::uint64_t kPinnedAsciiTimelineFnv = 0x765b3818d8131506ULL;
+constexpr std::uint64_t kPinnedAsciiTimelineMemsyncFnv = 0x886d5d42d9aa318cULL;
+
+TEST(GoldenPairDigestsTest, TraceRenderersArePinnedByteForByte) {
+  for (const bool memory_sync : {false, true}) {
+    const auto result = bench::run_pair({"gaussian", "nn"}, 32, 32,
+                                        fw::Order::NaiveFifo, memory_sync);
+    const std::uint64_t chrome = fnv1a(trace::chrome_trace_json(*result.trace));
+    const std::uint64_t ascii =
+        fnv1a(trace::render_ascii_timeline(*result.trace));
+    EXPECT_EQ(chrome, memory_sync ? kPinnedChromeTraceMemsyncFnv
+                                  : kPinnedChromeTraceFnv)
+        << std::hex << "Chrome trace bytes moved (memsync " << memory_sync
+        << "): 0x" << chrome;
+    EXPECT_EQ(ascii, memory_sync ? kPinnedAsciiTimelineMemsyncFnv
+                                 : kPinnedAsciiTimelineFnv)
+        << std::hex << "ASCII timeline bytes moved (memsync " << memory_sync
+        << "): 0x" << ascii;
   }
 }
 

@@ -51,7 +51,7 @@ TEST_P(HarnessProperty, AllAppsCompleteAndInvariantsHold) {
 
   // Streams stay within the pool.
   std::set<std::int32_t> lanes;
-  for (const auto& span : result.trace->spans()) lanes.insert(span.lane);
+  for (const auto& span : *result.trace) lanes.insert(span.lane);
   EXPECT_LE(static_cast<int>(lanes.size()), num_streams);
 
   // Energy accounting is positive and consistent.

@@ -191,6 +191,11 @@ TEST(HqrunTraceJsonTest, JsonCheckerRejectsMalformedInput) {
   EXPECT_FALSE(json_well_formed("[{\"a\": \"b\"},]"));  // trailing comma
   EXPECT_FALSE(json_well_formed("[\"unterminated]"));   // open string
   EXPECT_FALSE(json_well_formed("[}"));                 // mismatched
+  EXPECT_FALSE(json_well_formed("[1 2]"));              // missing comma
+  EXPECT_FALSE(json_well_formed("{\"a\" 1}"));          // missing colon
+  EXPECT_FALSE(json_well_formed("[nan, inf]"));         // not JSON numbers
+  EXPECT_FALSE(json_well_formed("[1] [2]"));            // two documents
+  EXPECT_TRUE(json_well_formed("{\"a\": [-0.5e+3, true, null, \"\\u00e9\"]}"));
 }
 
 TEST(HqrunTraceJsonTest, HarnessTraceExportIsWellFormedJson) {

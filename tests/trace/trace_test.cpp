@@ -46,7 +46,7 @@ TEST(RecorderTest, InvertedSpanThrows) {
 TEST(RecorderTest, ZeroLengthSpanAllowed) {
   Recorder r;
   add_span(r, 0, 0, SpanKind::Kernel, 10, 10);
-  EXPECT_EQ(r.spans()[0].duration(), 0u);
+  EXPECT_EQ(r.span(0).duration(), 0u);
 }
 
 TEST(SpanKindTest, Names) {
@@ -268,7 +268,7 @@ TEST(DigestTest, DigestIsIndependentOfInterningOrder) {
     add_span(*r, 0, 1, SpanKind::Kernel, 0, 10, "x");
     add_span(*r, 1, 1, SpanKind::Kernel, 10, 20, "y");
   }
-  EXPECT_NE(a.spans()[0].name, b.spans()[0].name);  // ids differ...
+  EXPECT_NE(a.span(0).name, b.span(0).name);  // ids differ...
   EXPECT_EQ(digest(a), digest(b));                  // ...digests agree
 }
 
@@ -345,7 +345,7 @@ TEST(InterningTest, SpansShareOneTableEntry) {
   }
   EXPECT_EQ(r.size(), 100u);
   EXPECT_EQ(r.name_count(), 1u);
-  for (const Span& s : r.spans()) EXPECT_EQ(r.name_of(s.name), "same-kernel");
+  for (const Span& s : r) EXPECT_EQ(r.name_of(s.name), "same-kernel");
 }
 
 TEST(InterningTest, ClearResetsSpansAndNames) {
@@ -381,8 +381,8 @@ TEST(AppIndexTest, UnknownAppAndNegativeAttribution) {
   EXPECT_EQ(index.app_count(), 2u);
   EXPECT_EQ(index.app_ids(), (std::vector<std::int32_t>{-1, 3}));
   ASSERT_EQ(index.spans_for(-1).size(), 2u);
-  EXPECT_EQ(r.name_of(index.spans_for(-1)[0]->name), "orphan");
-  EXPECT_EQ(r.name_of(index.spans_for(-1)[1]->name), "h2d");
+  EXPECT_EQ(r.name_of(index.spans_for(-1)[0].name), "orphan");
+  EXPECT_EQ(r.name_of(index.spans_for(-1)[1].name), "h2d");
   // Unknown ids, including ones between/outside the known range.
   EXPECT_TRUE(index.spans_for(0).empty());
   EXPECT_TRUE(index.spans_for(2).empty());
@@ -410,8 +410,8 @@ TEST(AppIndexTest, SparseIdsTakeTheSortFallback) {
   const AppIndex index(r);
   EXPECT_EQ(index.app_ids(), (std::vector<std::int32_t>{-3, 0, 5'000'000}));
   ASSERT_EQ(index.spans_for(5'000'000).size(), 2u);
-  EXPECT_EQ(index.spans_for(5'000'000)[0]->begin, 0);
-  EXPECT_EQ(index.spans_for(5'000'000)[1]->begin, 2);
+  EXPECT_EQ(index.spans_for(5'000'000)[0].begin, 0);
+  EXPECT_EQ(index.spans_for(5'000'000)[1].begin, 2);
   EXPECT_EQ(index.spans_for(-3).size(), 1u);
   EXPECT_EQ(index.spans_for(0).size(), 1u);
   EXPECT_TRUE(index.spans_for(1'000'000).empty());
