@@ -51,19 +51,6 @@ rodinia::AppParams pick_params(const std::string& name, Rng& rng) {
   return p;
 }
 
-/// `report` with the fault-domain and integrity config echo of `baseline`.
-/// The inert-knob oracles check that inert knobs leave behaviour unchanged;
-/// the echo shows the knobs, so everything but the echo is compared.
-fleet::FleetReport with_config_echo_of(fleet::FleetReport report,
-                                       const fleet::FleetReport& baseline) {
-  report.hedging = baseline.hedging;
-  report.failover_budget = baseline.failover_budget;
-  report.integrity_policy = baseline.integrity_policy;
-  report.spotcheck_rate = baseline.spotcheck_rate;
-  report.sdc_blocklist_threshold = baseline.sdc_blocklist_threshold;
-  return report;
-}
-
 fleet::FleetResult run_once(const fleet::FleetConfig& config) {
   return fleet::FleetService(config).run();
 }
@@ -499,7 +486,7 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   const auto baseline_run = run_guarded(problems, "chaos-baseline", baseline);
   if (inert_run && baseline_run) {
     const fleet::FleetReport echoed =
-        with_config_echo_of(inert_run->report, baseline_run->report);
+        fleet::with_config_echo_of(inert_run->report, baseline_run->report);
     if (fleet::fleet_report_json(echoed) !=
         fleet::fleet_report_json(baseline_run->report)) {
       std::ostringstream os;
@@ -681,7 +668,7 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
   const auto baseline_run = run_guarded(problems, "sdc-baseline", baseline);
   if (inert_run && baseline_run) {
     const fleet::FleetReport echoed =
-        with_config_echo_of(inert_run->report, baseline_run->report);
+        fleet::with_config_echo_of(inert_run->report, baseline_run->report);
     if (fleet::fleet_report_json(echoed) !=
         fleet::fleet_report_json(baseline_run->report)) {
       std::ostringstream os;

@@ -20,11 +20,14 @@ const char* status_name(Status status) {
   return "?";
 }
 
-void mix_retry_policy(Fnv1a64& h, const RetryPolicy& policy) {
-  h.mix_i64(policy.max_attempts);
-  h.mix_u64(policy.base_backoff);
-  h.mix_double(policy.multiplier);
-  h.mix_u64(policy.max_backoff);
+std::span<const codec::Field<RetryPolicy>> codec_fields(const RetryPolicy&) {
+  static constexpr auto kFields = codec::table<RetryPolicy>({
+      codec::row<&RetryPolicy::max_attempts>("max-attempts"),
+      codec::row<&RetryPolicy::base_backoff>("base-backoff"),
+      codec::row<&RetryPolicy::multiplier>("multiplier"),
+      codec::row<&RetryPolicy::max_backoff>("max-backoff"),
+  });
+  return kFields;
 }
 
 Runtime::Runtime(sim::Simulator& sim, gpu::Device& device,

@@ -19,7 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash.hpp"
+#include "common/codec.hpp"
 #include "cudart/status.hpp"
 #include "gpusim/device.hpp"
 #include "sim/simulator.hpp"
@@ -84,8 +84,8 @@ struct RetryPolicy {
   DurationNs max_backoff = kMillisecond;
 };
 
-/// Mixes every retry knob into a grid key.
-void mix_retry_policy(Fnv1a64& h, const RetryPolicy& policy);
+/// The policy's codec table (common/codec.hpp).
+std::span<const codec::Field<RetryPolicy>> codec_fields(const RetryPolicy&);
 
 /// Outcome of one submission attempt inside an AsyncSubmit.
 struct SubmitOutcome {

@@ -1,6 +1,7 @@
 #include "exec/grid.hpp"
 
 #include <cstdlib>
+#include <sstream>
 
 namespace hq::exec {
 namespace {
@@ -77,23 +78,6 @@ void check_journal_header(const std::string& line, std::string_view magic,
                      << " points=" << total << ", this grid=" << hex(grid_key)
                      << " points=" << total_points
                      << ") — refusing to resume a different sweep");
-}
-
-bool JournalRecord::get_u64(std::string_view key, int base,
-                            std::uint64_t* out) const {
-  return parse_u64(fields, key, base, out);
-}
-
-bool JournalRecord::get_double(std::string_view key, double* out) const {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  char* end = nullptr;
-  // Exact round-trip: the writer uses std::to_chars shortest form
-  // (format_double), which strtod parses back to the identical bits.
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == it->second.c_str()) return false;
-  *out = v;
-  return true;
 }
 
 std::optional<JournalRecord> parse_journal_record(const std::string& line,

@@ -11,7 +11,7 @@
 //     static std::vector<Point> expand(const Grid&);       // point.index = i
 //     static Outcome run_point(const Grid&, const Point&);  // thread-safe
 //     static std::uint64_t grid_key(const Grid&, std::span<const Point>);
-//     static std::span<const JournalField<Outcome>> journal_fields();
+//     static std::span<const codec::Field<Outcome>> journal_fields();
 //   };
 //
 // where Outcome has a `point` member holding its Point.
@@ -25,15 +25,16 @@
 // one self-contained text line and flushed under a mutex, so a kill at any
 // instant loses at most the in-flight points. On resume the journal is
 // replayed: finished points are restored verbatim and only the missing ones
-// re-run. Every scalar round-trips exactly (integers in decimal or hex,
-// doubles in shortest to_chars form read back by strtod), so a resumed run
-// is byte-identical to an uninterrupted one. Format, one record per line:
+// re-run. Records are written and read by the outcome type's codec table
+// (common/codec.hpp): integers in decimal or hex, doubles in shortest
+// to_chars form read back exactly, so a resumed run is byte-identical to an
+// uninterrupted one. Format, one record per line:
 //
 //   <magic> version=v1 grid=<hex> points=<n> end
 //   point index=<i> <key>=<value> ... end
 //
-// The header's grid key fingerprints the expanded grid plus every
-// result-affecting config field, so resuming a different grid is a
+// The header's grid key hashes the expanded grid's labels and the base
+// config's canonical codec text, so resuming a different grid is a
 // structured error, never a silent splice of foreign outcomes. The trailing
 // `end` token makes torn lines (a crash mid-write) detectable: they are
 // skipped. A later record for the same index wins.
@@ -46,14 +47,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/table.hpp"
+#include "common/codec.hpp"
 #include "exec/parallel.hpp"
 
 namespace hq::exec {
@@ -69,20 +68,6 @@ struct GridOptions {
 };
 
 // --- journal codec -----------------------------------------------------------
-
-/// How a field is written: u64 in decimal, u64 in hex (digests), a double in
-/// shortest round-trip form, or a bool as 0/1.
-enum class FieldKind { U64, Hex, Double, Bool };
-
-/// One row of an outcome type's journal table. The encoder and the parser
-/// are both driven by the same table, so they cannot drift apart.
-template <typename Outcome>
-struct JournalField {
-  const char* key;
-  FieldKind kind;
-  std::variant<std::uint64_t Outcome::*, double Outcome::*, bool Outcome::*>
-      member;
-};
 
 /// Lowercase hex rendering used for digests and grid keys.
 std::string hex(std::uint64_t value);
@@ -100,10 +85,6 @@ void check_journal_header(const std::string& line, std::string_view magic,
 struct JournalRecord {
   std::size_t index = 0;
   std::map<std::string, std::string, std::less<>> fields;
-
-  /// Parse `key`'s value in full; false when it is absent or malformed.
-  bool get_u64(std::string_view key, int base, std::uint64_t* out) const;
-  bool get_double(std::string_view key, double* out) const;
 };
 
 /// Returns nullopt for a torn or foreign line, or one whose index is
@@ -115,25 +96,15 @@ std::optional<JournalRecord> parse_journal_record(const std::string& line,
 /// trailing newline).
 template <typename P>
 std::string journal_record_line(const typename P::Outcome& o) {
-  using Outcome = typename P::Outcome;
-  using U64 = std::uint64_t Outcome::*;
-  std::ostringstream os;
-  os << "point index=" << o.point.index;
-  for (const JournalField<Outcome>& f : P::journal_fields()) {
-    os << ' ' << f.key << '=';
-    switch (f.kind) {
-      case FieldKind::U64: os << o.*std::get<U64>(f.member); break;
-      case FieldKind::Hex: os << hex(o.*std::get<U64>(f.member)); break;
-      case FieldKind::Double:
-        os << format_double(o.*std::get<double Outcome::*>(f.member));
-        break;
-      case FieldKind::Bool:
-        os << (o.*std::get<bool Outcome::*>(f.member) ? 1 : 0);
-        break;
-    }
+  std::string line = "point index=" + std::to_string(o.point.index);
+  for (const auto& f : P::journal_fields()) {
+    line += ' ';
+    line += f.key;
+    line += '=';
+    f.render(f, o, line);
   }
-  os << " end";
-  return os.str();
+  line += " end";
+  return line;
 }
 
 /// Parses one record of point type P; the point is restored from `points`
@@ -141,32 +112,15 @@ std::string journal_record_line(const typename P::Outcome& o) {
 template <typename P>
 std::optional<typename P::Outcome> parse_journal_outcome(
     const std::string& line, std::span<const typename P::Point> points) {
-  using Outcome = typename P::Outcome;
   const auto record = parse_journal_record(line, points.size());
   if (!record) return std::nullopt;
-  Outcome o;
+  typename P::Outcome o;
   o.point = points[record->index];
-  for (const JournalField<Outcome>& f : P::journal_fields()) {
-    using U64 = std::uint64_t Outcome::*;
-    std::uint64_t flag = 0;
-    bool ok = false;
-    switch (f.kind) {
-      case FieldKind::U64:
-        ok = record->get_u64(f.key, 10, &(o.*std::get<U64>(f.member)));
-        break;
-      case FieldKind::Hex:
-        ok = record->get_u64(f.key, 16, &(o.*std::get<U64>(f.member)));
-        break;
-      case FieldKind::Double:
-        ok = record->get_double(f.key,
-                                &(o.*std::get<double Outcome::*>(f.member)));
-        break;
-      case FieldKind::Bool:
-        ok = record->get_u64(f.key, 10, &flag);
-        o.*std::get<bool Outcome::*>(f.member) = flag != 0;
-        break;
+  for (const auto& f : P::journal_fields()) {
+    const auto it = record->fields.find(f.key);
+    if (it == record->fields.end() || !f.parse(f, o, it->second, nullptr)) {
+      return std::nullopt;
     }
-    if (!ok) return std::nullopt;
   }
   return o;
 }

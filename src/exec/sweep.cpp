@@ -1,6 +1,5 @@
 #include "exec/sweep.hpp"
 
-#include <array>
 #include <ostream>
 #include <sstream>
 
@@ -9,7 +8,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "fault/fault.hpp"
 #include "obs/report.hpp"
 #include "trace/trace.hpp"
 
@@ -121,62 +119,35 @@ SweepOutcome SweepRunner::run_point(const SweepGrid& grid,
 std::uint64_t SweepRunner::grid_key(const SweepGrid& grid,
                                     std::span<const SweepPoint> points) {
   Fnv1a64 h;
-  const auto mix_opt_i64 = [&h](const auto& opt) {
-    h.mix_u64(opt.has_value() ? 1 : 0);
-    h.mix_i64(opt.has_value() ? static_cast<std::int64_t>(*opt) : 0);
-  };
-
   h.mix_string(kJournalMagic);
   h.mix_u64(points.size());
   for (const SweepPoint& p : points) h.mix_string(p.label());
-
-  // Every result-affecting piece of base config must be mixed in: a key
-  // collision between two configs would let --resume silently splice cached
-  // outcomes from one configuration into the other's report. num_streams
-  // and memory_sync are overwritten from each point's coordinates (already
-  // in the labels above), so only those two are exempt.
-  const fw::HarnessConfig& base = grid.base;
-  gpu::mix_device_spec(h, base.device);
-  h.mix_u64(base.transfer_chunk_bytes);
-  h.mix_bool(base.blocking_transfers);
-  h.mix_u64(base.launch_stagger);
-  h.mix_bool(base.functional);
-  h.mix_bool(base.check_invariants);
-  h.mix_bool(base.monitor_power);
-  h.mix_u64(base.power_period);
-  h.mix_double(base.sensor.filter_alpha);
-  h.mix_double(base.sensor.noise_stddev);
-  h.mix_double(base.sensor.quantization);
-  h.mix_u64(base.sensor.seed);
-  h.mix_bool(base.collect_telemetry);
-  fault::mix_fault_plan(h, base.fault_plan);
-  rt::mix_retry_policy(h, base.retry);
-  h.mix_u64(base.watchdog_timeout);
-
-  mix_opt_i64(grid.params.size);
-  mix_opt_i64(grid.params.iterations);
-  mix_opt_i64(grid.params.seed);
+  // The base config's canonical text holds every member of every tabled
+  // config below it, so no result-affecting field can be left out.
+  h.mix_string(codec::to_text(grid.base));
+  h.mix_string(codec::to_text(grid.params));
   return h.value();
 }
 
-std::span<const JournalField<SweepOutcome>> SweepRunner::journal_fields() {
-  using K = FieldKind;
+std::span<const codec::Field<SweepOutcome>> SweepRunner::journal_fields() {
+  using codec::Kind;
+  using codec::row;
   using O = SweepOutcome;
-  static const std::array<JournalField<O>, 13> fields = {{
-      {"makespan", K::U64, &O::makespan},
-      {"energy", K::Double, &O::energy_exact},
-      {"avgw", K::Double, &O::average_power},
-      {"peakw", K::Double, &O::peak_power},
-      {"occ", K::Double, &O::average_occupancy},
-      {"meanle", K::Double, &O::mean_htod_latency_ns},
-      {"ilc", K::U64, &O::htod_interleave_count},
-      {"ilb", K::U64, &O::htod_interleave_bytes},
-      {"qdepth", K::Double, &O::peak_copy_queue_depth_htod},
-      {"faults", K::U64, &O::faults_injected},
-      {"quar", K::U64, &O::quarantined_apps},
-      {"verified", K::Bool, &O::all_verified},
-      {"digest", K::Hex, &O::trace_digest},
-  }};
+  static constexpr codec::Field<O> fields[] = {
+      row<&O::makespan>("makespan"),
+      row<&O::energy_exact>("energy"),
+      row<&O::average_power>("avgw"),
+      row<&O::peak_power>("peakw"),
+      row<&O::average_occupancy>("occ"),
+      row<&O::mean_htod_latency_ns>("meanle"),
+      row<&O::htod_interleave_count>("ilc"),
+      row<&O::htod_interleave_bytes>("ilb"),
+      row<&O::peak_copy_queue_depth_htod>("qdepth"),
+      row<&O::faults_injected>("faults"),
+      row<&O::quarantined_apps>("quar"),
+      row<&O::all_verified>("verified"),
+      row<&O::trace_digest>("digest", {.kind = Kind::Hex}),
+  };
   return fields;
 }
 

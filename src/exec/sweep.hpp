@@ -101,15 +101,15 @@ class SweepRunner {
   /// coordinates and executes a fresh harness. Thread-safe.
   static SweepOutcome run_point(const SweepGrid& grid, const SweepPoint& point);
 
-  /// Fingerprint of an expanded grid: mixes every point label plus all of
-  /// the base config's result-affecting state — device spec, application
-  /// params, transfer/launch/power knobs, fault plan, retry policy, and
-  /// watchdog. Two grids with the same key produce interchangeable journals.
+  /// Fingerprint of an expanded grid: FNV-1a over the magic, every point
+  /// label, and the canonical codec text of the base config and the
+  /// application params. Two grids with the same key produce
+  /// interchangeable journals.
   static std::uint64_t grid_key(const SweepGrid& grid,
                                 std::span<const SweepPoint> points);
 
   /// The journal codec: one `point` record per finished point.
-  static std::span<const JournalField<SweepOutcome>> journal_fields();
+  static std::span<const codec::Field<SweepOutcome>> journal_fields();
 
   /// Runs the whole grid with bounded concurrency (run_grid); outcomes are
   /// indexed by submission order.

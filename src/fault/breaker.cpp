@@ -3,6 +3,15 @@
 #include "common/check.hpp"
 
 namespace hq::fault {
+std::span<const codec::Field<CircuitBreaker::Config>> codec_fields(
+    const CircuitBreaker::Config&) {
+  using C = CircuitBreaker::Config;
+  static constexpr auto kFields = codec::table<C>({
+      codec::row<&C::failure_threshold>("failure-threshold"),
+      codec::row<&C::cooldown>("cooldown"),
+  });
+  return kFields;
+}
 
 CircuitBreaker::CircuitBreaker() : CircuitBreaker(Config{}) {}
 

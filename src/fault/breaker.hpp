@@ -29,7 +29,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
+#include "common/codec.hpp"
 #include "common/units.hpp"
 
 namespace hq::fault {
@@ -113,5 +115,9 @@ class CircuitBreaker {
 };
 
 const char* breaker_state_name(CircuitBreaker::State state);
+
+/// The breaker config's codec table (common/codec.hpp).
+std::span<const codec::Field<CircuitBreaker::Config>> codec_fields(
+    const CircuitBreaker::Config&);
 
 }  // namespace hq::fault

@@ -1,12 +1,9 @@
 #include "fault/fault.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
-#include "common/table.hpp"
 
 namespace hq::fault {
 namespace {
@@ -41,114 +38,6 @@ double sdc_draw(std::uint64_t seed, std::uint64_t domain, std::uint64_t key,
          0x1.0p-53;
 }
 
-bool parse_double(const std::string& text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_i32(const std::string& text, std::int32_t* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
-  *out = static_cast<std::int32_t>(v);
-  return true;
-}
-
-bool set_error(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-bool apply_key(FaultPlan& plan, const std::string& key,
-               const std::string& value, std::string* error) {
-  double d = 0.0;
-  std::uint64_t u = 0;
-  std::int32_t i = 0;
-  const auto rate = [&](double* field) {
-    if (!parse_double(value, &d) || d < 0.0 || d > 1.0) {
-      return set_error(error, "fault plan: " + key +
-                                  " needs a rate in [0,1], got '" + value + "'");
-    }
-    *field = d;
-    return true;
-  };
-  const auto factor = [&](double* field) {
-    if (!parse_double(value, &d) || d < 1.0) {
-      return set_error(error, "fault plan: " + key +
-                                  " needs a factor >= 1, got '" + value + "'");
-    }
-    *field = d;
-    return true;
-  };
-  const auto micros = [&](DurationNs* field) {
-    if (!parse_u64(value, &u)) {
-      return set_error(error, "fault plan: " + key +
-                                  " needs an integer microsecond count, got '" +
-                                  value + "'");
-    }
-    *field = u * kMicrosecond;
-    return true;
-  };
-
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) {
-      return set_error(error,
-                       "fault plan: seed needs an integer, got '" + value + "'");
-    }
-    plan.seed = u;
-    return true;
-  }
-  if (key == "copy-stall-rate") return rate(&plan.copy_stall_rate);
-  if (key == "copy-stall-us") return micros(&plan.copy_stall_ns);
-  if (key == "copy-slow-rate") return rate(&plan.copy_slowdown_rate);
-  if (key == "copy-slow-factor") return factor(&plan.copy_slowdown_factor);
-  if (key == "launch-fail-rate") return rate(&plan.launch_failure_rate);
-  if (key == "alloc-fail-rate") return rate(&plan.host_alloc_failure_rate);
-  if (key == "poison-app") {
-    if (!parse_i32(value, &i) || i < -1) {
-      return set_error(error, "fault plan: poison-app needs an app id >= -1, "
-                              "got '" + value + "'");
-    }
-    plan.poison_app = i;
-    return true;
-  }
-  if (key == "offline-smx") {
-    if (!parse_i32(value, &i) || i < 0) {
-      return set_error(error, "fault plan: offline-smx needs a count >= 0, "
-                              "got '" + value + "'");
-    }
-    plan.offline_smx = i;
-    return true;
-  }
-  if (key == "throttle-period-us") return micros(&plan.throttle_period);
-  if (key == "throttle-duty-us") return micros(&plan.throttle_duration);
-  if (key == "throttle-factor") return factor(&plan.throttle_factor);
-  if (key == "crash-at-us") return micros(&plan.crash_at);
-  if (key == "flap-period-us") return micros(&plan.flap_period);
-  if (key == "flap-down-us") return micros(&plan.flap_down);
-  if (key == "flap-jitter") return rate(&plan.flap_jitter);
-  if (key == "degrade-at-us") return micros(&plan.degrade_at);
-  if (key == "degrade-copy-factor") {
-    return factor(&plan.degrade_copy_factor);
-  }
-  if (key == "sdc-copy-rate") return rate(&plan.sdc_copy_rate);
-  if (key == "sdc-kernel-rate") return rate(&plan.sdc_kernel_rate);
-  if (key == "sdc-at-us") return micros(&plan.sdc_at);
-  if (key == "sdc-stuck-at-us") return micros(&plan.sdc_stuck_at);
-  return set_error(error, "fault plan: unknown key '" + key + "'");
-}
-
 }  // namespace
 
 bool FaultPlan::any_faults() const {
@@ -177,104 +66,71 @@ bool FaultPlan::any_sdc() const {
   return sdc_copy_rate > 0.0 || sdc_kernel_rate > 0.0 || sdc_stuck_at > 0;
 }
 
+std::span<const codec::Field<FaultPlan>> codec_fields(const FaultPlan&) {
+  // Lifecycle and SDC keys render only when set, so plans without them keep
+  // the bytes they had before those keys existed (reports embed this text).
+  constexpr codec::Spec kRate{.min = 0, .max = 1, .what = "a rate in [0,1]"};
+  constexpr codec::Spec kFactor{.min = 1, .what = "a factor >= 1"};
+  constexpr codec::Spec kMicros{.kind = codec::Kind::Micros};
+  constexpr auto set = [](codec::Spec spec) {
+    spec.when_set = true;
+    return spec;
+  };
+
+  using P = FaultPlan;
+  static constexpr auto kFields = codec::table<P>({
+      codec::row<&P::enabled>("disabled", {.kind = codec::Kind::Gate}),
+      codec::row<&P::seed>("seed"),
+      codec::row<&P::copy_stall_rate>("copy-stall-rate", kRate),
+      codec::row<&P::copy_stall_ns>("copy-stall-us", kMicros),
+      codec::row<&P::copy_slowdown_rate>("copy-slow-rate", kRate),
+      codec::row<&P::copy_slowdown_factor>("copy-slow-factor", kFactor),
+      codec::row<&P::launch_failure_rate>("launch-fail-rate", kRate),
+      codec::row<&P::host_alloc_failure_rate>("alloc-fail-rate", kRate),
+      codec::row<&P::poison_app>("poison-app",
+                                 {.min = -1.0, .what = "an app id >= -1"}),
+      codec::row<&P::offline_smx>("offline-smx",
+                                  {.min = 0.0, .what = "a count >= 0"}),
+      codec::row<&P::throttle_period>("throttle-period-us", kMicros),
+      codec::row<&P::throttle_duration>("throttle-duty-us", kMicros),
+      codec::row<&P::throttle_factor>("throttle-factor", kFactor),
+      codec::row<&P::crash_at>("crash-at-us", set(kMicros)),
+      codec::row<&P::flap_period>("flap-period-us", set(kMicros)),
+      codec::row<&P::flap_down>("flap-down-us", set(kMicros)),
+      codec::row<&P::flap_jitter>("flap-jitter", set(kRate)),
+      codec::row<&P::degrade_at>("degrade-at-us", set(kMicros)),
+      codec::row<&P::degrade_copy_factor>("degrade-copy-factor", set(kFactor)),
+      codec::row<&P::sdc_copy_rate>("sdc-copy-rate", set(kRate)),
+      codec::row<&P::sdc_kernel_rate>("sdc-kernel-rate", set(kRate)),
+      codec::row<&P::sdc_at>("sdc-at-us", set(kMicros)),
+      codec::row<&P::sdc_stuck_at>("sdc-stuck-at-us", set(kMicros)),
+  });
+  return kFields;
+}
+
 std::optional<FaultPlan> parse_fault_plan(const std::string& text,
                                           std::string* error) {
+  if (text.find_first_not_of(',') == std::string::npos) {
+    if (error != nullptr) {
+      *error = "fault plan: empty spec (use \"zero\" for an enabled "
+               "zero-rate plan)";
+    }
+    return std::nullopt;
+  }
+  // "zero" is the enabled all-default plan (the codec's empty text); "none"
+  // is the other name of "disabled".
   FaultPlan plan;
-  plan.enabled = true;
-  if (text == "zero") return plan;
-  if (text == "disabled" || text == "none") {
-    // Inert plan (no injector at all) — the per-device fault-plan file uses
-    // this for devices that should run fault-free.
-    plan.enabled = false;
-    return plan;
-  }
-  std::stringstream stream(text);
-  std::string token;
-  bool any = false;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;
-    any = true;
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      set_error(error,
-                "fault plan: expected key=value, got '" + token + "'");
-      return std::nullopt;
-    }
-    if (!apply_key(plan, token.substr(0, eq), token.substr(eq + 1), error)) {
-      return std::nullopt;
-    }
-  }
-  if (!any) {
-    set_error(error, "fault plan: empty spec (use \"zero\" for an enabled "
-                     "zero-rate plan)");
+  std::string why;
+  if (!codec::parse(text == "zero" ? "" : text == "none" ? "disabled" : text,
+                    &plan, &why)) {
+    if (error != nullptr) *error = "fault plan: " + why;
     return std::nullopt;
   }
   return plan;
 }
 
 std::string fault_plan_to_string(const FaultPlan& plan) {
-  if (!plan.enabled) return "disabled";
-  // Doubles in std::to_chars shortest round-trip form (format_double):
-  // default ostream precision would truncate to 6 significant digits, so
-  // parse(to_string(p)) == p would fail and two distinct plans could
-  // serialize identically (colliding in the sweep-journal grid key).
-  std::ostringstream out;
-  out << "seed=" << plan.seed;
-  out << ",copy-stall-rate=" << format_double(plan.copy_stall_rate);
-  out << ",copy-stall-us=" << plan.copy_stall_ns / kMicrosecond;
-  out << ",copy-slow-rate=" << format_double(plan.copy_slowdown_rate);
-  out << ",copy-slow-factor="
-      << format_double(plan.copy_slowdown_factor);
-  out << ",launch-fail-rate="
-      << format_double(plan.launch_failure_rate);
-  out << ",alloc-fail-rate="
-      << format_double(plan.host_alloc_failure_rate);
-  out << ",poison-app=" << plan.poison_app;
-  out << ",offline-smx=" << plan.offline_smx;
-  out << ",throttle-period-us=" << plan.throttle_period / kMicrosecond;
-  out << ",throttle-duty-us=" << plan.throttle_duration / kMicrosecond;
-  out << ",throttle-factor=" << format_double(plan.throttle_factor);
-  // Lifecycle keys are emitted only when set: plans without lifecycle
-  // faults keep their historical rendering byte-for-byte (reports embed
-  // this string, and the pinned golden digests hash the report bytes).
-  if (plan.crash_at > 0) {
-    out << ",crash-at-us=" << plan.crash_at / kMicrosecond;
-  }
-  if (plan.flap_period > 0) {
-    out << ",flap-period-us=" << plan.flap_period / kMicrosecond;
-  }
-  if (plan.flap_down > 0) {
-    out << ",flap-down-us=" << plan.flap_down / kMicrosecond;
-  }
-  if (plan.flap_jitter > 0.0) {
-    out << ",flap-jitter=" << format_double(plan.flap_jitter);
-  }
-  if (plan.degrade_at > 0) {
-    out << ",degrade-at-us=" << plan.degrade_at / kMicrosecond;
-  }
-  if (plan.degrade_copy_factor > 1.0) {
-    out << ",degrade-copy-factor="
-        << format_double(plan.degrade_copy_factor);
-  }
-  // SDC keys follow the same only-when-set rule as the lifecycle keys: the
-  // rendering of every pre-SDC plan is unchanged byte-for-byte.
-  if (plan.sdc_copy_rate > 0.0) {
-    out << ",sdc-copy-rate=" << format_double(plan.sdc_copy_rate);
-  }
-  if (plan.sdc_kernel_rate > 0.0) {
-    out << ",sdc-kernel-rate=" << format_double(plan.sdc_kernel_rate);
-  }
-  if (plan.sdc_at > 0) {
-    out << ",sdc-at-us=" << plan.sdc_at / kMicrosecond;
-  }
-  if (plan.sdc_stuck_at > 0) {
-    out << ",sdc-stuck-at-us=" << plan.sdc_stuck_at / kMicrosecond;
-  }
-  return out.str();
-}
-
-void mix_fault_plan(Fnv1a64& h, const FaultPlan& plan) {
-  h.mix_string(fault_plan_to_string(plan));
+  return codec::to_text(plan);
 }
 
 std::uint64_t sdc_corruption_mask(const FaultPlan& plan, TimeNs now,

@@ -25,10 +25,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
+#include "common/codec.hpp"
 #include "common/units.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/observer.hpp"
@@ -135,20 +136,22 @@ struct FaultPlan {
 };
 
 /// Parses the compact `key=value[,key=value...]` plan syntax used by
-/// `hqrun --fault-plan` (see fault_plan_keys() / EXPERIMENTS.md). The
-/// keyword "zero" yields FaultPlan::zero(); "disabled" (or "none") yields
-/// an inert disabled plan — used by per-device fault-plan files for
-/// fault-free devices. Returns nullopt and fills *error on malformed
-/// input.
+/// `hqrun --fault-plan` (the plan's codec table; see EXPERIMENTS.md).
+/// Integers are base 10 and `*-us` durations take up to three decimals.
+/// The keyword "zero" yields FaultPlan::zero(); "disabled" (or "none")
+/// yields an inert disabled plan — used by per-device fault-plan files for
+/// fault-free devices. Returns nullopt and fills *error, naming the key, on
+/// malformed input.
 std::optional<FaultPlan> parse_fault_plan(const std::string& text,
                                           std::string* error = nullptr);
 
-/// Canonical `key=value,...` rendering; parse(to_string(p)) == p. Used for
-/// reporting and for mixing the plan into grid keys.
+/// Canonical `key=value,...` rendering (the codec text of the plan's
+/// table); parse(to_string(p)) == p, durations included to the ns. Used for
+/// reporting, and nested in the harness and serving configs' grid-key text.
 std::string fault_plan_to_string(const FaultPlan& plan);
 
-/// Mixes the plan's canonical rendering into a grid key.
-void mix_fault_plan(Fnv1a64& h, const FaultPlan& plan);
+/// The plan's codec table (common/codec.hpp).
+std::span<const codec::Field<FaultPlan>> codec_fields(const FaultPlan&);
 
 /// Deterministic silent-data-corruption decision for one consumed result
 /// digest: returns 0 when the result is clean, or a nonzero XOR mask to

@@ -26,6 +26,29 @@ const char* integrity_policy_name(IntegrityPolicy policy) {
   return "?";
 }
 
+std::span<const codec::Field<FleetConfig>> codec_fields(const FleetConfig&) {
+  using F = FleetConfig;
+  static constexpr auto kFields = codec::table<F>({
+      codec::row<&F::base>("base"),
+      codec::row<&F::devices>("devices"),
+      codec::enum_row<&F::placement, placement_policy_name, 4>("placement"),
+      codec::row<&F::copy_penalty>("copy-penalty"),
+      codec::row<&F::work_stealing>("work-stealing"),
+      codec::row<&F::device_breaker_enabled>("device-breaker-enabled"),
+      codec::row<&F::device_breaker>("device-breaker"),
+      codec::row<&F::device_fault_plans>("device-fault-plans"),
+      codec::row<&F::failover_budget>("failover-budget"),
+      codec::row<&F::hedging>("hedging"),
+      codec::row<&F::hedge_threshold>("hedge-threshold"),
+      codec::row<&F::hedge_min_samples>("hedge-min-samples"),
+      codec::enum_row<&F::integrity, integrity_policy_name, 3>("integrity"),
+      codec::row<&F::spotcheck_rate>("spotcheck-rate"),
+      codec::row<&F::sdc_blocklist_threshold>("sdc-blocklist-threshold"),
+      codec::row<&F::sdc_score_alpha>("sdc-score-alpha"),
+  });
+  return kFields;
+}
+
 std::vector<gpu::DeviceSpec> FleetConfig::device_specs() const {
   if (devices.empty()) return {base.device};
   return devices;

@@ -155,6 +155,10 @@ struct FleetConfig {
   void validate() const;
 };
 
+/// The config's codec table (common/codec.hpp): its canonical text is what
+/// the fleet sweep's grid key hashes.
+std::span<const codec::Field<FleetConfig>> codec_fields(const FleetConfig&);
+
 /// One device's raw outputs (the report is also nested in FleetReport).
 struct FleetDeviceResult {
   serve::ServeReport report;

@@ -244,4 +244,14 @@ std::uint64_t fleet_report_digest(const FleetReport& report) {
   return hash.value();
 }
 
+FleetReport with_config_echo_of(FleetReport report,
+                                const FleetReport& baseline) {
+  report.hedging = baseline.hedging;
+  report.failover_budget = baseline.failover_budget;
+  report.integrity_policy = baseline.integrity_policy;
+  report.spotcheck_rate = baseline.spotcheck_rate;
+  report.sdc_blocklist_threshold = baseline.sdc_blocklist_threshold;
+  return report;
+}
+
 }  // namespace hq::fleet

@@ -130,6 +130,13 @@ struct FleetReport : serve::JobTally {
   std::vector<FleetDeviceStats> devices;
 };
 
+/// `report` with the fault-domain and integrity config echo of `baseline`.
+/// An inert knob must leave a run's behaviour unchanged while the echo
+/// still shows its value; copying the echo lets a check compare every
+/// other byte of the two reports.
+FleetReport with_config_echo_of(FleetReport report,
+                                const FleetReport& baseline);
+
 /// Human-readable multi-line summary (the hqserve fleet default output).
 void render_fleet_report_text(std::ostream& os, const FleetReport& report);
 

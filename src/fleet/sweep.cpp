@@ -1,13 +1,11 @@
 #include "fleet/sweep.hpp"
 
-#include <array>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "fault/fault.hpp"
 
 namespace hq::fleet {
 
@@ -80,103 +78,33 @@ std::uint64_t FleetSweep::grid_key(const FleetSweepGrid& grid,
   h.mix_u64(static_cast<std::uint64_t>(kFleetReportSchemaVersion));
   h.mix_u64(points.size());
   for (const FleetSweepPoint& p : points) h.mix_string(p.label());
-
-  // Every result-affecting piece of the base fleet config must be mixed in:
-  // a key collision between two configs would let --resume silently splice
-  // cached outcomes from one fleet shape into the other's report. Placement
-  // and fleet size are per-point coordinates (already in the labels above);
-  // everything else is fingerprinted here, starting with the resolved device
-  // roster the points draw from cyclically.
-  const std::vector<gpu::DeviceSpec> specs = grid.base.device_specs();
-  h.mix_u64(specs.size());
-  for (const gpu::DeviceSpec& spec : specs) gpu::mix_device_spec(h, spec);
-
-  // Fleet-level knobs.
-  h.mix_double(grid.base.copy_penalty);
-  h.mix_bool(grid.base.work_stealing);
-  h.mix_bool(grid.base.device_breaker_enabled);
-  h.mix_i64(grid.base.device_breaker.failure_threshold);
-  h.mix_u64(grid.base.device_breaker.cooldown);
-
-  // The shared per-device serving config. A class's type name alone does
-  // not pin its workload: the application params (size, iterations, seed)
-  // live inside the factory, so the item's resolved-params record is mixed
-  // too.
-  const serve::ServiceConfig& base = grid.base.base;
-  gpu::mix_device_spec(h, base.device);
-  h.mix_i64(base.num_streams);
-  h.mix_bool(base.memory_sync);
-  h.mix_bool(base.functional);
-  h.mix_u64(base.window);
-  h.mix_u64(base.mean_interarrival);
-  h.mix_u64(base.classes.size());
-  for (const serve::ClassSpec& c : base.classes) {
-    h.mix_string(c.item.type_name);
-    h.mix_string(c.item.params);
-    h.mix_i64(c.priority);
-  }
-  h.mix_u64(base.seed);
-  h.mix_u64(base.arrivals.size());
-  for (const serve::Arrival& a : base.arrivals) {
-    h.mix_u64(static_cast<std::uint64_t>(a.at));
-    h.mix_u64(a.klass);
-  }
-  h.mix_u64(base.queue_cap);
-  h.mix_u64(base.max_inflight);
-  h.mix_string(serve::shed_policy_name(base.shed_policy));
-  h.mix_u64(base.deadline);
-  h.mix_bool(base.expire_queued);
-  h.mix_bool(base.controller.enabled);
-  h.mix_double(base.controller.engage_stretch);
-  h.mix_double(base.controller.release_stretch);
-  h.mix_double(base.controller.alpha);
-  h.mix_u64(base.controller.min_samples);
-  h.mix_u64(base.controller.min_dwell);
-  h.mix_bool(base.breaker_enabled);
-  h.mix_i64(base.breaker.failure_threshold);
-  h.mix_u64(base.breaker.cooldown);
-  fault::mix_fault_plan(h, base.fault_plan);
-  // Fleet fault domains: per-device plans and failover/hedging knobs change
-  // outcomes, so resuming across a chaos-config edit must miss the cache.
-  h.mix_u64(grid.base.device_fault_plans.size());
-  for (const fault::FaultPlan& plan : grid.base.device_fault_plans) {
-    fault::mix_fault_plan(h, plan);
-  }
-  h.mix_i64(grid.base.failover_budget);
-  h.mix_bool(grid.base.hedging);
-  h.mix_double(grid.base.hedge_threshold);
-  h.mix_u64(grid.base.hedge_min_samples);
-  // Integrity pipeline: the policy and its knobs change outcomes (SDC plan
-  // fields are already covered by the fault-plan strings above).
-  h.mix_u64(static_cast<std::uint64_t>(grid.base.integrity));
-  h.mix_double(grid.base.spotcheck_rate);
-  h.mix_double(grid.base.sdc_blocklist_threshold);
-  h.mix_double(grid.base.sdc_score_alpha);
-  rt::mix_retry_policy(h, base.retry);
-  h.mix_bool(base.check_invariants);
+  // The base config's canonical text holds every member of every tabled
+  // config below it (device specs, fault plans, the serving config and
+  // each class's resolved params), so no field can be left out.
+  h.mix_string(codec::to_text(grid.base));
   return h.value();
 }
 
-std::span<const exec::JournalField<FleetSweepOutcome>>
-FleetSweep::journal_fields() {
-  using K = exec::FieldKind;
+std::span<const codec::Field<FleetSweepOutcome>> FleetSweep::journal_fields() {
+  using codec::Kind;
+  using codec::row;
   using O = FleetSweepOutcome;
-  static const std::array<exec::JournalField<O>, 12> fields = {{
-      {"arrived", K::U64, &O::arrived},
-      {"ok", K::U64, &O::completed_ok},
-      {"done", K::U64, &O::completed},
+  static constexpr codec::Field<O> fields[] = {
+      row<&O::arrived>("arrived"),
+      row<&O::completed_ok>("ok"),
+      row<&O::completed>("done"),
       // Renamed from "shed", whose records left out failover-exhausted
       // jobs: a journal of an older build re-runs those points.
-      {"sheds", K::U64, &O::shed},
-      {"requeued", K::U64, &O::requeued},
-      {"stolen", K::U64, &O::stolen},
-      {"goodput", K::Double, &O::goodput_per_sec},
-      {"tput", K::Double, &O::throughput_per_sec},
-      {"miss", K::Double, &O::deadline_miss_ratio},
-      {"energy", K::Double, &O::energy},
-      {"total", K::U64, &O::total_time},
-      {"digest", K::Hex, &O::report_digest},
-  }};
+      row<&O::shed>("sheds"),
+      row<&O::requeued>("requeued"),
+      row<&O::stolen>("stolen"),
+      row<&O::goodput_per_sec>("goodput"),
+      row<&O::throughput_per_sec>("tput"),
+      row<&O::deadline_miss_ratio>("miss"),
+      row<&O::energy>("energy"),
+      row<&O::total_time>("total"),
+      row<&O::report_digest>("digest", {.kind = Kind::Hex}),
+  };
   return fields;
 }
 

@@ -74,17 +74,15 @@ struct FleetSweep {
   static FleetSweepOutcome run_point(const FleetSweepGrid& grid,
                                      const FleetSweepPoint& point);
 
-  /// Fingerprint of the expanded grid: the fleet report schema version,
-  /// point labels, and every result-affecting field of the base fleet config
-  /// (device specs, fleet knobs, and the full serving base config, including
-  /// each class's resolved application params). Two grids with the same key
-  /// produce interchangeable journals.
+  /// Fingerprint of the expanded grid: FNV-1a over the magic, the fleet
+  /// report schema version, the point labels and the base fleet config's
+  /// canonical codec text. Two grids with the same key produce
+  /// interchangeable journals.
   static std::uint64_t grid_key(const FleetSweepGrid& grid,
                                 std::span<const FleetSweepPoint> points);
 
   /// The journal codec: one `point` record per finished point.
-  static std::span<const exec::JournalField<FleetSweepOutcome>>
-  journal_fields();
+  static std::span<const codec::Field<FleetSweepOutcome>> journal_fields();
 };
 
 /// Order-fixed 64-bit digest over the outcome vector — the cheap

@@ -28,26 +28,30 @@ DeviceSpec DeviceSpec::single_copy_engine() {
   return spec;
 }
 
-void mix_device_spec(Fnv1a64& h, const DeviceSpec& spec) {
-  h.mix_string(spec.name);
-  h.mix_i64(spec.num_smx);
-  h.mix_i64(spec.max_blocks_per_smx);
-  h.mix_i64(spec.max_threads_per_smx);
-  h.mix_i64(spec.max_threads_per_block);
-  h.mix_u64(spec.registers_per_smx);
-  h.mix_u64(spec.shared_mem_per_smx);
-  h.mix_u64(spec.global_memory);
-  h.mix_i64(spec.num_work_queues);
-  h.mix_u64(spec.kernel_dispatch_latency);
-  h.mix_double(spec.htod_bytes_per_sec);
-  h.mix_double(spec.dtoh_bytes_per_sec);
-  h.mix_u64(spec.copy_overhead);
-  h.mix_i64(spec.num_copy_engines);
-  h.mix_double(spec.idle_power);
-  h.mix_double(spec.active_base_power);
-  h.mix_double(spec.max_dynamic_power);
-  h.mix_double(spec.power_exponent);
-  h.mix_double(spec.copy_engine_power);
+std::span<const codec::Field<DeviceSpec>> codec_fields(const DeviceSpec&) {
+  using S = DeviceSpec;
+  static constexpr auto kFields = codec::table<S>({
+      codec::row<&S::name>("name"),
+      codec::row<&S::num_smx>("num-smx"),
+      codec::row<&S::max_blocks_per_smx>("max-blocks-per-smx"),
+      codec::row<&S::max_threads_per_smx>("max-threads-per-smx"),
+      codec::row<&S::max_threads_per_block>("max-threads-per-block"),
+      codec::row<&S::registers_per_smx>("registers-per-smx"),
+      codec::row<&S::shared_mem_per_smx>("shared-mem-per-smx"),
+      codec::row<&S::global_memory>("global-memory"),
+      codec::row<&S::num_work_queues>("num-work-queues"),
+      codec::row<&S::kernel_dispatch_latency>("kernel-dispatch-latency"),
+      codec::row<&S::htod_bytes_per_sec>("htod-bytes-per-sec"),
+      codec::row<&S::dtoh_bytes_per_sec>("dtoh-bytes-per-sec"),
+      codec::row<&S::copy_overhead>("copy-overhead"),
+      codec::row<&S::num_copy_engines>("num-copy-engines"),
+      codec::row<&S::idle_power>("idle-power"),
+      codec::row<&S::active_base_power>("active-base-power"),
+      codec::row<&S::max_dynamic_power>("max-dynamic-power"),
+      codec::row<&S::power_exponent>("power-exponent"),
+      codec::row<&S::copy_engine_power>("copy-engine-power"),
+  });
+  return kFields;
 }
 
 }  // namespace hq::gpu

@@ -9,9 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
-#include "common/hash.hpp"
+#include "common/codec.hpp"
 #include "common/units.hpp"
 
 namespace hq::gpu {
@@ -80,8 +81,8 @@ struct DeviceSpec {
   static DeviceSpec single_copy_engine();
 };
 
-/// Mixes every result-affecting field into a grid key, so no sweep's key
-/// can silently forget a hardware knob.
-void mix_device_spec(Fnv1a64& h, const DeviceSpec& spec);
+/// The spec's codec table (common/codec.hpp): every field is in the
+/// canonical text that grid keys hash, so no key can forget a hardware knob.
+std::span<const codec::Field<DeviceSpec>> codec_fields(const DeviceSpec&);
 
 }  // namespace hq::gpu

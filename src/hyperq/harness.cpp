@@ -8,6 +8,32 @@
 
 namespace hq::fw {
 
+std::span<const codec::Field<HarnessConfig>> codec_fields(
+    const HarnessConfig&) {
+  // num_streams and memory_sync are rows too, although a sweep point
+  // overwrites both: one row per member keeps the member-count guard simple,
+  // and an extra key only makes a grid key stricter.
+  using H = HarnessConfig;
+  static constexpr auto kFields = codec::table<H>({
+      codec::row<&H::device>("device"),
+      codec::row<&H::num_streams>("num-streams"),
+      codec::row<&H::memory_sync>("memory-sync"),
+      codec::row<&H::transfer_chunk_bytes>("transfer-chunk-bytes"),
+      codec::row<&H::blocking_transfers>("blocking-transfers"),
+      codec::row<&H::launch_stagger>("launch-stagger"),
+      codec::row<&H::functional>("functional"),
+      codec::row<&H::check_invariants>("check-invariants"),
+      codec::row<&H::monitor_power>("monitor-power"),
+      codec::row<&H::power_period>("power-period"),
+      codec::row<&H::sensor>("sensor"),
+      codec::row<&H::collect_telemetry>("collect-telemetry"),
+      codec::row<&H::fault_plan>("fault-plan"),
+      codec::row<&H::retry>("retry"),
+      codec::row<&H::watchdog_timeout>("watchdog-timeout"),
+  });
+  return kFields;
+}
+
 /// Everything a run's coroutines need, gathered behind one trivially-
 /// destructible pointer (see the coroutine parameter rule in sim/task.hpp).
 struct Harness::RunState {

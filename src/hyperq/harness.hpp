@@ -96,6 +96,11 @@ struct HarnessConfig {
   DurationNs watchdog_timeout = 0;
 };
 
+/// The config's codec table (common/codec.hpp): its canonical text is what
+/// the harness sweep's grid key hashes.
+std::span<const codec::Field<HarnessConfig>> codec_fields(
+    const HarnessConfig&);
+
 struct HarnessResult {
   /// Timed phase-2 duration: first child launch to last child completion.
   DurationNs makespan = 0;

@@ -4,6 +4,17 @@
 #include <cmath>
 
 namespace hq::nvml {
+std::span<const codec::Field<SensorOptions>> codec_fields(
+    const SensorOptions&) {
+  using O = SensorOptions;
+  static constexpr auto kFields = codec::table<O>({
+      codec::row<&O::filter_alpha>("filter-alpha"),
+      codec::row<&O::noise_stddev>("noise-stddev"),
+      codec::row<&O::quantization>("quantization"),
+      codec::row<&O::seed>("seed"),
+  });
+  return kFields;
+}
 
 PowerSensor::PowerSensor(sim::Simulator& sim, const gpu::Device& device,
                          SensorOptions options)

@@ -12,6 +12,9 @@
 //     measurement error the paper oversamples to suppress.
 #pragma once
 
+#include <span>
+
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "gpusim/device.hpp"
@@ -30,6 +33,10 @@ struct SensorOptions {
   /// Seed for the deterministic noise stream.
   std::uint64_t seed = 0x5eed0f0da7a5eedull;
 };
+
+/// The options' codec table (common/codec.hpp).
+std::span<const codec::Field<SensorOptions>> codec_fields(
+    const SensorOptions&);
 
 /// On-board power sensor model. Reads are lazy: each read averages the true
 /// power over the window since the previous read and folds it into the

@@ -27,6 +27,15 @@ std::string params_record(int size, std::optional<int> iterations,
 
 }  // namespace
 
+std::span<const codec::Field<AppParams>> codec_fields(const AppParams&) {
+  static constexpr auto kFields = codec::table<AppParams>({
+      codec::row<&AppParams::size>("size"),
+      codec::row<&AppParams::iterations>("iterations"),
+      codec::row<&AppParams::seed>("seed"),
+  });
+  return kFields;
+}
+
 const std::vector<std::string>& app_names() {
   // The paper's Table I four, plus the hotspot extension port.
   static const std::vector<std::string> names = {

@@ -3,9 +3,11 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "hyperq/harness.hpp"
 #include "hyperq/schedule.hpp"
 
@@ -20,6 +22,9 @@ struct AppParams {
   std::optional<int> iterations;
   std::optional<std::uint64_t> seed;
 };
+
+/// The params' codec table (common/codec.hpp); an unset field is `none`.
+std::span<const codec::Field<AppParams>> codec_fields(const AppParams&);
 
 /// Names of the ported applications: gaussian, nn, needle, srad (Table I).
 const std::vector<std::string>& app_names();

@@ -3,6 +3,19 @@
 #include "common/check.hpp"
 
 namespace hq::serve {
+std::span<const codec::Field<OverloadController::Config>> codec_fields(
+    const OverloadController::Config&) {
+  using C = OverloadController::Config;
+  static constexpr auto kFields = codec::table<C>({
+      codec::row<&C::enabled>("enabled"),
+      codec::row<&C::engage_stretch>("engage-stretch"),
+      codec::row<&C::release_stretch>("release-stretch"),
+      codec::row<&C::alpha>("alpha"),
+      codec::row<&C::min_samples>("min-samples"),
+      codec::row<&C::min_dwell>("min-dwell"),
+  });
+  return kFields;
+}
 
 OverloadController::OverloadController(Config config) : config_(config) {
   HQ_CHECK_MSG(config_.release_stretch >= 1.0,

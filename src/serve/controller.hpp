@@ -17,8 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/units.hpp"
 
 namespace hq::serve {
@@ -78,5 +80,9 @@ class OverloadController {
   TimeNs last_transition_ = 0;
   std::vector<Transition> transitions_;
 };
+
+/// The controller config's codec table (common/codec.hpp).
+std::span<const codec::Field<OverloadController::Config>> codec_fields(
+    const OverloadController::Config&);
 
 }  // namespace hq::serve

@@ -60,6 +60,11 @@ struct Arrival {
   std::size_t klass = 0;
 };
 
+/// Codec tables (common/codec.hpp). A class renders as its type, params and
+/// priority; a parsed class has no factory.
+std::span<const codec::Field<ClassSpec>> codec_fields(const ClassSpec&);
+std::span<const codec::Field<Arrival>> codec_fields(const Arrival&);
+
 struct ServiceConfig {
   gpu::DeviceSpec device = gpu::DeviceSpec::tesla_k20();
   int num_streams = 32;
@@ -113,6 +118,10 @@ struct ServiceConfig {
   /// Throws hq::Error on an unusable configuration.
   void validate() const;
 };
+
+/// The config's codec table (common/codec.hpp).
+std::span<const codec::Field<ServiceConfig>> codec_fields(
+    const ServiceConfig&);
 
 struct JobRecord {
   int job_id = -1;  ///< arrival index; doubles as the trace app id

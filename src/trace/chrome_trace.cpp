@@ -35,48 +35,6 @@ void write_escaped(std::ostream& os, std::string_view s) {
   }
 }
 
-}  // namespace
-
-void write_chrome_trace(const Recorder& recorder, std::ostream& os) {
-  write_chrome_trace(recorder, {}, os);
-}
-
-void write_chrome_trace(const Recorder& recorder,
-                        const std::vector<CounterTrack>& counters,
-                        std::ostream& os) {
-  os << "[";
-  bool first = true;
-  for (const Span& s : recorder) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n  {\"name\": \"";
-    write_escaped(os, recorder.name_of(s.name));
-    os << "\", \"cat\": \"" << span_kind_name(s.kind) << "\""
-       << ", \"ph\": \"X\""
-       << ", \"ts\": " << static_cast<double>(s.begin) / 1e3
-       << ", \"dur\": " << static_cast<double>(s.duration()) / 1e3
-       << ", \"pid\": 0"
-       << ", \"tid\": " << s.lane << ", \"args\": {\"app\": " << s.app_id
-       << "}}";
-  }
-  for (const CounterTrack& track : counters) {
-    for (const CounterPoint& p : track.points) {
-      if (!first) os << ",";
-      first = false;
-      os << "\n  {\"name\": \"";
-      write_escaped(os, track.name);
-      os << "\", \"ph\": \"C\", \"ts\": ";
-      write_double(os, static_cast<double>(p.time) / 1e3);
-      os << ", \"pid\": 0, \"args\": {\"value\": ";
-      write_double(os, p.value);
-      os << "}}";
-    }
-  }
-  os << "\n]\n";
-}
-
-namespace {
-
 void write_spans(std::ostream& os, const Recorder& recorder, int pid,
                  bool& first) {
   for (const Span& s : recorder) {
@@ -86,9 +44,11 @@ void write_spans(std::ostream& os, const Recorder& recorder, int pid,
     write_escaped(os, recorder.name_of(s.name));
     os << "\", \"cat\": \"" << span_kind_name(s.kind) << "\""
        << ", \"ph\": \"X\""
-       << ", \"ts\": " << static_cast<double>(s.begin) / 1e3
-       << ", \"dur\": " << static_cast<double>(s.duration()) / 1e3
-       << ", \"pid\": " << pid << ", \"tid\": " << s.lane
+       << ", \"ts\": ";
+    write_double(os, static_cast<double>(s.begin) / 1e3);
+    os << ", \"dur\": ";
+    write_double(os, static_cast<double>(s.duration()) / 1e3);
+    os << ", \"pid\": " << pid << ", \"tid\": " << s.lane
        << ", \"args\": {\"app\": " << s.app_id << "}}";
   }
 }
@@ -112,6 +72,20 @@ void write_counters(std::ostream& os,
 }
 
 }  // namespace
+
+void write_chrome_trace(const Recorder& recorder, std::ostream& os) {
+  write_chrome_trace(recorder, {}, os);
+}
+
+void write_chrome_trace(const Recorder& recorder,
+                        const std::vector<CounterTrack>& counters,
+                        std::ostream& os) {
+  os << "[";
+  bool first = true;
+  write_spans(os, recorder, 0, first);
+  write_counters(os, counters, 0, first);
+  os << "\n]\n";
+}
 
 void write_chrome_trace(const std::vector<ProcessTrack>& processes,
                         const std::vector<FlowEvent>& flows,

@@ -76,14 +76,14 @@ struct FakeSweep {
     return h.mix_u64(grid.salt).value();
   }
 
-  static std::span<const JournalField<FakeOutcome>> journal_fields() {
+  static std::span<const codec::Field<FakeOutcome>> journal_fields() {
     using O = FakeOutcome;
-    static const std::array<JournalField<O>, 4> fields = {{
-        {"square", FieldKind::U64, &O::square},
-        {"digest", FieldKind::Hex, &O::digest},
-        {"ratio", FieldKind::Double, &O::ratio},
-        {"odd", FieldKind::Bool, &O::odd},
-    }};
+    static constexpr codec::Field<O> fields[] = {
+        codec::row<&O::square>("square"),
+        codec::row<&O::digest>("digest", {.kind = codec::Kind::Hex}),
+        codec::row<&O::ratio>("ratio"),
+        codec::row<&O::odd>("odd"),
+    };
     return fields;
   }
 };

@@ -90,6 +90,64 @@ TEST(FaultPlanTest, MalformedSpecsReturnNulloptWithError) {
   EXPECT_FALSE(fault::parse_fault_plan("poison-app=-2", &error).has_value());
 }
 
+TEST(FaultPlanTest, SubMicrosecondDurationsRoundTripExactly) {
+  // Durations render as microseconds with up to three decimals, so two
+  // plans a few hundred ns apart no longer share one text (and one grid
+  // key), and a sub-microsecond crash no longer reads back as no crash.
+  fault::FaultPlan a = fault::FaultPlan::zero();
+  a.crash_at = 3'000'123;
+  fault::FaultPlan b = a;
+  b.crash_at = 3'000'456;
+  const std::string text_a = fault_plan_to_string(a);
+  EXPECT_NE(text_a.find("crash-at-us=3000.123"), std::string::npos) << text_a;
+  EXPECT_NE(text_a, fault_plan_to_string(b));
+  const auto reparsed = fault::parse_fault_plan(text_a);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(reparsed->crash_at, 3'000'123u);
+
+  fault::FaultPlan early = fault::FaultPlan::zero();
+  early.crash_at = 500;
+  early.copy_stall_ns = 200'050;
+  const std::string text_early = fault_plan_to_string(early);
+  EXPECT_NE(text_early.find("crash-at-us=0.5"), std::string::npos);
+  EXPECT_NE(text_early.find("copy-stall-us=200.05,"), std::string::npos);
+  const auto early_again = fault::parse_fault_plan(text_early);
+  ASSERT_TRUE(early_again.has_value());
+  EXPECT_EQ(early_again->crash_at, 500u);
+  EXPECT_EQ(early_again->copy_stall_ns, 200'050u);
+  EXPECT_TRUE(early_again->any_down_transitions());
+}
+
+TEST(FaultPlanTest, NumbersParseInBaseTenWithinTheFieldsRange) {
+  struct Row {
+    const char* spec;
+    bool accepted;
+    const char* key;  ///< named by the error when rejected
+  };
+  const Row rows[] = {
+      {"crash-at-us=-5", false, "crash-at-us"},
+      {"copy-stall-us=010", true, nullptr},
+      {"offline-smx=99999999999", false, "offline-smx"},
+      {"crash-at-us=18446744073709552", false, "crash-at-us"},
+      {"crash-at-us=1.2345", false, "crash-at-us"},
+  };
+  for (const Row& row : rows) {
+    std::string error;
+    const auto plan = fault::parse_fault_plan(row.spec, &error);
+    EXPECT_EQ(plan.has_value(), row.accepted) << row.spec;
+    if (!row.accepted) {
+      EXPECT_NE(error.find(row.key), std::string::npos) << error;
+    }
+  }
+  const auto decimal = fault::parse_fault_plan("copy-stall-us=010");
+  ASSERT_TRUE(decimal.has_value());
+  EXPECT_EQ(decimal->copy_stall_ns, 10 * kMicrosecond);
+  const auto largest =
+      fault::parse_fault_plan("crash-at-us=18446744073709551.615");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(largest->crash_at, ~std::uint64_t{0});
+}
+
 // --------------------------------------------------------- harness helpers
 
 fw::HarnessConfig small_config(int ns, bool functional = false) {
@@ -395,6 +453,37 @@ TEST(SweepJournalTest, GridMismatchIsStructuredError) {
     EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SweepJournalTest, ResumeRefusesJournalOfAnOlderGridKey) {
+  // A journal of journal_grid() written by a build whose grid key mixed a
+  // hand-kept field list: the key now hashes the canonical config text, so
+  // the header must refuse. The record bytes did not change: this build
+  // writes the identical line for the same point.
+  const exec::SweepGrid grid = journal_grid();
+  const auto points = Sweep::expand(grid);
+  const std::string old_record =
+      "point index=1 makespan=1015247 energy=0.05744271854343159 avgw=25 "
+      "peakw=25 occ=0.058390820922623446 meanle=23749 ilc=0 ilb=0 qdepth=0 "
+      "faults=0 quar=0 verified=1 digest=863ed2989635b4a8 end";
+  EXPECT_EQ(exec::journal_record_line<Sweep>(Sweep::run_point(grid, points[1])),
+            old_record);
+  const std::string path =
+      ::testing::TempDir() + "hq_fault_test_older_journal.txt";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "hq-sweep-journal version=v1 grid=84a295ae95c99613 points=4 end\n"
+        << old_record << "\n";
+  }
+  try {
+    (void)exec::SweepRunner().run(
+        grid, {.jobs = 1, .journal_path = path, .resume = true});
+    FAIL() << "expected hq::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SweepJournalTest, GridKeyTracksFaultPlan) {

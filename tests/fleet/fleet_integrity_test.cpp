@@ -16,7 +16,6 @@
 #include "fleet/report.hpp"
 #include "serve/lifecycle.hpp"
 #include "serve/report.hpp"
-#include "tests/fleet/report_echo.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 
 namespace hq::fleet {
@@ -298,7 +297,7 @@ TEST(FleetIntegrityTest, InertIntegrityKnobsAreByteIdenticalToBaseline) {
   const FleetReport a = FleetService(baseline).run().report;
   const FleetReport b = FleetService(tuned).run().report;
   EXPECT_EQ(fleet_report_json(a),
-            fleet_report_json(testing::with_config_echo_of(b, a)));
+            fleet_report_json(with_config_echo_of(b, a)));
 }
 
 TEST(FleetIntegrityTest, ValidateRejectsBadIntegrityConfigs) {

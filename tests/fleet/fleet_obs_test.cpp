@@ -379,8 +379,9 @@ constexpr std::uint64_t kPinnedChaosPrometheusFnv = 0xa6cebfab3dda77faULL;
 constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0xd08d7d352f53334dULL;
 // The two series readers the exports above do not cover: the Chrome trace's
 // counter tracks (obs::counter_tracks walks every point) and the snapshot
-// JSONL (obs::series_value_at binary-searches each series).
-constexpr std::uint64_t kPinnedChaosChromeTraceFnv = 0x8694e79b41ab84a0ULL;
+// JSONL (obs::series_value_at binary-searches each series). The trace was
+// re-pinned when span ts/dur moved to the shortest round-trip form.
+constexpr std::uint64_t kPinnedChaosChromeTraceFnv = 0x981191f4b4ad7be8ULL;
 constexpr std::uint64_t kPinnedChaosSnapshotsFnv = 0x1ad2236d6a047f10ULL;
 
 TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {

@@ -323,6 +323,39 @@ TEST(FleetSweepTest, ResumeRefusesJournalOfAnotherReportSchema) {
   }
 }
 
+TEST(FleetSweepTest, ResumeRefusesJournalOfAnOlderGridKey) {
+  // A journal of this grid written by a build whose grid key mixed a
+  // hand-kept field list: the key now hashes the canonical config text, so
+  // the header must refuse. The record bytes did not change: this build
+  // writes the identical line for the same point.
+  FleetSweepGrid grid = small_grid();
+  grid.placements = {PlacementPolicy::RoundRobin};
+  const auto points = FleetSweep::expand(grid);
+  const std::string old_record =
+      "point index=1 arrived=40 ok=40 done=40 sheds=0 requeued=0 stolen=0 "
+      "goodput=9774.29443644717 tput=9774.29443644717 miss=0 "
+      "energy=0.38855719379546827 total=4092367 digest=d4688b9441ba55ec end";
+  EXPECT_EQ(exec::journal_record_line<FleetSweep>(
+                FleetSweep::run_point(grid, points[1])),
+            old_record);
+  ScratchFile scratch("fleet_sweep_older_journal_test.log");
+  {
+    std::ofstream out(scratch.path);
+    out << "hq-fleet-journal version=v1 grid=98f9b1488832d0e3 points=2 end\n"
+        << old_record << "\n";
+  }
+  exec::GridOptions options;
+  options.journal_path = scratch.path;
+  options.resume = true;
+  try {
+    (void)exec::run_grid<FleetSweep>(grid, options);
+    FAIL() << "expected hq::Error";
+  } catch (const hq::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FleetSweepTest, ShedCountsEveryShedStateOnACrashPlanGrid) {
   // Every device crashes mid-window: jobs in flight at the crash have no
   // survivor to fail over to, and later arrivals find no device, so the

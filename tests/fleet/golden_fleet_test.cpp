@@ -20,7 +20,6 @@
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "serve/service.hpp"
-#include "tests/fleet/report_echo.hpp"
 #include "tests/hyperq/synthetic_app.hpp"
 #include "trace/trace.hpp"
 
@@ -28,7 +27,6 @@ namespace hq::fleet {
 namespace {
 
 using fw::testing::SyntheticApp;
-using testing::with_config_echo_of;
 
 // Re-pinned 2026-10 for fleet report schema v2, which renders the
 // fault-domain and integrity sections for every run.

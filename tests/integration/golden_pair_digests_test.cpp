@@ -110,9 +110,10 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // recorded spans; these cover the bytes each exporter reads out of the
 // recorder, so a change to span storage that alters what a reader sees
 // (a time, a lane, a name, the order) fails here even if it slipped past
-// the digest.
-constexpr std::uint64_t kPinnedChromeTraceFnv = 0x7684525df25aa810ULL;
-constexpr std::uint64_t kPinnedChromeTraceMemsyncFnv = 0x35f1aa1ce841dde8ULL;
+// the digest. The Chrome pins were re-pinned when span ts/dur moved to the
+// shortest round-trip form (they had been written to 6 significant digits).
+constexpr std::uint64_t kPinnedChromeTraceFnv = 0xa7cf786943e5439bULL;
+constexpr std::uint64_t kPinnedChromeTraceMemsyncFnv = 0x7bb6a52b8115530cULL;
 constexpr std::uint64_t kPinnedAsciiTimelineFnv = 0x765b3818d8131506ULL;
 constexpr std::uint64_t kPinnedAsciiTimelineMemsyncFnv = 0x886d5d42d9aa318cULL;
 

@@ -142,6 +142,17 @@ TEST(ChromeTraceTest, EscapesSpecialCharacters) {
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
 }
 
+TEST(ChromeTraceTest, SpanPastOneSecondKeepsFullPrecision) {
+  // Span times are written in shortest round-trip form, like counter and
+  // flow events: 6 significant digits would print this span's start as
+  // 1.23457e+06 us, 0.891 us early.
+  Recorder r;
+  add_span(r, 0, 0, SpanKind::Kernel, 1'234'567'891, 1'237'067'892, "late");
+  const std::string json = chrome_trace_json(r);
+  EXPECT_NE(json.find("\"ts\": 1234567.891,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\": 2500.001,"), std::string::npos) << json;
+}
+
 TEST(ChromeTraceTest, EmptyRecorderIsEmptyArray) {
   Recorder r;
   EXPECT_EQ(chrome_trace_json(r), "[\n]\n");
