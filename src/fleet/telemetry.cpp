@@ -36,7 +36,7 @@ const obs::Series* find_series(const obs::MetricsRegistry& registry,
 double series_at(const obs::MetricsRegistry& registry, std::string_view name,
                  TimeNs t) {
   const obs::Series* series = find_series(registry, name);
-  return series == nullptr ? 0.0 : obs::series_value_at(*series, t);
+  return series == nullptr ? 0.0 : series->value_at(t);
 }
 
 }  // namespace

@@ -89,33 +89,33 @@ class Histogram {
 
 /// Event-driven time series of a piecewise-constant quantity.
 ///
-/// Storage contract (one layout, no options): at most 8 bytes per stored
+/// Storage contract (one layout, no options): about 2.5 bytes per stored
 /// point plus a per-series dictionary of distinct values.
-///   * Points live in chunks of at most kChunkPoints. A chunk keeps a 64-bit
-///     base time (the time of its first point) and packed points of a
-///     32-bit time offset from that base and a 32-bit dictionary index. A
-///     new chunk starts when the open one is full or when the next offset
-///     would not fit in 32 bits (a gap of 2^32 ns, about 4.3 s, or more).
-///   * Only the open (last) chunk grows: it starts at kFirstChunkPoints and
-///     doubles up to kChunkPoints, so a short series stays small and a full
-///     chunk is never reallocated or copied.
+///   * Every point but the newest is sealed as two varints under one length
+///     prefix, appended to a chunk's bytes: the time since the previous
+///     point (0 for a chunk's first point) and the point's dictionary index,
+///     7 bits per byte. Any gap fits, so no time gap ever splits a chunk.
+///   * Chunk k holds points [k * kChunkPoints, (k + 1) * kChunkPoints) and
+///     keeps its first point's 64-bit time as its base. Only the open
+///     (last) chunk grows; a full chunk is trimmed to its bytes plus a few
+///     bytes of read padding.
+///   * The newest (open) point is not encoded: its time is last_time_ and
+///     its value dictionary slot 0, so same-instant rewrites never touch
+///     the encoded bytes.
 ///   * The dictionary is keyed by a value's bit pattern, not by ==, so every
 ///     point decodes to exactly the double that was sampled (0.0 and -0.0,
 ///     or NaNs with different payloads, are distinct entries).
-///   * point(i) is O(1): chunk i / kChunkPoints. Only after a time gap has
-///     closed a chunk early does it binary-search the chunks instead.
+///   * Reads decode forward: Cursor walks the whole series, point(i) and
+///     value_at(t) decode at most one chunk.
 /// The sampling semantics below do not depend on the layout.
 class Series {
-  struct Packed;  // one stored point; defined below
-
  public:
   struct Point {
     TimeNs time = 0;
     double value = 0.0;
   };
 
-  static constexpr std::size_t kChunkPoints = 4096;
-  static constexpr std::size_t kFirstChunkPoints = 16;
+  static constexpr std::size_t kChunkPoints = 1024;
 
   /// Records the value at `t`. Consecutive samples with an unchanged value
   /// (under ==) are dropped; several samples at the same instant coalesce
@@ -125,66 +125,65 @@ class Series {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// The i-th point in time order; requires i < size().
+  /// The i-th point in time order; requires i < size(). Decodes up to
+  /// kChunkPoints points of chunk i / kChunkPoints.
   Point point(std::size_t i) const;
+  /// Value in effect at `t`: that of the last point at or before `t`, or 0
+  /// before the first point. Binary-searches the chunks' base times, then
+  /// decodes one chunk. The fleet snapshot reporter's primitive.
+  double value_at(TimeNs t) const;
   double last() const { return empty() ? 0.0 : values_[0]; }
   double peak() const { return peak_; }
   /// Allocated bytes of the chunk store plus the dictionary.
   std::size_t storage_bytes() const;
 
-  /// Sequential reader over the points in time order. The head's time is
-  /// decoded once per step, so sweeps over many series compare cached
-  /// times. Invalidated by a later sample() on the series.
+  /// Sequential reader over the points in time order. Each head is decoded
+  /// once per step, so sweeps over many series compare cached times.
+  /// Invalidated by a later sample() on the series.
   class Cursor {
    public:
     explicit Cursor(const Series& series);
-    bool done() const { return at_ == end_; }
+    bool done() const { return left_ == 0; }
     /// Head point; both require !done().
     TimeNs time() const { return time_; }
-    double value() const { return values_[at_->index]; }
+    double value() const { return value_; }
     void next();
 
    private:
-    void enter(std::size_t chunk);
+    /// Decodes the head: the next sealed point, or the open point.
+    void read();
 
     const Series* series_;
     const double* values_;
-    std::size_t chunk_ = 0;
-    const Packed* at_ = nullptr;
-    const Packed* end_ = nullptr;
-    TimeNs base_ = 0;
+    std::size_t left_;  ///< points from the head on
+    const std::uint8_t* at_ = nullptr;  ///< the next sealed point's bytes
     TimeNs time_ = 0;
+    double value_ = 0.0;
   };
 
  private:
-  struct Packed {
-    std::uint32_t offset;  ///< time - chunk base
-    std::uint32_t index;   ///< into values_ (0: the newest point)
-  };
   struct Chunk {
-    TimeNs base = 0;
-    std::size_t first = 0;  ///< series index of the chunk's first point
-    std::vector<Packed> points;
+    TimeNs base = 0;  ///< time of the chunk's first point
+    std::vector<std::uint8_t> bytes;  ///< encoded points, then zero bytes
   };
 
   /// Dictionary index of `value`'s bit pattern, inserting it if new.
   std::uint32_t intern(double value);
   std::size_t slot_of(std::uint64_t bits) const;
-  /// Opens a point at `t` under the open-point slot.
-  void append(TimeNs t);
-  std::size_t chunk_of(std::size_t i) const;
+  /// Encodes the open point into the open chunk.
+  void seal();
 
   std::vector<Chunk> chunks_;
+  std::size_t open_bytes_ = 0;  ///< encoded bytes of the open chunk
   std::size_t size_ = 0;
-  bool ragged_ = false;  ///< a chunk before the open one was closed early
-  TimeNs last_time_ = 0;
+  TimeNs sealed_time_ = 0;  ///< time of the newest sealed point
+  TimeNs last_time_ = 0;    ///< time of the open point
   double peak_ = 0.0;
 
-  // Dictionary. values_[0] holds the value of the newest point, which keeps
-  // index 0 while later samples at its instant rewrite it; the first sample
-  // at a later instant interns it. Distinct values follow from index 1 in
-  // first-seen order, found through an open-addressing table (slot = index,
-  // 0 = empty; at most half full).
+  // Dictionary. values_[0] holds the value of the open point while samples
+  // at its instant rewrite it; sealing interns it. Distinct values follow
+  // from index 1 in first-seen order, found through an open-addressing
+  // table (slot = index, 0 = empty; at most half full).
   std::vector<double> values_;
   std::vector<std::uint32_t> slots_;
 };

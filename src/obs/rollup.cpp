@@ -40,21 +40,6 @@ const std::vector<FleetRollup::DeviceEntry>& FleetRollup::devices() const {
   return devices_;
 }
 
-double series_value_at(const Series& series, TimeNs t) {
-  // Binary search for the first point after `t`.
-  std::size_t lo = 0;
-  std::size_t hi = series.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (t < series.point(mid).time) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo == 0 ? 0.0 : series.point(lo - 1).value;
-}
-
 namespace {
 
 /// Union of metric names over the (ascending-id) device set, in

@@ -92,11 +92,6 @@ class FleetRollup {
   mutable bool sorted_ = true;
 };
 
-/// Value of a piecewise-constant series at time `t`: the value of the last
-/// point at or before `t`, or 0 before the first point. The fleet snapshot
-/// reporter's primitive; merged() gives the same sums for every event time.
-double series_value_at(const Series& series, TimeNs t);
-
 /// Versioned fleet metrics JSON: {"schema_version", "fleet", "devices"
 /// (each with its full registry), "fleet_metrics", "merged_metrics"}.
 void write_fleet_metrics_json(std::ostream& os, const FleetInfo& info,

@@ -96,6 +96,54 @@ TEST(CircuitBreakerTest, CountersAreMonotonic) {
   EXPECT_EQ(breaker.trips(), 1u);
 }
 
+TEST(CircuitBreakerTest, BlocklistIsTerminalAndKeepsItsFirstTime) {
+  CircuitBreaker breaker({/*failure_threshold=*/1, /*cooldown=*/kMillisecond});
+  breaker.record_failure(0);  // Open, cooling down until 1 ms
+  breaker.blocklist(100);
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Blocklisted);
+  EXPECT_TRUE(breaker.blocklisted());
+  EXPECT_EQ(breaker.blocklisted_at(), 100);
+  breaker.blocklist(200);  // idempotent: the first time stays
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Blocklisted);
+  EXPECT_EQ(breaker.blocklisted_at(), 100);
+
+  // Stragglers' signals are ignored and no cooldown ever admits a probe.
+  breaker.record_success(300);
+  breaker.record_failure(400);
+  breaker.record_success(500);
+  for (const TimeNs now : {kMillisecond, 10 * kMillisecond, kSecond}) {
+    EXPECT_FALSE(breaker.allow(now));
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Blocklisted);
+  }
+  EXPECT_EQ(breaker.blocklisted_at(), 100);
+  EXPECT_EQ(breaker.successes(), 0u);
+  EXPECT_EQ(breaker.failures(), 1u);
+  EXPECT_EQ(breaker.probes(), 0u);
+  EXPECT_EQ(breaker.trips(), 1u);
+  EXPECT_EQ(breaker.rejected(), 3u);
+  EXPECT_EQ(std::string(breaker_state_name(breaker.state())), "blocklisted");
+}
+
+TEST(CircuitBreakerTest, BlocklistFromClosedAndHalfOpen) {
+  CircuitBreaker closed({/*failure_threshold=*/2, /*cooldown=*/kMillisecond});
+  closed.blocklist(5);
+  closed.record_failure(6);
+  closed.record_failure(7);  // would have tripped a Closed breaker
+  EXPECT_EQ(closed.state(), CircuitBreaker::State::Blocklisted);
+  EXPECT_EQ(closed.trips(), 0u);
+  EXPECT_FALSE(closed.allow(8));
+
+  CircuitBreaker half_open({/*failure_threshold=*/1, kMillisecond});
+  half_open.record_failure(0);
+  ASSERT_TRUE(half_open.allow(kMillisecond));  // the probe is out
+  ASSERT_EQ(half_open.state(), CircuitBreaker::State::HalfOpen);
+  half_open.blocklist(kMillisecond + 1);
+  half_open.record_success(kMillisecond + 2);  // the probe's late success
+  EXPECT_EQ(half_open.state(), CircuitBreaker::State::Blocklisted);
+  EXPECT_EQ(half_open.blocklisted_at(), kMillisecond + 1);
+  EXPECT_FALSE(half_open.allow(2 * kMillisecond));
+}
+
 TEST(CircuitBreakerTest, StateNames) {
   EXPECT_EQ(std::string(breaker_state_name(CircuitBreaker::State::Closed)),
             "closed");

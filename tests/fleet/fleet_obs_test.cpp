@@ -379,7 +379,7 @@ constexpr std::uint64_t kPinnedChaosPrometheusFnv = 0xa6cebfab3dda77faULL;
 constexpr std::uint64_t kPinnedChaosMetricsJsonFnv = 0xd08d7d352f53334dULL;
 // The two series readers the exports above do not cover: the Chrome trace's
 // counter tracks (obs::counter_tracks walks every point) and the snapshot
-// JSONL (obs::series_value_at binary-searches each series). The trace was
+// JSONL (Series::value_at decodes one chunk of each series). The trace was
 // re-pinned when span ts/dur moved to the shortest round-trip form.
 constexpr std::uint64_t kPinnedChaosChromeTraceFnv = 0x981191f4b4ad7be8ULL;
 constexpr std::uint64_t kPinnedChaosSnapshotsFnv = 0x1ad2236d6a047f10ULL;
@@ -404,10 +404,27 @@ TEST(FleetObsTest, ChaosExportsArePinnedByteForByte) {
       << std::hex << "fleet snapshot JSONL bytes moved: 0x" << fnv1a(snaps);
 }
 
-// The compact series store's budget on a real run: chunk slack and every
-// series dictionary included, the device registries hold at most 8.5 bytes
-// per stored point (16-byte points in growing vectors read over 16).
-TEST(FleetObsTest, ChaosSeriesStoreAtMostEightAndAHalfBytesPerPoint) {
+// The hqserve text report of the same scenario, rendered from two runs.
+constexpr std::uint64_t kPinnedChaosReportTextFnv = 0xaaf095a10bf043c4ULL;
+
+TEST(FleetObsTest, ChaosTextReportIsPinnedByteForByte) {
+  std::string texts[2];
+  for (std::string& text : texts) {
+    std::ostringstream os;
+    render_fleet_report_text(os,
+                             FleetService(export_golden_config()).run().report);
+    text = os.str();
+  }
+  EXPECT_EQ(texts[0], texts[1]);
+  EXPECT_EQ(texts[0].rfind("fleet report: ", 0), 0u) << texts[0];
+  EXPECT_EQ(fnv1a(texts[0]), kPinnedChaosReportTextFnv)
+      << std::hex << "fleet text report bytes moved: 0x" << fnv1a(texts[0]);
+}
+
+// The varint series store's budget on a real run: chunk slack and every
+// series dictionary included, the device registries hold at most 3 bytes
+// per stored point (8-byte packed points read 8.42, 16-byte ones over 16).
+TEST(FleetObsTest, ChaosSeriesStoreAtMostThreeBytesPerPoint) {
   const FleetResult result = FleetService(export_golden_config()).run();
   std::size_t points = 0;
   std::size_t bytes = 0;
@@ -420,7 +437,7 @@ TEST(FleetObsTest, ChaosSeriesStoreAtMostEightAndAHalfBytesPerPoint) {
     });
   }
   ASSERT_GT(points, 100'000u);
-  EXPECT_LE(static_cast<double>(bytes), 8.5 * static_cast<double>(points))
+  EXPECT_LE(static_cast<double>(bytes), 3.0 * static_cast<double>(points))
       << bytes << " bytes for " << points << " points";
 }
 

@@ -1,5 +1,5 @@
 // FleetRollup semantics: per-metric merge rules (counter/gauge/histogram/
-// series), merge-order independence of every export byte, series_value_at,
+// series), merge-order independence of every export byte, Series::value_at,
 // the export shape for edge cases (no devices, never-recorded histograms),
 // and a differential test of the linear series merge against the original
 // sort-and-binary-search merge.
@@ -38,13 +38,13 @@ std::shared_ptr<MetricsRegistry> device_registry(double scale) {
 
 TEST(SeriesValueAtTest, StepsAndClamps) {
   Series s;
-  EXPECT_EQ(series_value_at(s, 0), 0.0);  // empty series reads 0
+  EXPECT_EQ(s.value_at(0), 0.0);  // empty series reads 0
   s.sample(100, 2.0);
   s.sample(200, 5.0);
-  EXPECT_EQ(series_value_at(s, 0), 0.0);    // before the first point
-  EXPECT_EQ(series_value_at(s, 100), 2.0);  // exactly on a point
-  EXPECT_EQ(series_value_at(s, 150), 2.0);  // between points: previous value
-  EXPECT_EQ(series_value_at(s, 999), 5.0);  // after the last point
+  EXPECT_EQ(s.value_at(0), 0.0);    // before the first point
+  EXPECT_EQ(s.value_at(100), 2.0);  // exactly on a point
+  EXPECT_EQ(s.value_at(150), 2.0);  // between points: previous value
+  EXPECT_EQ(s.value_at(999), 5.0);  // after the last point
 }
 
 TEST(FleetRollupTest, MergeSumsEveryKind) {
@@ -63,10 +63,10 @@ TEST(FleetRollupTest, MergeSumsEveryKind) {
 
   // depth: device a steps 0 -> 2@100 -> 1@200; device b 0 -> 2@200 -> 1@400.
   const Series& s = std::get<Series>(merged.find("depth")->metric);
-  EXPECT_EQ(series_value_at(s, 50), 0.0);
-  EXPECT_EQ(series_value_at(s, 100), 2.0);
-  EXPECT_EQ(series_value_at(s, 200), 3.0);  // 1 (a) + 2 (b)
-  EXPECT_EQ(series_value_at(s, 400), 2.0);  // 1 (a) + 1 (b)
+  EXPECT_EQ(s.value_at(50), 0.0);
+  EXPECT_EQ(s.value_at(100), 2.0);
+  EXPECT_EQ(s.value_at(200), 3.0);  // 1 (a) + 2 (b)
+  EXPECT_EQ(s.value_at(400), 2.0);  // 1 (a) + 1 (b)
 }
 
 TEST(FleetRollupTest, ExportsIndependentOfAddOrder) {
@@ -155,7 +155,7 @@ Series reference_merge(const std::vector<const Series*>& sources) {
   Series out;
   for (const TimeNs t : times) {
     double sum = 0.0;
-    for (const Series* s : sources) sum += series_value_at(*s, t);
+    for (const Series* s : sources) sum += s->value_at(t);
     out.sample(t, sum);
   }
   return out;

@@ -1,9 +1,9 @@
-// The compact Series store against a 16-byte reference model: the original
+// The varint Series store against a 16-byte reference model: the original
 // vector-of-{time, value} series with the same sampling rules. Seeded random
 // streams mix same-instant rewrites, unchanged drops, 0.0 / -0.0 (equal under
 // == but different bits), NaNs, time gaps of 2^32 ns and more, chunk
-// boundaries and more than 65,536 distinct values; every stored point must
-// decode bit for bit, and last(), peak(), series_value_at and the fleet
+// boundaries and dictionary indices of 1 to 3 varint bytes; every stored
+// point must decode bit for bit, and last(), peak(), value_at and the fleet
 // series merge must agree with the reference.
 #include <gtest/gtest.h>
 
@@ -26,7 +26,7 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// The series as it was stored before the compact layout: one 16-byte
+/// The series as it was stored before the packed layouts: one 16-byte
 /// point per event, with the same sampling rules.
 struct ReferenceSeries {
   std::vector<Series::Point> points;
@@ -58,8 +58,7 @@ constexpr TimeNs kGap32 = TimeNs{1} << 32;
 /// Samples `n` events of a seeded random stream into both stores. Times
 /// step by 0 (a same-instant rewrite), a few ns, or now and then by a gap
 /// of 2^32 - 1, 2^32 or more ns; values come from a small pool (so unchanged
-/// samples drop and the dictionary's recent-entry path hits), signed zeros,
-/// two NaN payloads, and fresh random doubles.
+/// samples drop), signed zeros, two NaN payloads, and fresh random doubles.
 void sample_random(Rng& rng, std::size_t n, Series& s, ReferenceSeries& ref) {
   const double nan_a = std::numeric_limits<double>::quiet_NaN();
   const double nan_b = std::bit_cast<double>(bits(nan_a) | 0x1234);
@@ -75,8 +74,8 @@ void sample_random(Rng& rng, std::size_t n, Series& s, ReferenceSeries& ref) {
     s.sample(t, v);
     ref.sample(t, v);
     switch (rng.next_below(200)) {
-      case 0: t += kGap32 - 1; break;  // still fits a 32-bit offset
-      case 1: t += kGap32; break;      // just does not
+      case 0: t += kGap32 - 1; break;  // a 5-byte varint
+      case 1: t += kGap32; break;
       case 2: t += 3 * kGap32 + rng.next_below(100); break;
       default: t += rng.next_below(4) * rng.next_below(400); break;
     }
@@ -102,7 +101,7 @@ void expect_same(const Series& s, const ReferenceSeries& ref) {
   EXPECT_EQ(bits(s.peak()), bits(ref.peak));
 }
 
-/// series_value_at on every point, just before and after it, and before the
+/// value_at on every point, just before and after it, and before the
 /// first point.
 void expect_same_value_at(const Series& s, const ReferenceSeries& ref) {
   std::vector<TimeNs> probes = {0};
@@ -112,7 +111,7 @@ void expect_same_value_at(const Series& s, const ReferenceSeries& ref) {
     if (p.time > 0) probes.push_back(p.time - 1);
   }
   for (const TimeNs t : probes) {
-    ASSERT_EQ(bits(series_value_at(s, t)), bits(ref.value_at(t)))
+    ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t)))
         << "t " << t;
   }
 }
@@ -166,22 +165,97 @@ TEST(SeriesStorageTest, ChunkBoundariesAndLargeGaps) {
     both(t, static_cast<double>(i % 3));
     t += 7;
   }
-  // A gap whose offset from the open chunk's base still fits in 32 bits,
-  // then one that does not: the open chunk closes early.
+  // Gaps of 2^32 - 1, 2^32 and more ns inside the second chunk: a varint
+  // holds any gap, so none of them closes it.
   const TimeNs base = ref.points[Series::kChunkPoints].time;
   both(base + kGap32 - 1, 9.0);
   both(base + kGap32, 10.0);
   both(base + kGap32 + 1, 11.0);
-  // Several early-closed chunks in a row, then a full one after them.
   for (int i = 0; i < 5; ++i) {
     t = ref.points.back().time + kGap32 * 2;
     both(t, 20.0 + i);
   }
+  // A gap of 2^49 - 1 ns still fits an 8-byte point; 2^49 ns and more take
+  // the long form.
+  both(t + (TimeNs{1} << 49) - 1, 28.0);
+  both(ref.points.back().time + (TimeNs{1} << 49), 29.0);
+  both(ref.points.back().time + (TimeNs{1} << 63), 30.0);
+  t = ref.points.back().time;
   for (std::size_t i = 0; i < Series::kChunkPoints + 3; ++i) {
     both(t += 1, static_cast<double>(i));
   }
   expect_same(s, ref);
   expect_same_value_at(s, ref);
+}
+
+TEST(SeriesStorageTest, LargeGapsCostVarintBytesNotChunks) {
+  // 1,000 points, each 2^32 ns after the last: 5 bytes of time delta and 1
+  // of index per point in one chunk, not one chunk per point.
+  Series s;
+  for (TimeNs i = 0; i < 1000; ++i) {
+    s.sample(i * kGap32, static_cast<double>(i % 2));
+  }
+  EXPECT_EQ(s.size(), 1000u);
+  EXPECT_LE(s.storage_bytes(), 1000u * 6 * 3 / 2 + 512);
+  EXPECT_EQ(s.point(999).time, 999 * kGap32);
+  EXPECT_EQ(s.value_at(500 * kGap32 - 1), 1.0);
+}
+
+TEST(SeriesStorageTest, DictionaryIndicesOfOneTwoAndThreeVarintBytes) {
+  // Value i + 0.5 takes dictionary index i + 1 (slot 0 is the open point),
+  // so revisiting values 126.5, 127.5, 16382.5 and 16383.5 stores indices
+  // 127 and 16383 (the largest of 1 and 2 bytes) and 128 and 16384 (the
+  // smallest of 2 and 3 bytes).
+  Series s;
+  ReferenceSeries ref;
+  const auto both = [&](TimeNs t, double v) {
+    s.sample(t, v);
+    ref.sample(t, v);
+  };
+  TimeNs t = 0;
+  for (int i = 0; i < 20'000; ++i) both(t += 3, i + 0.5);
+  for (const double v : {126.5, 0.5, 127.5, 16382.5, 16383.5, 19999.5, 126.5,
+                         -1.0, 128.5, 16383.5}) {
+    both(t += 1, v);
+  }
+  expect_same(s, ref);
+  expect_same_value_at(s, ref);
+}
+
+TEST(SeriesStorageTest, PointAndValueAtEveryChunkBoundaryAndTheOpenPoint) {
+  constexpr std::size_t kK = Series::kChunkPoints;
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, kK - 1, kK, kK + 1, kK + 2,
+        2 * kK - 1, 2 * kK, 2 * kK + 1, 3 * kK}) {
+    SCOPED_TRACE("points " + std::to_string(n));
+    Series s;
+    ReferenceSeries ref;
+    for (std::size_t i = 0; i < n; ++i) {
+      const TimeNs t = 100 + 3 * i + (i / kK) * kGap32;
+      s.sample(t, static_cast<double>(i));
+      ref.sample(t, static_cast<double>(i));
+    }
+    ASSERT_EQ(s.size(), n);
+    std::vector<std::size_t> at = {0, n - 1};
+    for (std::size_t k = kK; k <= n; k += kK) {
+      at.insert(at.end(), {k - 1, k, k + 1});
+    }
+    for (const std::size_t i : at) {
+      if (i >= n) continue;
+      const Series::Point want = ref.points[i];
+      ASSERT_EQ(s.point(i).time, want.time) << "point " << i;
+      ASSERT_EQ(s.point(i).value, want.value) << "point " << i;
+      for (const TimeNs probe : {want.time - 1, want.time, want.time + 1}) {
+        ASSERT_EQ(bits(s.value_at(probe)), bits(ref.value_at(probe)))
+            << "point " << i << " t " << probe;
+      }
+    }
+    // The open point is yielded last, and a same-instant rewrite reaches it.
+    s.sample(ref.points.back().time, -1.0);
+    ref.sample(ref.points.back().time, -1.0);
+    expect_same(s, ref);
+    EXPECT_EQ(s.value_at(ref.points.back().time), -1.0);
+  }
 }
 
 TEST(SeriesStorageTest, MoreThan65536DistinctValues) {
@@ -209,32 +283,54 @@ TEST(SeriesStorageTest, CopiesDecodeLikeTheOriginal) {
   Rng rng(5);
   sample_random(rng, 9'000, s, ref);
   const Series copy = s;
+  const ReferenceSeries copy_ref = ref;
   expect_same(copy, ref);
+  // Sampling the source again (a same-instant rewrite of its open point,
+  // then enough points to fill its open chunk and open more) leaves the
+  // copy as it was.
+  TimeNs t = ref.points.back().time;
+  s.sample(t, 123.0);
+  ref.sample(t, 123.0);
+  for (std::size_t i = 0; i < 3 * Series::kChunkPoints; ++i) {
+    const double v = static_cast<double>(rng.next_below(50));
+    s.sample(t += 1 + rng.next_below(300), v);
+    ref.sample(t, v);
+  }
+  expect_same(copy, copy_ref);
+  expect_same_value_at(copy, copy_ref);
+  expect_same(s, ref);
 }
 
-TEST(SeriesStorageTest, StaysWithinEightBytesPerPointPlusItsDictionary) {
+TEST(SeriesStorageTest, StaysWithinItsVarintBytesPlusItsDictionary) {
   Series small;
   for (TimeNs t = 0; t < 10; ++t) small.sample(t * 100, static_cast<double>(t));
   EXPECT_LT(small.storage_bytes(), 1024u);
 
-  // A long series over a handful of values: the dictionary is negligible
-  // and only the open chunk carries slack.
-  Series big;
-  for (TimeNs t = 0; t < 10 * Series::kChunkPoints; ++t) {
-    big.sample(t * 10, static_cast<double>(t % 7));
+  // Long series over a handful of values: the dictionary is negligible and
+  // only the open chunk carries slack. A point whose time delta is under
+  // 2^7 ns takes 2 bytes, one under 2^14 ns takes 3.
+  for (const TimeNs step : {TimeNs{10}, TimeNs{2500}}) {
+    Series big;
+    for (TimeNs t = 0; t < 10 * Series::kChunkPoints; ++t) {
+      big.sample(t * step, static_cast<double>(t % 7));
+    }
+    const std::size_t per_point = step < 128 ? 2 : 3;
+    EXPECT_LE(big.storage_bytes(), big.size() * per_point + 4096)
+        << "step " << step;
   }
-  EXPECT_LE(big.storage_bytes(), big.size() * 8 + 4096);
 }
 
 TEST(SeriesStorageTest, RejectsTimeGoingBackwardsAcrossChunks) {
   Series s;
-  s.sample(10, 1.0);
-  s.sample(10 + kGap32, 2.0);  // opens a second chunk
-  EXPECT_ANY_THROW(s.sample(10 + kGap32 - 1, 3.0));
-  EXPECT_EQ(s.size(), 2u);
+  for (TimeNs t = 0; t <= Series::kChunkPoints + 1; ++t) {
+    s.sample(10 + t, static_cast<double>(t));  // fills one chunk, opens more
+  }
+  EXPECT_ANY_THROW(s.sample(10 + Series::kChunkPoints, 3.0));
+  EXPECT_ANY_THROW(s.sample(9, 3.0));
+  EXPECT_EQ(s.size(), Series::kChunkPoints + 2);
 }
 
-/// The fleet merge (one cursor sweep over compact series) against the
+/// The fleet merge (one cursor sweep over varint series) against the
 /// reference: the sum, in ascending device order from 0.0, of each device's
 /// value in effect at every event time, re-sampled through the reference.
 TEST(SeriesStorageTest, FleetMergeMatchesTheReferenceSum) {
