@@ -16,6 +16,13 @@ with a bootstrap 95% interval. Every run also compares the two sides'
 outputs (the text report and, for fleet_chaos, the Prometheus export) and
 fails on any difference, so an A/B run is also a zero-perturbation check.
 
+Each run's peak RSS (ru_maxrss from the same wait4 call) is reported too:
+the per-workload median of each side over all its runs and the head/base
+ratio of the medians. A child forked from this Python process starts with
+its RSS, and ru_maxrss keeps that across exec, so no reading goes below
+what this process held at the fork. Its own peak is printed as the floor:
+a side whose median sits near the floor is bounded by it, not measured.
+
     python3 bench/ab.py --base HEAD~1 --head HEAD --pairs 16
     python3 bench/ab.py --aa HEAD --pairs 16          # noise floor
     python3 bench/ab.py --base A --head B --floor 0.02
@@ -35,6 +42,7 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -117,7 +125,8 @@ def build(commit, root):
 def run_side_by_side(binaries, args, cores, work):
     """Runs both builds at once, each pinned to its own core.
 
-    Returns {side: (CPU seconds, exit status, {output file: bytes})}.
+    Returns {side: (CPU seconds, peak RSS in MB, exit status,
+    {output file: bytes})}.
     """
     procs = {}
     for side, core in zip(("base", "head"), cores):
@@ -138,8 +147,8 @@ def run_side_by_side(binaries, args, cores, work):
             with open(os.path.join(out_dir, name), "rb") as f:
                 files[name] = f.read()
         shutil.rmtree(out_dir)
-        result[side] = (usage.ru_utime + usage.ru_stime, proc.returncode,
-                        files)
+        result[side] = (usage.ru_utime + usage.ru_stime,
+                        usage.ru_maxrss / 1024, proc.returncode, files)
     return result
 
 
@@ -199,6 +208,7 @@ def main():
         f.write("\n".join(CHAOS_PLANS) + "\n")
 
     ratios = {name: [] for name in WORKLOADS}
+    rss = {name: {"base": [], "head": []} for name in WORKLOADS}
     problems = []
     for pair in range(args.pairs):
         for name, (hq_args, jobs, prom) in WORKLOADS.items():
@@ -209,15 +219,16 @@ def main():
             for run in range(RUNS):
                 pinned = cores if (pair + run) % 2 == 0 else cores[::-1]
                 sides = run_side_by_side(binaries, hq_args, pinned, work)
-                for side, (cpu, status, _) in sides.items():
+                for side, (cpu, peak, status, _) in sides.items():
                     best[side] = min(cpu, best.get(side, cpu))
+                    rss[name][side].append(peak)
                     if status != 0:
                         problems.append(f"{name} pair {pair}: {side} exited "
                                         f"{status}")
-                if sides["base"][2] != sides["head"][2]:
+                if sides["base"][3] != sides["head"][3]:
                     problems.append(f"{name} pair {pair}: outputs differ")
                 arrived = re.search(rb"jobs: arrived=(\d+)",
-                                    sides["head"][2].get("stdout", b""))
+                                    sides["head"][3].get("stdout", b""))
                 if arrived is None or int(arrived.group(1)) != jobs:
                     problems.append(f"{name} pair {pair}: expected {jobs} "
                                     f"jobs, got {arrived and arrived.group(1)}")
@@ -228,21 +239,30 @@ def main():
         if problems:
             break
     shutil.rmtree(work)
+    rss_floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     rng = random.Random(1)
     result = {"base": base, "head": head, "aa": bool(args.aa),
               "pairs": args.pairs, "floor": args.floor,
-              "host_cpus": os.cpu_count(), "workloads": {}}
+              "host_cpus": os.cpu_count(), "rss_floor_mb": rss_floor,
+              "workloads": {}}
     for name in WORKLOADS:
         if len(ratios[name]) < 2:
             continue
         mid, lo, hi = median_interval(ratios[name], rng)
+        base_rss = statistics.median(rss[name]["base"])
+        head_rss = statistics.median(rss[name]["head"])
         result["workloads"][name] = {
             "median_ratio": mid, "ci95": [lo, hi],
-            "half_width": (hi - lo) / 2, "verdict": verdict(lo, hi, args.floor)}
+            "half_width": (hi - lo) / 2, "verdict": verdict(lo, hi, args.floor),
+            "peak_rss_mb": {"base": base_rss, "head": head_rss,
+                            "ratio": head_rss / base_rss}}
         print(f"{name}: head/base CPU time {mid:.4f} "
               f"[{lo:.4f}, {hi:.4f}] over {len(ratios[name])} pairs: "
               f"{result['workloads'][name]['verdict']}")
+        print(f"{name}: peak RSS median base {base_rss:.2f} MB, head "
+              f"{head_rss:.2f} MB, head/base {head_rss / base_rss:.4f} "
+              f"(floor {rss_floor:.2f} MB)")
     result["problems"] = problems
     for p in problems:
         print(f"FAIL {p}")

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <iterator>
 
 #include "common/check.hpp"
@@ -36,86 +35,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-namespace {
-
-// A sealed point is one code word holding two varints, the time delta and
-// the dictionary index, each in 7-bit groups (low bits first) after a
-// shared length prefix. Counting from the low bit of the first byte, the
-// prefix is one 1 bit at position (delta bytes - 1) and one at (point bytes
-// - 1), so a point whose varints take d and i bytes takes d + i bytes, as
-// two LEB128 varints would. Reading it takes one 8-byte load and two bit
-// scans, and the next point's address depends on a single scan, so points
-// of random length decode without branching on their lengths. A point of
-// more than 8 bytes (with a one-byte index, a gap of 2^49 ns or more) is
-// written in long form instead: a zero byte, the raw 8-byte delta, then the
-// raw 4-byte index.
-static_assert(std::endian::native == std::endian::little,
-              "point words are assembled little-endian");
-
-/// Bytes of a long-form point, the most a point writes.
-constexpr std::size_t kLongPointBytes = 13;
-/// Readable bytes kept after a chunk's last point, so a decode may load 8
-/// bytes at any point's start (a point takes at least 2 bytes).
-constexpr std::size_t kPadBytes = 6;
-
-int varint_bytes(std::uint64_t v) {
-  return static_cast<int>(std::bit_width(v | 1) + 6) / 7;
-}
-
-[[gnu::noinline]] std::uint8_t* put_long_point(std::uint8_t* at,
-                                                std::uint64_t delta,
-                                                std::uint32_t index) {
-  *at = 0;
-  std::memcpy(at + 1, &delta, sizeof delta);
-  std::memcpy(at + 1 + sizeof delta, &index, sizeof index);
-  return at + kLongPointBytes;
-}
-
-/// Writes the point at `at` (touching up to 13 bytes); returns its end.
-[[gnu::always_inline]] inline std::uint8_t* put_point(std::uint8_t* at,
-                                                     std::uint64_t delta,
-                                                     std::uint32_t index) {
-  const int delta_bytes = varint_bytes(delta);
-  const int bytes = delta_bytes + varint_bytes(index);
-  if (bytes > 8) [[unlikely]] return put_long_point(at, delta, index);
-  const std::uint64_t payload =
-      delta | std::uint64_t{index} << (7 * delta_bytes);
-  const std::uint64_t word = payload << bytes |
-                             std::uint64_t{1} << (bytes - 1) |
-                             std::uint64_t{1} << (delta_bytes - 1);
-  std::memcpy(at, &word, sizeof word);
-  return at + bytes;
-}
-
-struct Decoded {
-  std::uint64_t delta;
-  std::uint64_t index;
-  std::size_t bytes;
-};
-
-[[gnu::noinline]] Decoded get_long_point(const std::uint8_t* at) {
-  std::uint64_t delta = 0;
-  std::uint32_t index = 0;
-  std::memcpy(&delta, at + 1, sizeof delta);
-  std::memcpy(&index, at + 1 + sizeof delta, sizeof index);
-  return Decoded{delta, index, kLongPointBytes};
-}
-
-/// Decodes the point at `at` (reading 8 bytes, or 13 in long form).
-[[gnu::always_inline]] inline Decoded get_point(const std::uint8_t* at) {
-  std::uint64_t word = 0;
-  std::memcpy(&word, at, sizeof word);
-  if ((word & 0xff) == 0) [[unlikely]] return get_long_point(at);
-  const int bytes = std::countr_zero(word & (word - 1)) + 1;
-  const int delta_bits = 7 * (std::countr_zero(word) + 1);
-  const std::uint64_t payload =
-      (word & (~std::uint64_t{0} >> (64 - 8 * bytes))) >> bytes;
-  return Decoded{payload & ((std::uint64_t{1} << delta_bits) - 1),
-                 payload >> delta_bits, static_cast<std::size_t>(bytes)};
-}
-
-}  // namespace
-
 void Series::sample(TimeNs t, double value) {
   if (size_ != 0) {
     HQ_CHECK_MSG(t >= last_time_, "series sampled backwards in time");
@@ -143,27 +62,13 @@ void Series::seal() {
     sealed_time_ = last_time_;
     open_bytes_ = 0;
   }
-  // The open chunk's vector is sized to its allocation (zero-filled) and
-  // open_bytes_ of it are encoded, so points are stored without a
-  // per-byte size update.
   std::vector<std::uint8_t>& bytes = chunks_.back().bytes;
-  if (bytes.size() - open_bytes_ < kLongPointBytes + kPadBytes) {
-    // Grow by half rather than double: the open chunk is each series' only
-    // slack.
-    const std::size_t grown =
-        bytes.size() + bytes.size() / 2 + 2 * (kLongPointBytes + kPadBytes);
-    bytes.reserve(grown);
-    bytes.resize(grown);
-  }
   const std::uint8_t* const end =
-      put_point(bytes.data() + open_bytes_, last_time_ - sealed_time_,
-                intern(values_[0]));
+      varint::put_pair(varint::room_for(bytes, open_bytes_, 1),
+                       last_time_ - sealed_time_, intern(values_[0]));
   open_bytes_ = static_cast<std::size_t>(end - bytes.data());
   sealed_time_ = last_time_;
-  if (i % kChunkPoints == kChunkPoints - 1) {
-    bytes.resize(open_bytes_ + kPadBytes);
-    bytes.shrink_to_fit();
-  }
+  if (i % kChunkPoints == kChunkPoints - 1) varint::trim(bytes, open_bytes_);
 }
 
 std::uint32_t Series::intern(double value) {
@@ -201,11 +106,11 @@ Series::Point Series::point(std::size_t i) const {
   const std::uint8_t* at = c.bytes.data();
   Point p{c.base, 0.0};
   for (std::size_t n = i % kChunkPoints;; --n) {
-    const Decoded d = get_point(at);
+    const varint::Pair d = varint::get_pair(at);
     at += d.bytes;
-    p.time += d.delta;
+    p.time += d.a;
     if (n == 0) {
-      p.value = values_[d.index];
+      p.value = values_[d.b];
       return p;
     }
   }
@@ -226,11 +131,11 @@ double Series::value_at(TimeNs t) const {
   double value = 0.0;
   for (std::size_t n = std::min(kChunkPoints, size_ - 1 - first); n != 0;
        --n) {
-    const Decoded d = get_point(at);
+    const varint::Pair d = varint::get_pair(at);
     at += d.bytes;
-    time += d.delta;
+    time += d.a;
     if (time > t) break;
-    value = values_[d.index];
+    value = values_[d.b];
   }
   return value;
 }
@@ -246,31 +151,6 @@ std::size_t Series::storage_bytes() const {
 Series::Cursor::Cursor(const Series& series)
     : series_(&series), values_(series.values_.data()), left_(series.size_) {
   if (left_ != 0) read();
-}
-
-// Out of line on purpose: inlined into sweep_series_sum, GCC 12 commutes
-// its `sum += value`, and a NaN sum then carries the other operand's NaN
-// payload (SeriesStorageTest.FleetMergeMatchesTheReferenceSum fails).
-void Series::Cursor::next() {
-  if (--left_ != 0) read();
-}
-
-void Series::Cursor::read() {
-  if (left_ == 1) {
-    time_ = series_->last_time_;
-    value_ = values_[0];
-    return;
-  }
-  const std::size_t i = series_->size_ - left_;
-  if (i % kChunkPoints == 0) {
-    const Chunk& c = series_->chunks_[i / kChunkPoints];
-    at_ = c.bytes.data();
-    time_ = c.base;
-  }
-  const Decoded d = get_point(at_);
-  at_ += d.bytes;
-  time_ += d.delta;
-  value_ = values_[d.index];
 }
 
 const char* metric_kind_name(MetricKind kind) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "common/varint.hpp"
 
 namespace hq::obs {
 
@@ -91,10 +92,11 @@ class Histogram {
 ///
 /// Storage contract (one layout, no options): about 2.5 bytes per stored
 /// point plus a per-series dictionary of distinct values.
-///   * Every point but the newest is sealed as two varints under one length
-///     prefix, appended to a chunk's bytes: the time since the previous
-///     point (0 for a chunk's first point) and the point's dictionary index,
-///     7 bits per byte. Any gap fits, so no time gap ever splits a chunk.
+///   * Every point but the newest is sealed as one varint code word
+///     (common/varint.hpp), appended to a chunk's bytes: the time since the
+///     previous point (0 for a chunk's first point) and the point's
+///     dictionary index, 7 bits per byte. Any gap fits, so no time gap ever
+///     splits a chunk.
 ///   * Chunk k holds points [k * kChunkPoints, (k + 1) * kChunkPoints) and
 ///     keeps its first point's 64-bit time as its base. Only the open
 ///     (last) chunk grows; a full chunk is trimmed to its bytes plus a few
@@ -147,7 +149,9 @@ class Series {
     /// Head point; both require !done().
     TimeNs time() const { return time_; }
     double value() const { return value_; }
-    void next();
+    void next() {
+      if (--left_ != 0) read();
+    }
 
    private:
     /// Decodes the head: the next sealed point, or the open point.
@@ -228,5 +232,24 @@ class MetricsRegistry {
   std::deque<Entry> entries_;  ///< deque: stable references across growth
   std::map<std::string, std::size_t, std::less<>> index_;
 };
+
+// The cursor is inline: the fleet merge steps it once per stored point.
+inline void Series::Cursor::read() {
+  if (left_ == 1) {
+    time_ = series_->last_time_;
+    value_ = values_[0];
+    return;
+  }
+  const std::size_t i = series_->size_ - left_;
+  if (i % kChunkPoints == 0) {
+    const Chunk& c = series_->chunks_[i / kChunkPoints];
+    at_ = c.bytes.data();
+    time_ = c.base;
+  }
+  const varint::Pair d = varint::get_pair(at_);
+  at_ += d.bytes;
+  time_ += d.a;
+  value_ = values_[d.b];
+}
 
 }  // namespace hq::obs

@@ -1,6 +1,7 @@
 #include "obs/rollup.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -71,28 +72,47 @@ NameUnion union_names(const std::vector<FleetRollup::DeviceEntry>& devices) {
   return u;
 }
 
+/// One source of a series sweep: its cursor and its value in effect.
+struct SweepCursor {
+  Series::Cursor head;
+  double value = 0.0;  ///< in effect before the first point
+};
+
+/// The sources' sum by the NaN rule: adding in source order from 0.0, a NaN
+/// running sum stays as it is and a NaN value replaces a number, so a NaN
+/// result is the first NaN met, bit for bit. IEEE leaves the payload of
+/// NaN + NaN to the implementation, and a compiler may emit `sum += value`
+/// as `value + sum`, so a plain sum's NaN is not fixed. Called only when
+/// the plain sum is NaN; any other sum is the same either way.
+[[gnu::noinline, gnu::cold]] double nan_rule_sum(
+    const std::vector<SweepCursor>& cursors) {
+  double sum = 0.0;
+  for (const SweepCursor& c : cursors) {
+    if (std::isnan(sum)) break;
+    sum = std::isnan(c.value) ? c.value : sum + c.value;
+  }
+  return sum;
+}
+
 /// Sweeps the per-device trajectories of one series metric (sources in
 /// ascending device id) in time order and calls `sink(t, sum)` once per
 /// distinct event time, where `sum` is 0.0 + v(dev0) + v(dev1) + ... over
-/// the values in effect at `t`. One cursor per source and no sort: each
-/// step takes the minimum head time, advances the cursors sitting on it and
-/// re-adds every in-effect value in source order. Re-adding (rather than a
-/// running `sum += new - old`) keeps the rounding, and so every exported
-/// byte, identical to evaluating each instant from scratch.
+/// the values in effect at `t`, with a NaN sum fixed by nan_rule_sum. One
+/// cursor per source and no sort: each step takes the minimum head time,
+/// advances the cursors sitting on it and re-adds every in-effect value in
+/// source order. Re-adding (rather than a running `sum += new - old`) keeps
+/// the rounding, and so every exported byte, identical to evaluating each
+/// instant from scratch.
 template <typename Sink>
 void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
                       Sink&& sink) {
-  struct Cursor {
-    Series::Cursor head;
-    double value = 0.0;  ///< in effect before the first point
-  };
-  std::vector<Cursor> cursors;
+  std::vector<SweepCursor> cursors;
   cursors.reserve(sources.size());
   bool more = false;
   TimeNs t = 0;
   for (const MetricsRegistry::Entry* e : sources) {
-    const Cursor& c = cursors.emplace_back(
-        Cursor{Series::Cursor(std::get<Series>(e->metric))});
+    const SweepCursor& c = cursors.emplace_back(
+        SweepCursor{Series::Cursor(std::get<Series>(e->metric))});
     if (!c.head.done()) {
       t = more ? std::min(t, c.head.time()) : c.head.time();
       more = true;
@@ -104,7 +124,7 @@ void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
     double sum = 0.0;
     TimeNs next = 0;
     more = false;
-    for (Cursor& c : cursors) {
+    for (SweepCursor& c : cursors) {
       if (!c.head.done() && c.head.time() == t) {
         c.value = c.head.value();
         c.head.next();
@@ -115,6 +135,7 @@ void sweep_series_sum(const std::vector<const MetricsRegistry::Entry*>& sources,
         more = true;
       }
     }
+    if (std::isnan(sum)) [[unlikely]] sum = nan_rule_sum(cursors);
     sink(t, sum);
     t = next;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -64,30 +65,27 @@ void Recorder::add(Span span) {
                                << " not interned in this recorder");
   HQ_CHECK_MSG(span.end >= span.begin,
                "span '" << name_of(span.name) << "' ends before it begins");
-  constexpr DurationNs kMaxOffset = std::numeric_limits<std::uint32_t>::max();
-  const std::size_t index = size();
-  if (chunks_.empty() || chunks_.back().records.size() == kChunkSpans ||
-      span.end < chunks_.back().base ||
-      span.end - chunks_.back().base > kMaxOffset) {
-    if (!chunks_.empty()) chunks_.back().records.shrink_to_fit();
-    const TimeNs base =
-        span.end - std::min<DurationNs>(span.duration(), kMaxOffset);
-    chunks_.push_back(Chunk{base, index, {}});
-    chunks_.back().records.reserve(kFirstChunkSpans);
+  const std::uint32_t shape = shape_of(span);
+  if (empty() || chunks_.back().size == kChunkSpans) {
+    chunks_.push_back(Chunk{span.end, span.app_id, 0, {}});
+    open_bytes_ = 0;
+    last_end_ = span.end;
+    last_app_ = span.app_id;
   }
   Chunk& chunk = chunks_.back();
-  if (chunk.records.size() == chunk.records.capacity()) {
-    chunk.records.reserve(std::min(2 * chunk.records.capacity(), kChunkSpans));
-  }
-  std::uint32_t duration = kEscaped;
-  if (span.duration() < kEscaped) {
-    duration = static_cast<std::uint32_t>(span.duration());
-  } else {
-    escapes_.push_back(Escape{index, span.duration()});
-  }
-  chunk.records.push_back(
-      Record{static_cast<std::uint32_t>(span.end - chunk.base), duration,
-             span.app_id, shape_of(span)});
+  const auto app_delta = static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(span.app_id) -
+      static_cast<std::uint32_t>(last_app_));
+  std::uint8_t* at = varint::room_for(chunk.bytes, open_bytes_, 2);
+  at = varint::put_pair(at, varint::zigzag(span.end - last_end_),
+                        span.duration());
+  at = varint::put_pair(
+      at, varint::zigzag(static_cast<std::uint64_t>(std::int64_t{app_delta})),
+      shape);
+  open_bytes_ = static_cast<std::size_t>(at - chunk.bytes.data());
+  last_end_ = span.end;
+  last_app_ = span.app_id;
+  if (++chunk.size == kChunkSpans) varint::trim(chunk.bytes, open_bytes_);
 }
 
 std::uint32_t Recorder::shape_of(const Span& span) {
@@ -110,7 +108,8 @@ std::uint32_t Recorder::shape_of(const Span& span) {
     }
     s = (s + 1) & (slots_.size() - 1);
   }
-  HQ_CHECK_MSG(shapes_.size() < kEscaped, "span dictionary overflow");
+  HQ_CHECK_MSG(shapes_.size() < std::numeric_limits<std::uint32_t>::max(),
+               "span dictionary overflow");
   shapes_.push_back(key);
   slots_[s] = static_cast<std::uint32_t>(shapes_.size());
   return slots_[s] - 1;
@@ -129,30 +128,10 @@ std::size_t Recorder::slot_of(const Shape& shape) const {
   return static_cast<std::size_t>(h >> shift);
 }
 
-std::size_t Recorder::chunk_of(std::size_t i) const {
-  // Every chunk before the open one is full unless one was closed early,
-  // and then the open chunk does not start at a multiple of kChunkSpans.
-  if (chunks_.back().first == (chunks_.size() - 1) * kChunkSpans) {
-    return i / kChunkSpans;
-  }
-  const auto it = std::upper_bound(
-      chunks_.begin(), chunks_.end(), i,
-      [](std::size_t index, const Chunk& c) { return index < c.first; });
-  return static_cast<std::size_t>(it - chunks_.begin()) - 1;
-}
-
 Span Recorder::span(std::size_t i) const {
-  const Chunk& c = chunks_[chunk_of(i)];
-  const Record& r = c.records[i - c.first];
-  DurationNs duration = r.duration;
-  if (r.duration == kEscaped) {
-    duration = std::lower_bound(escapes_.begin(), escapes_.end(), i,
-                                [](const Escape& e, std::size_t index) {
-                                  return e.index < index;
-                                })
-                   ->duration;
-  }
-  return decode(c.base, r, duration);
+  Iterator it(*this, i - i % kChunkSpans);
+  for (std::size_t n = i % kChunkSpans; n != 0; --n) ++it;
+  return *it;
 }
 
 std::size_t Recorder::dictionary_bytes() const {
@@ -161,10 +140,8 @@ std::size_t Recorder::dictionary_bytes() const {
 }
 
 std::size_t Recorder::storage_bytes() const {
-  std::size_t bytes = chunks_.capacity() * sizeof(Chunk) +
-                      escapes_.capacity() * sizeof(Escape) +
-                      dictionary_bytes();
-  for (const Chunk& c : chunks_) bytes += c.records.capacity() * sizeof(Record);
+  std::size_t bytes = chunks_.capacity() * sizeof(Chunk) + dictionary_bytes();
+  for (const Chunk& c : chunks_) bytes += c.bytes.capacity();
   return bytes;
 }
 
@@ -201,14 +178,11 @@ std::optional<TimeNs> Recorder::max_time() const {
   return t;
 }
 
-AppIndex::AppIndex(const Recorder& recorder) : recorder_(&recorder) {
+AppIndex::AppIndex(const Recorder& recorder) {
   if (recorder.empty()) {
     offsets_.push_back(0);
     return;
   }
-  HQ_CHECK_MSG(recorder.size() <= std::numeric_limits<std::uint32_t>::max(),
-               "AppIndex holds 32-bit span indices; the recorder has "
-                   << recorder.size() << " spans");
   std::vector<std::int32_t> apps;
   apps.reserve(recorder.size());
   for (const Span s : recorder) apps.push_back(s.app_id);
@@ -221,40 +195,36 @@ AppIndex::AppIndex(const Recorder& recorder) : recorder_(&recorder) {
   const std::int64_t min_id = *lo;
   const std::int64_t range = std::int64_t{*hi} - min_id + 1;
 
-  spans_.resize(apps.size());
   const std::int64_t kDenseRangeCap = 1 << 20;
   if (range <= kDenseRangeCap) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(range), 0);
+    std::vector<std::size_t> starts(static_cast<std::size_t>(range), 0);
     for (const std::int32_t app : apps) {
-      ++counts[static_cast<std::size_t>(app - min_id)];
+      ++starts[static_cast<std::size_t>(app - min_id)];
     }
-    offsets_.reserve(16);
-    std::vector<std::size_t> starts(counts.size(), 0);
     std::size_t running = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      if (counts[b] == 0) continue;
+    for (std::size_t b = 0; b < starts.size(); ++b) {
+      if (starts[b] == 0) continue;
       ids_.push_back(static_cast<std::int32_t>(min_id + static_cast<std::int64_t>(b)));
       offsets_.push_back(running);
-      starts[b] = running;
-      running += counts[b];
+      running += std::exchange(starts[b], running);
     }
     offsets_.push_back(running);
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      spans_[starts[static_cast<std::size_t>(apps[i] - min_id)]++] =
-          static_cast<std::uint32_t>(i);
+    // One pass copies each decoded span into its app's group.
+    spans_.resize(apps.size());
+    for (const Span s : recorder) {
+      spans_[starts[static_cast<std::size_t>(s.app_id - min_id)]++] = s;
     }
   } else {
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      spans_[i] = static_cast<std::uint32_t>(i);
-    }
+    spans_.reserve(apps.size());
+    spans_.assign(recorder.begin(), recorder.end());
     std::stable_sort(spans_.begin(), spans_.end(),
-                     [&apps](std::uint32_t a, std::uint32_t b) {
-                       return apps[a] < apps[b];
+                     [](const Span& a, const Span& b) {
+                       return a.app_id < b.app_id;
                      });
     // offsets_[k] = first index of group k; final entry = total span count.
     for (std::size_t i = 0; i < spans_.size(); ++i) {
-      if (i == 0 || apps[spans_[i]] != apps[spans_[i - 1]]) {
-        ids_.push_back(apps[spans_[i]]);
+      if (i == 0 || spans_[i].app_id != spans_[i - 1].app_id) {
+        ids_.push_back(spans_[i].app_id);
         offsets_.push_back(i);
       }
     }
@@ -266,8 +236,7 @@ AppSpans AppIndex::spans_for(std::int32_t app_id) const {
   const auto it = std::lower_bound(ids_.begin(), ids_.end(), app_id);
   if (it == ids_.end() || *it != app_id) return {};
   const std::size_t k = static_cast<std::size_t>(it - ids_.begin());
-  return {recorder_, {spans_.data() + offsets_[k],
-                      offsets_[k + 1] - offsets_[k]}};
+  return {spans_.data() + offsets_[k], offsets_[k + 1] - offsets_[k]};
 }
 
 }  // namespace hq::trace

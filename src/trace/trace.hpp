@@ -14,27 +14,25 @@
 // Recorder::name_of, so rendered output and digests cover the name bytes,
 // not the ids.
 //
-// Span storage contract (one layout, no options): at most 16 bytes per span
-// plus chunk slack and a per-recorder dictionary, and every span reads back
-// exactly as it was added.
-//   * Spans live in chunks of at most kChunkSpans records. A chunk keeps a
-//     64-bit base time (the first span's begin, or its end minus 2^32 - 1
-//     when it is longer than that) and 16-byte records of
-//     {u32 end offset from the base, u32 duration, i32 app id, u32 shape}.
-//     A new chunk starts when the open one is full, when a span ends before
-//     the base, or when its end offset would not fit in 32 bits.
-//   * Only the open (last) chunk grows: it starts at kFirstChunkSpans and
-//     doubles up to kChunkSpans, so a short trace stays small and a full
-//     chunk is never reallocated or copied. A chunk closed early is shrunk
-//     to its records.
+// Span storage contract (one layout, no options): about 6.5 bytes per span
+// on a device trace, plus the open chunk's slack and a per-recorder
+// dictionary, and every span reads back exactly as it was added.
+//   * Each span is two varint code words (common/varint.hpp): zigzag(end -
+//     the previous span's end) with the duration, then zigzag(app id - the
+//     previous span's app id, modulo 2^32) with the span's shape index.
+//     Spans recorded at completion end a little after the previous one and
+//     mostly on the same app, so the four fields take 6-7 bytes together.
+//     Any time, duration or app id fits, so nothing ever splits a chunk.
+//   * Chunk k holds spans [k * kChunkSpans, (k + 1) * kChunkSpans) and keeps
+//     its first span's end and app id as its bases (that span encodes zero
+//     deltas), so a chunk decodes on its own. Only the open (last) chunk
+//     grows, by half at a time; a full chunk is trimmed to its bytes plus a
+//     few bytes of read padding.
 //   * `shape` indexes a dictionary of the distinct (lane, kind, NameId)
 //     triples, found through an open-addressing table keyed by the whole
 //     triple. A device repeats a few dozen triples across all its spans.
-//   * A duration of 2^32 - 1 ns or more is stored as a sentinel plus an
-//     entry {span index, duration} in a side table of escapes.
-//   * span(i) is O(1): chunk i / kChunkSpans. Only after a chunk was closed
-//     early does it binary-search the chunks instead. Iteration walks the
-//     chunks in order without searching.
+//   * Reads decode forward: iteration walks the chunks in order, span(i)
+//     decodes at most one chunk.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +47,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "common/varint.hpp"
 
 namespace hq::trace {
 
@@ -96,11 +95,8 @@ std::uint64_t digest(const Recorder& recorder);
 /// symbol table the spans' NameIds index into. Spans are stored compactly
 /// (see the storage contract above) and read back by value.
 class Recorder {
-  struct Record;  // one stored span; defined below
-
  public:
-  static constexpr std::size_t kChunkSpans = 4096;
-  static constexpr std::size_t kFirstChunkSpans = 16;
+  static constexpr std::size_t kChunkSpans = 1024;
 
   Recorder() = default;
   /// Not copyable: ids_ keys are string_views into names_, so a memberwise
@@ -137,23 +133,26 @@ class Recorder {
 
   bool empty() const { return chunks_.empty(); }
   std::size_t size() const {
-    return empty() ? 0 : chunks_.back().first + chunks_.back().records.size();
+    return empty() ? 0
+                   : (chunks_.size() - 1) * kChunkSpans + chunks_.back().size;
   }
-  /// The i-th span in recording order; requires i < size().
+  /// The i-th span in recording order; requires i < size(). Decodes up to
+  /// kChunkSpans spans of chunk i / kChunkSpans.
   Span span(std::size_t i) const;
   /// Drops spans and the name table and frees their storage (all
   /// previously issued NameIds become invalid — there are no spans left to
   /// hold them).
   void clear() { *this = Recorder(); }
 
-  /// Allocated bytes of the span store: chunks, the (lane, kind, name)
-  /// dictionary and the duration escapes. The name table is not included.
+  /// Allocated bytes of the span store: chunks and the (lane, kind, name)
+  /// dictionary. The name table is not included.
   std::size_t storage_bytes() const;
   /// The dictionary's share of storage_bytes().
   std::size_t dictionary_bytes() const;
 
   /// Forward iterator over the spans in recording order, yielding each by
-  /// value. Invalidated by add() and clear().
+  /// value. Each span is decoded once, on the step that reaches it.
+  /// Invalidated by add() and clear().
   class Iterator {
    public:
     using iterator_concept = std::forward_iterator_tag;
@@ -163,29 +162,35 @@ class Recorder {
     using difference_type = std::ptrdiff_t;
 
     Iterator() = default;
-    Span operator*() const;
-    Iterator& operator++();
+    Span operator*() const { return head_; }
+    Iterator& operator++() {
+      if (++index_ != size_) read();
+      return *this;
+    }
     Iterator operator++(int) {
       Iterator old = *this;
       ++*this;
       return old;
     }
-    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+    bool operator==(const Iterator& other) const {
+      return index_ == other.index_;
+    }
 
    private:
     friend class Recorder;
-    Iterator(const Recorder& recorder, std::size_t chunk);
-    void enter(std::size_t chunk);
+    /// At span `index`, which must start a chunk or be the end.
+    Iterator(const Recorder& recorder, std::size_t index);
+    /// Decodes the span at index_ into head_.
+    void read();
 
     const Recorder* recorder_ = nullptr;
-    std::size_t chunk_ = 0;
-    const Record* at_ = nullptr;
-    const Record* end_ = nullptr;
-    TimeNs base_ = 0;
-    std::size_t escape_ = 0;  ///< next unread duration escape
+    std::size_t index_ = 0;
+    std::size_t size_ = 0;
+    const std::uint8_t* at_ = nullptr;  ///< the next span's first word
+    Span head_;
   };
   Iterator begin() const { return Iterator(*this, 0); }
-  Iterator end() const { return Iterator(*this, chunks_.size()); }
+  Iterator end() const { return Iterator(*this, size()); }
 
   std::vector<Span> by_app(std::int32_t app_id) const;
   std::vector<Span> by_kind(SpanKind kind) const;
@@ -216,38 +221,29 @@ class Recorder {
   std::optional<TimeNs> max_time() const;
 
  private:
-  /// Duration sentinel: the span's duration is in escapes_.
-  static constexpr std::uint32_t kEscaped = 0xFFFFFFFFu;
-
-  struct Record {
-    std::uint32_t end_offset;  ///< span end - chunk base
-    std::uint32_t duration;    ///< end - begin, or kEscaped
-    std::int32_t app_id;
-    std::uint32_t shape;       ///< into shapes_
-  };
   struct Chunk {
-    TimeNs base = 0;
-    std::size_t first = 0;  ///< recorder index of the chunk's first span
-    std::vector<Record> records;
+    TimeNs base_end = 0;         ///< end of the chunk's first span
+    std::int32_t base_app = 0;   ///< app id of the chunk's first span
+    std::uint32_t size = 0;      ///< spans in the chunk
+    std::vector<std::uint8_t> bytes;  ///< encoded spans, then zero bytes
   };
   struct Shape {
     std::int32_t lane;
     NameId name;
     SpanKind kind;
   };
-  struct Escape {
-    std::size_t index;  ///< recorder index of the span
-    DurationNs duration;
-  };
 
   /// Dictionary index of the span's (lane, kind, name), inserting it if new.
   std::uint32_t shape_of(const Span& span);
   std::size_t slot_of(const Shape& shape) const;
-  std::size_t chunk_of(std::size_t i) const;
-  Span decode(TimeNs base, const Record& r, DurationNs duration) const;
 
   std::vector<Chunk> chunks_;
-  std::vector<Escape> escapes_;  ///< ascending by index
+  // The open chunk's encoder state, set when the chunk opens: its encoded
+  // bytes (its vector is a varint::room_for append buffer), and the last
+  // span's end and app id, the bases of the next span's deltas.
+  std::size_t open_bytes_ = 0;
+  TimeNs last_end_ = 0;
+  std::int32_t last_app_ = 0;
 
   // Dictionary: distinct triples in first-seen order, found through an
   // open-addressing table (slot = index + 1, 0 = empty; at most half full).
@@ -261,93 +257,36 @@ class Recorder {
   std::unordered_map<std::string_view, NameId> ids_;
 };
 
-// The iterator and decode are inline: every reader walks them once per
-// span.
-inline Span Recorder::decode(TimeNs base, const Record& r,
-                             DurationNs duration) const {
-  const Shape& shape = shapes_[r.shape];
-  const TimeNs end = base + r.end_offset;
-  return Span{shape.lane, r.app_id, shape.kind, shape.name, end - duration,
-              end};
-}
-
+// The iterator is inline: every reader steps it once per span.
 inline Recorder::Iterator::Iterator(const Recorder& recorder,
-                                    std::size_t chunk)
-    : recorder_(&recorder) {
-  enter(chunk);
+                                    std::size_t index)
+    : recorder_(&recorder), index_(index), size_(recorder.size()) {
+  if (index_ != size_) read();
 }
 
-inline void Recorder::Iterator::enter(std::size_t chunk) {
-  chunk_ = chunk;
-  if (chunk_ == recorder_->chunks_.size()) {
-    at_ = end_ = nullptr;
-    return;
+inline void Recorder::Iterator::read() {
+  if (index_ % kChunkSpans == 0) {
+    const Chunk& c = recorder_->chunks_[index_ / kChunkSpans];
+    at_ = c.bytes.data();
+    head_.end = c.base_end;
+    head_.app_id = c.base_app;
   }
-  const Chunk& c = recorder_->chunks_[chunk_];
-  base_ = c.base;
-  at_ = c.records.data();
-  end_ = at_ + c.records.size();
+  const varint::Pair time = varint::get_pair(at_);
+  const varint::Pair owner = varint::get_pair(at_ + time.bytes);
+  at_ += time.bytes + owner.bytes;
+  head_.end += varint::unzigzag(time.a);
+  head_.begin = head_.end - time.b;
+  head_.app_id = static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(head_.app_id) +
+      static_cast<std::uint32_t>(varint::unzigzag(owner.a)));
+  const Shape& shape = recorder_->shapes_[owner.b];
+  head_.lane = shape.lane;
+  head_.kind = shape.kind;
+  head_.name = shape.name;
 }
 
-inline Span Recorder::Iterator::operator*() const {
-  return recorder_->decode(base_, *at_,
-                           at_->duration == kEscaped
-                               ? recorder_->escapes_[escape_].duration
-                               : at_->duration);
-}
-
-inline Recorder::Iterator& Recorder::Iterator::operator++() {
-  if (at_->duration == kEscaped) ++escape_;
-  if (++at_ == end_) enter(chunk_ + 1);
-  return *this;
-}
-
-/// Spans of one app, in recording order: a view of span indices into the
-/// recorder an AppIndex was built from, read back by value.
-class AppSpans {
- public:
-  class Iterator {
-   public:
-    using iterator_concept = std::forward_iterator_tag;
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Span;
-    using reference = Span;
-    using difference_type = std::ptrdiff_t;
-
-    Iterator() = default;
-    Iterator(const Recorder* recorder, const std::uint32_t* at)
-        : recorder_(recorder), at_(at) {}
-    Span operator*() const { return recorder_->span(*at_); }
-    Iterator& operator++() {
-      ++at_;
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++at_;
-      return old;
-    }
-    bool operator==(const Iterator& other) const { return at_ == other.at_; }
-
-   private:
-    const Recorder* recorder_ = nullptr;
-    const std::uint32_t* at_ = nullptr;
-  };
-
-  AppSpans() = default;
-  AppSpans(const Recorder* recorder, std::span<const std::uint32_t> indices)
-      : recorder_(recorder), indices_(indices) {}
-
-  std::size_t size() const { return indices_.size(); }
-  bool empty() const { return indices_.empty(); }
-  Span operator[](std::size_t k) const { return recorder_->span(indices_[k]); }
-  Iterator begin() const { return {recorder_, indices_.data()}; }
-  Iterator end() const { return {recorder_, indices_.data() + size()}; }
-
- private:
-  const Recorder* recorder_ = nullptr;
-  std::span<const std::uint32_t> indices_;
-};
+/// Spans of one app, in recording order.
+using AppSpans = std::span<const Span>;
 
 /// One-pass per-app span index over a flat, sorted layout. Extracting
 /// per-app metrics with Recorder::by_app costs O(apps * spans) plus a copy
@@ -355,8 +294,8 @@ class AppSpans {
 /// O(spans + app-id range) (a counting scatter over the dense app-id range,
 /// falling back to a stable sort for pathological sparse ids) and each
 /// subsequent per-app lookup is a binary search over the distinct ids,
-/// O(log apps). The index holds 32-bit span indices into the source
-/// recorder, which must outlive the index and not change while it is used.
+/// O(log apps). The index holds its own copy of the decoded spans, grouped
+/// by app, so it does not refer back to the recorder.
 class AppIndex {
  public:
   explicit AppIndex(const Recorder& recorder);
@@ -371,10 +310,9 @@ class AppIndex {
   std::size_t app_count() const { return ids_.size(); }
 
  private:
-  const Recorder* recorder_;
-  std::vector<std::int32_t> ids_;        ///< distinct app ids, ascending
-  std::vector<std::size_t> offsets_;     ///< ids_.size()+1 bounds into spans_
-  std::vector<std::uint32_t> spans_;     ///< grouped by app, recording order
+  std::vector<std::int32_t> ids_;     ///< distinct app ids, ascending
+  std::vector<std::size_t> offsets_;  ///< ids_.size()+1 bounds into spans_
+  std::vector<Span> spans_;           ///< grouped by app, recording order
 };
 
 }  // namespace hq::trace

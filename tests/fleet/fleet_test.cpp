@@ -264,12 +264,11 @@ TEST(FleetTest, ValidateRejectsBadConfigs) {
   EXPECT_THROW(bad_penalty.validate(), hq::Error);
 }
 
-// The compact span store's budget on a real run. Each device recorder holds
-// at most 16 bytes per span plus one chunk of slack and its dictionary, and
-// summed over the fleet the store costs at most 17.5 bytes per span.
-// 32-byte spans in a doubling vector take more than 32 bytes each and fail
-// both.
-TEST(FleetTest, SpanStoreAtMostSeventeenAndAHalfBytesPerSpan) {
+// The varint span store's budget on a real run. Each device recorder holds
+// at most 7 bytes per span plus one open chunk's slack and its dictionary,
+// and summed over the fleet, dictionaries included, the store costs at most
+// 7 bytes per span. The 16-byte records of the fixed-width layout fail both.
+TEST(FleetTest, SpanStoreAtMostSevenBytesPerSpan) {
   FleetConfig config;
   rodinia::AppParams params;
   params.size = 96;
@@ -290,13 +289,12 @@ TEST(FleetTest, SpanStoreAtMostSeventeenAndAHalfBytesPerSpan) {
     const trace::Recorder& trace = *dev.trace;
     EXPECT_GE(trace.size(), 8192u);
     EXPECT_LE(trace.storage_bytes(),
-              16 * trace.size() + 64 * 1024 + trace.dictionary_bytes())
+              7 * trace.size() + 16 * 1024 + trace.dictionary_bytes())
         << trace.size() << " spans";
     spans += trace.size();
     bytes += trace.storage_bytes();
   }
-  EXPECT_LE(static_cast<double>(bytes), 17.5 * static_cast<double>(spans))
-      << bytes << " bytes for " << spans << " spans";
+  EXPECT_LE(bytes, 7 * spans) << bytes << " bytes for " << spans << " spans";
 }
 
 }  // namespace

@@ -330,9 +330,31 @@ TEST(SeriesStorageTest, RejectsTimeGoingBackwardsAcrossChunks) {
   EXPECT_EQ(s.size(), Series::kChunkPoints + 2);
 }
 
+/// The merged series the fleet rollup must produce from `refs`: at every
+/// event time, the sum in ascending device order from 0.0 of each device's
+/// value in effect, re-sampled through the reference. A sum that meets a
+/// NaN is that NaN, bit for bit: the first NaN in device order.
+ReferenceSeries reference_sum(const std::vector<ReferenceSeries>& refs) {
+  std::vector<TimeNs> times;
+  for (const ReferenceSeries& r : refs) {
+    for (const Series::Point& p : r.points) times.push_back(p.time);
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  ReferenceSeries want;
+  for (const TimeNs t : times) {
+    double sum = 0.0;
+    for (const ReferenceSeries& r : refs) {
+      const double v = r.value_at(t);
+      if (!std::isnan(sum)) sum = std::isnan(v) ? v : sum + v;
+    }
+    want.sample(t, sum);
+  }
+  return want;
+}
+
 /// The fleet merge (one cursor sweep over varint series) against the
-/// reference: the sum, in ascending device order from 0.0, of each device's
-/// value in effect at every event time, re-sampled through the reference.
+/// reference sum.
 TEST(SeriesStorageTest, FleetMergeMatchesTheReferenceSum) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -346,18 +368,40 @@ TEST(SeriesStorageTest, FleetMergeMatchesTheReferenceSum) {
                     refs[d]);
       rollup.add_device(static_cast<int>(d), "dev", reg);
     }
-    std::vector<TimeNs> times;
-    for (const ReferenceSeries& r : refs) {
-      for (const Series::Point& p : r.points) times.push_back(p.time);
+    const MetricsRegistry merged = rollup.merged();
+    expect_same(std::get<Series>(merged.find("power")->metric),
+                reference_sum(refs));
+  }
+
+  // NaN payloads in both operand orders: the merge carries the lower
+  // device's NaN whichever payload it has, and a NaN meeting a number or
+  // an infinity stays that NaN. x86 gives NaN + NaN the first operand's
+  // payload, so a sweep that let the compiler commute its addition would
+  // fail one of the two orders.
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  const double nan_b = std::bit_cast<double>(bits(nan_a) | 0x1234);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool swapped : {false, true}) {
+    SCOPED_TRACE(swapped ? "payload b first" : "payload a first");
+    const double first = swapped ? nan_b : nan_a;
+    const double second = swapped ? nan_a : nan_b;
+    const std::vector<std::vector<Series::Point>> trajectories = {
+        {{10, first}, {20, 1.0}, {30, first}, {50, -inf}},
+        {{10, second}, {20, second}, {40, 2.0}, {50, inf}},
+        {{15, second}, {25, first}, {45, inf}}};
+    FleetRollup rollup;
+    std::vector<ReferenceSeries> refs(trajectories.size());
+    for (std::size_t d = 0; d < trajectories.size(); ++d) {
+      auto reg = std::make_shared<MetricsRegistry>();
+      for (const Series::Point& p : trajectories[d]) {
+        reg->series("power").sample(p.time, p.value);
+        refs[d].sample(p.time, p.value);
+      }
+      rollup.add_device(static_cast<int>(d), "dev", reg);
     }
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-    ReferenceSeries want;
-    for (const TimeNs t : times) {
-      double sum = 0.0;
-      for (const ReferenceSeries& r : refs) sum += r.value_at(t);
-      want.sample(t, sum);
-    }
+    const ReferenceSeries want = reference_sum(refs);
+    ASSERT_EQ(bits(want.value_at(10)), bits(first));
+    ASSERT_EQ(bits(want.value_at(20)), bits(second));
     const MetricsRegistry merged = rollup.merged();
     expect_same(std::get<Series>(merged.find("power")->metric), want);
   }
