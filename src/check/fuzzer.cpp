@@ -1,12 +1,13 @@
 #include "check/fuzzer.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "exec/parallel.hpp"
@@ -21,6 +22,19 @@ namespace {
 int pick(Rng& rng, std::initializer_list<int> choices) {
   const auto* begin = choices.begin();
   return begin[rng.next_below(choices.size())];
+}
+
+/// One or two distinct applications, as indices into rodinia::app_names().
+std::vector<std::size_t> pick_apps(Rng& rng) {
+  const std::size_t count = 1 + rng.next_below(2);
+  std::vector<std::size_t> picked;
+  while (picked.size() < count) {
+    const std::size_t i = rng.next_below(rodinia::app_names().size());
+    if (std::find(picked.begin(), picked.end(), i) == picked.end()) {
+      picked.push_back(i);
+    }
+  }
+  return picked;
 }
 
 /// Sizes proven safe (and fast) by the per-application property tests; the
@@ -49,6 +63,14 @@ rodinia::AppParams pick_params(const std::string& name, Rng& rng) {
   }
   p.seed = rng.next_u64();
   return p;
+}
+
+/// Appends one problem, streamed from `parts`.
+template <class... Parts>
+void add_problem(std::vector<std::string>& problems, const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  problems.push_back(os.str());
 }
 
 fleet::FleetResult run_once(const fleet::FleetConfig& config) {
@@ -89,14 +111,9 @@ auto run_guarded(std::vector<std::string>& problems, const char* label,
 /// missed. Without chaos or corruption the last four hold at zero.
 void check_fleet_conservation(const fleet::FleetReport& r, const char* label,
                               std::vector<std::string>& problems) {
-  const auto fail = [&](const std::ostringstream& os) {
-    problems.push_back(label + (": " + os.str()));
-  };
   if (r.arrived != r.terminal()) {
-    std::ostringstream os;
-    os << "accounting leak (arrived " << r.arrived << " != terminal states "
-       << r.terminal() << ")";
-    fail(os);
+    add_problem(problems, label, ": accounting leak (arrived ", r.arrived,
+                " != terminal states ", r.terminal(), ")");
   }
   std::uint64_t device_arrived = 0;
   std::uint64_t device_verifications = 0;
@@ -110,36 +127,141 @@ void check_fleet_conservation(const fleet::FleetReport& r, const char* label,
   }
   if (device_arrived + r.shed_no_device + r.shed_failover_exhausted !=
       r.arrived) {
-    std::ostringstream os;
-    os << "per-device arrivals " << device_arrived << " + shed_no_device "
-       << r.shed_no_device << " + shed_failover_exhausted "
-       << r.shed_failover_exhausted << " != fleet arrived " << r.arrived;
-    fail(os);
+    add_problem(problems, label, ": per-device arrivals ", device_arrived,
+                " + shed_no_device ", r.shed_no_device,
+                " + shed_failover_exhausted ", r.shed_failover_exhausted,
+                " != fleet arrived ", r.arrived);
   }
   if (device_verifications != r.reexecutions) {
-    std::ostringstream os;
-    os << "per-device verifications " << device_verifications
-       << " != fleet reexecutions " << r.reexecutions;
-    fail(os);
+    add_problem(problems, label, ": per-device verifications ",
+                device_verifications, " != fleet reexecutions ",
+                r.reexecutions);
   }
   if (device_injected != r.sdc_injected) {
-    std::ostringstream os;
-    os << "per-device sdc_injected " << device_injected
-       << " != fleet sdc_injected " << r.sdc_injected;
-    fail(os);
+    add_problem(problems, label, ": per-device sdc_injected ", device_injected,
+                " != fleet sdc_injected ", r.sdc_injected);
   }
   if (device_blocklisted != r.devices_blocklisted) {
-    std::ostringstream os;
-    os << "per-device blocklisted flags " << device_blocklisted
-       << " != fleet devices_blocklisted " << r.devices_blocklisted;
-    fail(os);
+    add_problem(problems, label, ": per-device blocklisted flags ",
+                device_blocklisted, " != fleet devices_blocklisted ",
+                r.devices_blocklisted);
   }
   if (r.sdc_injected != r.sdc_detected + r.sdc_missed) {
-    std::ostringstream os;
-    os << "sdc partition broken (" << r.sdc_injected << " injected != "
-       << r.sdc_detected << " detected + " << r.sdc_missed << " missed)";
-    fail(os);
+    add_problem(problems, label, ": sdc partition broken (", r.sdc_injected,
+                " injected != ", r.sdc_detected, " detected + ", r.sdc_missed,
+                " missed)");
   }
+}
+
+std::string report_text(const serve::ServeReport& r) {
+  return serve::report_json(r);
+}
+std::string report_text(const fleet::FleetReport& r) {
+  return fleet::fleet_report_json(r);
+}
+
+/// The byte-identity oracle: reports `a` and `b` must render the same;
+/// otherwise `what` is a problem, with both report digests.
+template <class Report>
+void expect_same_report(std::vector<std::string>& problems,
+                        const std::string& what, const Report& a,
+                        const Report& b) {
+  const std::string text_a = report_text(a);
+  const std::string text_b = report_text(b);
+  if (text_a != text_b) {
+    add_problem(problems, what, " (digests ",
+                Fnv1a64().mix_string(text_a).value(), " vs ",
+                Fnv1a64().mix_string(text_b).value(), ")");
+  }
+}
+
+/// The determinism oracle of every serving check: runs `config` twice as
+/// "<check>-run1/2" and requires byte-identical reports. Returns the first
+/// run, or nullopt when either run aborted.
+template <class Config>
+auto run_twice(std::vector<std::string>& problems, const std::string& check,
+               const Config& config)
+    -> decltype(run_guarded(problems, "", config)) {
+  const auto run1 = run_guarded(problems, (check + "-run1").c_str(), config);
+  const auto run2 = run_guarded(problems, (check + "-run2").c_str(), config);
+  if (!run1 || !run2) return std::nullopt;
+  expect_same_report(
+      problems, check + " determinism: reports differ across identical runs",
+      run1->report, run2->report);
+  return run1;
+}
+
+/// The inert-layer identity of the chaos and SDC checks: `layered` with
+/// every plan disabled, hedging off and the Trust policy (the layer's
+/// knobs present but inert) reproduces the fleet case byte for byte,
+/// apart from the config echo.
+void check_inert_layer(std::vector<std::string>& problems,
+                       const std::string& check,
+                       const fleet::FleetConfig& layered) {
+  fleet::FleetConfig inert = layered;
+  inert.device_fault_plans.assign(layered.num_devices(), fault::FaultPlan{});
+  inert.hedging = false;
+  inert.integrity = fleet::IntegrityPolicy::Trust;
+  const auto inert_run =
+      run_guarded(problems, (check + "-inert").c_str(), inert);
+  const auto baseline = run_guarded(problems, (check + "-baseline").c_str(),
+                                    fleet_case_of(layered));
+  if (!inert_run || !baseline) return;
+  expect_same_report(problems,
+                     check + " inert-layer perturbation: disabled plans, "
+                             "hedging off and trust changed the report",
+                     fleet::with_config_echo_of(inert_run->report,
+                                                baseline->report),
+                     baseline->report);
+}
+
+/// The per-device plan draw of the chaos and SDC layers. Each device takes
+/// one fixed draw sequence (verdict, kind, time, plan seed), consumed
+/// whether or not it gets a plan, so every decision is a pure function of
+/// the seed. With probability `rate` the device gets a zero plan with that
+/// seed, shaped by `shape(plan, kind in [0, 3), time)`; the time lies in
+/// the middle three fifths of the window.
+template <class Shape>
+std::vector<fault::FaultPlan> draw_device_plans(
+    Rng& rng, const fleet::FleetConfig& config, double rate, Shape shape) {
+  const DurationNs window = config.base.window;
+  std::vector<fault::FaultPlan> plans(config.num_devices());
+  for (fault::FaultPlan& plan : plans) {
+    const double verdict = rng.next_double();
+    const std::size_t kind = rng.next_below(3);
+    const TimeNs at = static_cast<TimeNs>(
+        window / 5 + rng.next_below(static_cast<std::uint64_t>(window) * 3 / 5));
+    const std::uint64_t plan_seed = rng.next_u64();
+    if (verdict >= rate) continue;
+    plan = fault::FaultPlan::zero();
+    plan.seed = plan_seed;
+    shape(plan, kind, at);
+  }
+  return plans;
+}
+
+/// The class factories of a parsed config, rebuilt from each class's type
+/// and params record ("size=64 seed=7" reads as AppParams text).
+void rebuild_factories(serve::ServiceConfig& config) {
+  for (serve::ClassSpec& klass : config.classes) {
+    std::string record = klass.item.params;
+    std::replace(record.begin(), record.end(), ' ', ',');
+    rodinia::AppParams params;
+    std::string error;
+    const bool parsed = codec::parse(record, &params, &error);
+    HQ_CHECK_MSG(parsed, "fuzz case class '" << klass.item.type_name
+                                             << "': " << error);
+    klass.item = rodinia::make_app(klass.item.type_name, params);
+  }
+}
+
+template <class Config>
+Config parse_config(std::string_view text) {
+  Config config;
+  std::string error;
+  const bool parsed = codec::parse(text, &config, &error);
+  HQ_CHECK_MSG(parsed, "fuzz case: " << error);
+  return config;
 }
 
 }  // namespace
@@ -150,15 +272,7 @@ FuzzCase generate_case(std::uint64_t case_seed) {
   c.seed = case_seed;
 
   const auto& names = rodinia::app_names();
-  const std::size_t num_types = 1 + rng.next_below(2);
-  std::vector<std::size_t> picked;
-  while (picked.size() < num_types) {
-    const std::size_t i = rng.next_below(names.size());
-    if (std::find(picked.begin(), picked.end(), i) == picked.end()) {
-      picked.push_back(i);
-    }
-  }
-  for (const std::size_t i : picked) {
+  for (const std::size_t i : pick_apps(rng)) {
     c.type_names.push_back(names[i]);
     c.params.push_back(pick_params(names[i], rng));
   }
@@ -206,22 +320,12 @@ std::string FuzzCase::summary() const {
   return os.str();
 }
 
-ServeFuzzCase generate_serve_case(std::uint64_t case_seed) {
+serve::ServiceConfig draw_serve_case(std::uint64_t case_seed) {
   Rng rng(case_seed);
-  ServeFuzzCase c;
-  c.seed = case_seed;
-  serve::ServiceConfig& cfg = c.config;
+  serve::ServiceConfig cfg;
 
   const auto& names = rodinia::app_names();
-  const std::size_t num_classes = 1 + rng.next_below(2);
-  std::vector<std::size_t> picked;
-  while (picked.size() < num_classes) {
-    const std::size_t i = rng.next_below(names.size());
-    if (std::find(picked.begin(), picked.end(), i) == picked.end()) {
-      picked.push_back(i);
-    }
-  }
-  for (const std::size_t i : picked) {
+  for (const std::size_t i : pick_apps(rng)) {
     const rodinia::AppParams params = pick_params(names[i], rng);
     cfg.classes.push_back({rodinia::make_app(names[i], params),
                            static_cast<int>(rng.next_below(3))});
@@ -241,33 +345,15 @@ ServeFuzzCase generate_serve_case(std::uint64_t case_seed) {
   cfg.deadline = deadlines[rng.next_below(std::size(deadlines))];
   cfg.seed = rng.next_u64();
   cfg.collect_metrics = false;  // oracle runs only consume the report
-  return c;
+  return cfg;
 }
 
-std::string ServeFuzzCase::summary() const {
-  std::ostringstream os;
-  os << "serve seed=" << seed << " classes=";
-  for (std::size_t i = 0; i < config.classes.size(); ++i) {
-    if (i > 0) os << "+";
-    os << config.classes[i].item.type_name << "(p"
-       << config.classes[i].priority << ")";
-  }
-  os << " ns=" << config.num_streams << " window=" << config.window
-     << " gap=" << config.mean_interarrival << " cap=" << config.queue_cap
-     << " inflight=" << config.max_inflight
-     << " policy=" << serve::shed_policy_name(config.shed_policy)
-     << " deadline=" << config.deadline;
-  return os.str();
-}
-
-FleetFuzzCase generate_fleet_case(std::uint64_t case_seed) {
-  FleetFuzzCase c;
-  c.seed = case_seed;
-  c.config.base = generate_serve_case(case_seed).config;
+fleet::FleetConfig draw_fleet_case(std::uint64_t case_seed) {
+  fleet::FleetConfig cfg;
+  cfg.base = draw_serve_case(case_seed);
   // Fleet knobs draw from their own stream so they stay reproducible and
   // never perturb which serve config a case seed maps to.
   Rng rng(case_seed ^ 0xc2b2ae3d27d4eb4fULL);
-  fleet::FleetConfig& cfg = c.config;
 
   const std::size_t n = 1 + rng.next_below(3);
   const bool heterogeneous = n > 1 && rng.next_below(3) == 0;
@@ -284,68 +370,113 @@ FleetFuzzCase generate_fleet_case(std::uint64_t case_seed) {
   cfg.device_breaker_enabled = rng.next_below(3) == 0;
   cfg.device_breaker.failure_threshold = 2;
   cfg.device_breaker.cooldown = 2 * kMillisecond;
-  return c;
+  return cfg;
 }
 
-std::string FleetFuzzCase::summary() const {
-  std::ostringstream os;
-  os << "fleet seed=" << seed << " n=" << config.num_devices()
-     << " placement=" << fleet::placement_policy_name(config.placement)
-     << " steal=" << config.work_stealing
-     << " device-breaker=" << config.device_breaker_enabled << " classes=";
-  for (std::size_t i = 0; i < config.base.classes.size(); ++i) {
-    if (i > 0) os << "+";
-    os << config.base.classes[i].item.type_name;
-  }
-  os << " window=" << config.base.window
-     << " gap=" << config.base.mean_interarrival
-     << " cap=" << config.base.queue_cap
-     << " inflight=" << config.base.max_inflight;
-  return os.str();
+fleet::FleetConfig draw_chaos_case(std::uint64_t case_seed,
+                                   double chaos_rate) {
+  fleet::FleetConfig cfg = draw_fleet_case(case_seed);
+  // The chaos layer draws from its own stream, so the case seed still maps
+  // to exactly the fleet case underneath.
+  Rng rng(case_seed ^ 0x94d049bb133111ebULL);
+  const DurationNs window = cfg.base.window;
+  cfg.device_fault_plans = draw_device_plans(
+      rng, cfg, chaos_rate,
+      [window](fault::FaultPlan& plan, std::size_t kind, TimeNs at) {
+        if (kind == 0) {
+          plan.crash_at = at;
+        } else if (kind == 1) {
+          plan.flap_period = window / 4;
+          plan.flap_down = window / 16;
+          plan.flap_jitter = 0.5;
+        } else {
+          plan.degrade_at = at;
+          plan.degrade_copy_factor = 3.0;
+        }
+      });
+  cfg.failover_budget = static_cast<int>(rng.next_below(4));
+  cfg.hedging = rng.next_below(2) == 0;
+  cfg.hedge_threshold = rng.next_below(2) == 0 ? 1.5 : 2.5;
+  cfg.hedge_min_samples = 2 + rng.next_below(3);
+  return cfg;
 }
 
-std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
-                                                std::string* summary_out) {
-  const FleetFuzzCase c = generate_fleet_case(case_seed);
-  if (summary_out != nullptr) *summary_out = c.summary();
+fleet::FleetConfig draw_sdc_case(std::uint64_t case_seed, double sdc_rate) {
+  fleet::FleetConfig cfg = draw_fleet_case(case_seed);
+  // The SDC layer draws from its own stream, so the case seed still maps to
+  // exactly the fleet case underneath.
+  Rng rng(case_seed ^ 0xd6e8feb86659fd93ULL);
+  cfg.device_fault_plans = draw_device_plans(
+      rng, cfg, sdc_rate,
+      [](fault::FaultPlan& plan, std::size_t kind, TimeNs at) {
+        if (kind == 0) {
+          plan.sdc_copy_rate = 0.4;
+        } else if (kind == 1) {
+          plan.sdc_kernel_rate = 0.6;
+          plan.sdc_at = at;
+        } else {
+          plan.sdc_stuck_at = at;
+        }
+      });
+  cfg.integrity = rng.next_below(2) == 0 ? fleet::IntegrityPolicy::SpotCheck
+                                         : fleet::IntegrityPolicy::Dmr;
+  cfg.spotcheck_rate = rng.next_below(2) == 0 ? 0.5 : 1.0;
+  cfg.sdc_blocklist_threshold = rng.next_below(2) == 0 ? 0.6 : 0.8;
+  cfg.failover_budget = 1 + static_cast<int>(rng.next_below(3));
+  // The lifecycle tracer backs the blocklist-placement oracle; attaching it
+  // is zero-perturbation (the observability oracle pins that).
+  cfg.base.collect_metrics = true;
+  return cfg;
+}
+
+fleet::FleetConfig fleet_case_of(fleet::FleetConfig layered) {
+  const fleet::FleetConfig defaults;
+  layered.device_fault_plans = defaults.device_fault_plans;
+  layered.failover_budget = defaults.failover_budget;
+  layered.hedging = defaults.hedging;
+  layered.hedge_threshold = defaults.hedge_threshold;
+  layered.hedge_min_samples = defaults.hedge_min_samples;
+  layered.integrity = defaults.integrity;
+  layered.spotcheck_rate = defaults.spotcheck_rate;
+  layered.sdc_blocklist_threshold = defaults.sdc_blocklist_threshold;
+  layered.base.collect_metrics = false;
+  return layered;
+}
+
+serve::ServiceConfig parse_serve_case(std::string_view text) {
+  serve::ServiceConfig config = parse_config<serve::ServiceConfig>(text);
+  rebuild_factories(config);
+  return config;
+}
+
+fleet::FleetConfig parse_fleet_case(std::string_view text) {
+  fleet::FleetConfig config = parse_config<fleet::FleetConfig>(text);
+  rebuild_factories(config.base);
+  return config;
+}
+
+std::vector<std::string> Fuzzer::check_fleet(std::uint64_t case_seed,
+                                             const fleet::FleetConfig& config,
+                                             std::string* flag) {
   std::vector<std::string> problems;
-  const auto fail = [&problems](const std::ostringstream& os) {
-    problems.push_back(os.str());
-  };
 
-  const auto fleet1 = run_guarded(problems, "fleet-run1", c.config);
-  const auto fleet2 = run_guarded(problems, "fleet-run2", c.config);
-  if (!fleet1 || !fleet2) return problems;
-
-  // --- determinism: identical config => byte-identical fleet report ---------
-  if (fleet::fleet_report_json(fleet1->report) !=
-      fleet::fleet_report_json(fleet2->report)) {
-    std::ostringstream os;
-    os << "fleet determinism: reports differ across identical runs (digests "
-       << fleet::fleet_report_digest(fleet1->report) << " vs "
-       << fleet::fleet_report_digest(fleet2->report) << ")";
-    fail(os);
-  }
+  const auto fleet1 = run_twice(problems, "fleet", config);
+  if (!fleet1) return problems;
   check_fleet_conservation(fleet1->report, "fleet-base", problems);
 
   // --- observability zero-perturbation ---------------------------------------
   // Attaching the fleet observability plane (per-device telemetry, the job
   // lifecycle tracer, fleet-scope metrics) must leave the report bytes
   // identical, and every export must itself be deterministic across runs.
-  fleet::FleetConfig observed_cfg = c.config;
+  fleet::FleetConfig observed_cfg = config;
   observed_cfg.base.collect_metrics = true;
   const auto observed1 = run_guarded(problems, "fleet-observed1", observed_cfg);
   const auto observed2 = run_guarded(problems, "fleet-observed2", observed_cfg);
   if (observed1 && observed2) {
-    if (fleet::fleet_report_json(observed1->report) !=
-        fleet::fleet_report_json(fleet1->report)) {
-      std::ostringstream os;
-      os << "fleet observability perturbation: report changed with "
-         << "observers attached (digests "
-         << fleet::fleet_report_digest(observed1->report) << " vs "
-         << fleet::fleet_report_digest(fleet1->report) << ")";
-      fail(os);
-    }
+    expect_same_report(problems,
+                       "fleet observability perturbation: report changed "
+                       "with observers attached",
+                       observed1->report, fleet1->report);
     try {
       if (fleet::fleet_metrics_json(*observed1) !=
               fleet::fleet_metrics_json(*observed2) ||
@@ -355,22 +486,19 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
               fleet::fleet_chrome_trace_json(*observed2) ||
           fleet::fleet_snapshots_jsonl(*observed1, 500 * kMicrosecond) !=
               fleet::fleet_snapshots_jsonl(*observed2, 500 * kMicrosecond)) {
-        std::ostringstream os;
-        os << "fleet observability determinism: exports differ across "
-           << "identical observed runs";
-        fail(os);
+        add_problem(problems,
+                    "fleet observability determinism: exports differ across "
+                    "identical observed runs");
       }
     } catch (const hq::Error& e) {
-      std::ostringstream os;
-      os << "fleet observability export failed: " << e.what();
-      fail(os);
+      add_problem(problems, "fleet observability export failed: ", e.what());
     }
   }
 
   // --- placement permutation safety under injected faults --------------------
   // Every policy must preserve conservation even with a transient fault
   // plan and the device health breaker quarantining/rebalancing devices.
-  fleet::FleetConfig faulted = c.config;
+  fleet::FleetConfig faulted = config;
   faulted.base.fault_plan = case_fault_plan(case_seed, 0.5);
   faulted.device_breaker_enabled = true;
   faulted.device_breaker.failure_threshold = 2;
@@ -388,115 +516,33 @@ std::vector<std::string> Fuzzer::run_fleet_case(std::uint64_t case_seed,
   // Queueing noise can make a bigger fleet complete marginally less at a
   // fixed load, so a violation flags the case for inspection instead of
   // failing it.
-  if (c.config.num_devices() > 1 && summary_out != nullptr) {
+  if (config.num_devices() > 1 && flag != nullptr) {
     fleet::FleetConfig single;
-    single.base = c.config.base;
+    single.base = config.base;
     const auto single_run = run_guarded(problems, "fleet-single", single);
     if (single_run &&
         fleet1->report.completed < single_run->report.completed) {
       std::ostringstream os;
-      os << *summary_out << " [flag: n=" << c.config.num_devices()
-         << " fleet completed " << fleet1->report.completed
-         << " < single-device " << single_run->report.completed << "]";
-      *summary_out = os.str();
+      os << " [flag: n=" << config.num_devices() << " fleet completed "
+         << fleet1->report.completed << " < single-device "
+         << single_run->report.completed << "]";
+      *flag = os.str();
     }
   }
 
   return problems;
 }
 
-std::vector<std::string> Fuzzer::run_fleet_chaos_case(
-    std::uint64_t case_seed, double chaos_rate, std::string* summary_out) {
-  FleetFuzzCase c = generate_fleet_case(case_seed);
-  // Chaos draws from its own stream, so a case seed maps to exactly the
-  // fleet config run_fleet_case saw, plus a deterministic lifecycle-fault
-  // schedule and failover/hedging knobs layered on top.
-  Rng rng(case_seed ^ 0x94d049bb133111ebULL);
-  fleet::FleetConfig& cfg = c.config;
-  const std::size_t n = cfg.num_devices();
-  const DurationNs window = cfg.base.window;
-
-  cfg.device_fault_plans.assign(n, fault::FaultPlan{});
-  std::size_t chaotic = 0;
-  for (std::size_t d = 0; d < n; ++d) {
-    // Fixed draw sequence per device, consumed whether or not the device
-    // ends up chaotic, so every decision is a pure function of the seed.
-    const double verdict = rng.next_double();
-    const std::size_t kind = rng.next_below(3);
-    const TimeNs at = static_cast<TimeNs>(
-        window / 5 + rng.next_below(static_cast<std::uint64_t>(window) * 3 / 5));
-    const std::uint64_t plan_seed = rng.next_u64();
-    if (verdict >= chaos_rate) continue;
-    fault::FaultPlan plan = fault::FaultPlan::zero();
-    plan.seed = plan_seed;
-    if (kind == 0) {
-      plan.crash_at = at;
-    } else if (kind == 1) {
-      plan.flap_period = window / 4;
-      plan.flap_down = window / 16;
-      plan.flap_jitter = 0.5;
-    } else {
-      plan.degrade_at = at;
-      plan.degrade_copy_factor = 3.0;
-    }
-    cfg.device_fault_plans[d] = plan;
-    ++chaotic;
-  }
-  cfg.failover_budget = static_cast<int>(rng.next_below(4));
-  cfg.hedging = rng.next_below(2) == 0;
-  cfg.hedge_threshold = rng.next_below(2) == 0 ? 1.5 : 2.5;
-  cfg.hedge_min_samples = 2 + rng.next_below(3);
-
-  if (summary_out != nullptr) {
-    std::ostringstream os;
-    os << c.summary() << " chaos=" << chaotic << "/" << n
-       << " budget=" << cfg.failover_budget
-       << " hedge=" << cfg.hedging;
-    *summary_out = os.str();
-  }
+std::vector<std::string> Fuzzer::check_chaos(std::uint64_t case_seed,
+                                             const fleet::FleetConfig& config) {
   std::vector<std::string> problems;
-  const auto fail = [&problems](const std::ostringstream& os) {
-    problems.push_back(os.str());
-  };
+  const std::size_t n = config.num_devices();
+  const DurationNs window = config.base.window;
 
-  const auto chaos1 = run_guarded(problems, "chaos-run1", cfg);
-  const auto chaos2 = run_guarded(problems, "chaos-run2", cfg);
-  if (!chaos1 || !chaos2) return problems;
+  const auto chaos1 = run_twice(problems, "chaos", config);
+  if (!chaos1) return problems;
   check_fleet_conservation(chaos1->report, "chaos-base", problems);
-
-  // --- failover determinism --------------------------------------------------
-  if (fleet::fleet_report_json(chaos1->report) !=
-      fleet::fleet_report_json(chaos2->report)) {
-    std::ostringstream os;
-    os << "chaos determinism: reports differ across identical runs (digests "
-       << fleet::fleet_report_digest(chaos1->report) << " vs "
-       << fleet::fleet_report_digest(chaos2->report) << ")";
-    fail(os);
-  }
-
-  // --- inert-knob identity ---------------------------------------------------
-  // Hedging off, all per-device plans disabled, and a moved (but inert)
-  // failover budget must reproduce the chaos-free fleet case byte-for-byte,
-  // apart from the config echo.
-  fleet::FleetConfig inert = cfg;
-  inert.device_fault_plans.assign(n, fault::FaultPlan{});
-  inert.hedging = false;
-  const fleet::FleetConfig baseline = generate_fleet_case(case_seed).config;
-  const auto inert_run = run_guarded(problems, "chaos-inert", inert);
-  const auto baseline_run = run_guarded(problems, "chaos-baseline", baseline);
-  if (inert_run && baseline_run) {
-    const fleet::FleetReport echoed =
-        fleet::with_config_echo_of(inert_run->report, baseline_run->report);
-    if (fleet::fleet_report_json(echoed) !=
-        fleet::fleet_report_json(baseline_run->report)) {
-      std::ostringstream os;
-      os << "chaos inert-knob perturbation: hedging off + disabled plans "
-         << "changed the report (digests "
-         << fleet::fleet_report_digest(echoed) << " vs "
-         << fleet::fleet_report_digest(baseline_run->report) << ")";
-      fail(os);
-    }
-  }
+  check_inert_layer(problems, "chaos", config);
 
   // --- failover shed-back ---------------------------------------------------
   // Even devices flap and odd devices crash inside a flap-up window, on a
@@ -506,7 +552,7 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   // exempts such victims: their cancelled attempts own spans) and conserve,
   // while every shed job that never dispatched stays span-free on every
   // device.
-  fleet::FleetConfig flapping = cfg;
+  fleet::FleetConfig flapping = config;
   if (flapping.devices.size() < 2) {
     flapping.devices.resize(2, flapping.devices.front());
   }
@@ -525,7 +571,7 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
     }
     flapping.device_fault_plans[d] = plan;
   }
-  flapping.failover_budget = std::max(cfg.failover_budget, 2);
+  flapping.failover_budget = std::max(config.failover_budget, 2);
   flapping.base.collect_metrics = true;
   if (const auto shed_back =
           run_guarded(problems, "chaos-shed-back", flapping)) {
@@ -547,11 +593,9 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
               e.kind == serve::JobEventKind::VerifyDispatched;
       }
       if (!ran) {
-        std::ostringstream os;
-        os << "chaos-shed-back: job " << job.job_id << " ended "
-           << serve::job_state_name(job.state)
-           << " without ever dispatching but owns trace spans";
-        fail(os);
+        add_problem(problems, "chaos-shed-back: job ", job.job_id, " ended ",
+                    serve::job_state_name(job.state),
+                    " without ever dispatching but owns trace spans");
         break;
       }
     }
@@ -561,7 +605,7 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   // Every device crashes at the same instant: the run must terminate with
   // no invariant violation, conserve every arrival, and complete nothing
   // after the crash.
-  fleet::FleetConfig doomed = cfg;
+  fleet::FleetConfig doomed = config;
   fault::FaultPlan crash_all = fault::FaultPlan::zero();
   crash_all.crash_at = window / 3;
   doomed.device_fault_plans.assign(n, crash_all);
@@ -570,11 +614,9 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
     for (const serve::JobRecord& job : dead->jobs) {
       if (serve::is_completed(job.state) &&
           job.completed_at > crash_all.crash_at) {
-        std::ostringstream os;
-        os << "chaos-all-dead: job " << job.job_id << " completed at "
-           << job.completed_at << " after every device crashed at "
-           << crash_all.crash_at;
-        fail(os);
+        add_problem(problems, "chaos-all-dead: job ", job.job_id,
+                    " completed at ", job.completed_at,
+                    " after every device crashed at ", crash_all.crash_at);
         break;
       }
     }
@@ -583,102 +625,13 @@ std::vector<std::string> Fuzzer::run_fleet_chaos_case(
   return problems;
 }
 
-std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
-                                                    double sdc_rate,
-                                                    std::string* summary_out) {
-  FleetFuzzCase c = generate_fleet_case(case_seed);
-  // SDC draws from their own stream, so a case seed maps to exactly the
-  // fleet config run_fleet_case saw, plus a deterministic corruption
-  // schedule and integrity knobs layered on top.
-  Rng rng(case_seed ^ 0xd6e8feb86659fd93ULL);
-  fleet::FleetConfig& cfg = c.config;
-  const std::size_t n = cfg.num_devices();
-  const DurationNs window = cfg.base.window;
-
-  cfg.device_fault_plans.assign(n, fault::FaultPlan{});
-  std::size_t corrupting = 0;
-  for (std::size_t d = 0; d < n; ++d) {
-    // Fixed draw sequence per device, consumed whether or not the device
-    // ends up corrupting, so every decision is a pure function of the seed.
-    const double verdict = rng.next_double();
-    const std::size_t kind = rng.next_below(3);
-    const TimeNs at = static_cast<TimeNs>(
-        window / 5 + rng.next_below(static_cast<std::uint64_t>(window) * 3 / 5));
-    const std::uint64_t plan_seed = rng.next_u64();
-    if (verdict >= sdc_rate) continue;
-    fault::FaultPlan plan = fault::FaultPlan::zero();
-    plan.seed = plan_seed;
-    if (kind == 0) {
-      plan.sdc_copy_rate = 0.4;
-    } else if (kind == 1) {
-      plan.sdc_kernel_rate = 0.6;
-      plan.sdc_at = at;
-    } else {
-      plan.sdc_stuck_at = at;
-    }
-    cfg.device_fault_plans[d] = plan;
-    ++corrupting;
-  }
-  cfg.integrity = rng.next_below(2) == 0 ? fleet::IntegrityPolicy::SpotCheck
-                                         : fleet::IntegrityPolicy::Dmr;
-  cfg.spotcheck_rate = rng.next_below(2) == 0 ? 0.5 : 1.0;
-  cfg.sdc_blocklist_threshold = rng.next_below(2) == 0 ? 0.6 : 0.8;
-  cfg.failover_budget = 1 + static_cast<int>(rng.next_below(3));
-  // The lifecycle tracer backs the blocklist-placement oracle; attaching it
-  // is zero-perturbation (the observability oracle pins that).
-  cfg.base.collect_metrics = true;
-
-  if (summary_out != nullptr) {
-    std::ostringstream os;
-    os << c.summary() << " sdc=" << corrupting << "/" << n << " policy="
-       << fleet::integrity_policy_name(cfg.integrity)
-       << " spotcheck=" << cfg.spotcheck_rate
-       << " blocklist=" << cfg.sdc_blocklist_threshold;
-    *summary_out = os.str();
-  }
+std::vector<std::string> Fuzzer::check_sdc(std::uint64_t /*case_seed*/,
+                                           const fleet::FleetConfig& config) {
   std::vector<std::string> problems;
-  const auto fail = [&problems](const std::ostringstream& os) {
-    problems.push_back(os.str());
-  };
-
-  const auto sdc1 = run_guarded(problems, "sdc-run1", cfg);
-  const auto sdc2 = run_guarded(problems, "sdc-run2", cfg);
-  if (!sdc1 || !sdc2) return problems;
+  const auto sdc1 = run_twice(problems, "sdc", config);
+  if (!sdc1) return problems;
   check_fleet_conservation(sdc1->report, "sdc-base", problems);
-
-  // --- determinism -----------------------------------------------------------
-  if (fleet::fleet_report_json(sdc1->report) !=
-      fleet::fleet_report_json(sdc2->report)) {
-    std::ostringstream os;
-    os << "sdc determinism: reports differ across identical runs (digests "
-       << fleet::fleet_report_digest(sdc1->report) << " vs "
-       << fleet::fleet_report_digest(sdc2->report) << ")";
-    fail(os);
-  }
-
-  // --- inert-plan identity ---------------------------------------------------
-  // All-clean plans + Trust must reproduce the fleet case without the
-  // integrity knobs byte-for-byte, apart from the config echo: under Trust
-  // with clean plans the pipeline dispatches and detects nothing.
-  fleet::FleetConfig inert = cfg;
-  inert.device_fault_plans.assign(n, fault::FaultPlan{});
-  inert.integrity = fleet::IntegrityPolicy::Trust;
-  const fleet::FleetConfig baseline = generate_fleet_case(case_seed).config;
-  const auto inert_run = run_guarded(problems, "sdc-inert", inert);
-  const auto baseline_run = run_guarded(problems, "sdc-baseline", baseline);
-  if (inert_run && baseline_run) {
-    const fleet::FleetReport echoed =
-        fleet::with_config_echo_of(inert_run->report, baseline_run->report);
-    if (fleet::fleet_report_json(echoed) !=
-        fleet::fleet_report_json(baseline_run->report)) {
-      std::ostringstream os;
-      os << "sdc inert-plan perturbation: clean plans + trust policy "
-         << "changed the report (digests "
-         << fleet::fleet_report_digest(echoed) << " vs "
-         << fleet::fleet_report_digest(baseline_run->report) << ")";
-      fail(os);
-    }
-  }
+  check_inert_layer(problems, "sdc", config);
 
   // --- blocklisted devices receive nothing after their blocklist time --------
   if (sdc1->lifecycle != nullptr) {
@@ -701,12 +654,10 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
               e.kind == serve::JobEventKind::VerifyDispatched;
           if (lands_work && e.device == static_cast<int>(d) &&
               e.at > dev.blocklisted_at) {
-            std::ostringstream os;
-            os << "sdc blocklist leak: job " << job << " event "
-               << serve::job_event_kind_name(e.kind) << " landed on device "
-               << d << " at " << e.at << " after its blocklist at "
-               << dev.blocklisted_at;
-            fail(os);
+            add_problem(problems, "sdc blocklist leak: job ", job, " event ",
+                        serve::job_event_kind_name(e.kind),
+                        " landed on device ", d, " at ", e.at,
+                        " after its blocklist at ", dev.blocklisted_at);
           }
         }
       }
@@ -716,73 +667,52 @@ std::vector<std::string> Fuzzer::run_fleet_sdc_case(std::uint64_t case_seed,
   return problems;
 }
 
-std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
-                                                std::string* summary_out) {
-  const ServeFuzzCase c = generate_serve_case(case_seed);
-  if (summary_out != nullptr) *summary_out = c.summary();
+std::vector<std::string> Fuzzer::check_serve(
+    std::uint64_t /*case_seed*/, const serve::ServiceConfig& config) {
   std::vector<std::string> problems;
-  const auto fail = [&problems](const std::ostringstream& os) {
-    problems.push_back(os.str());
-  };
 
-  const auto base1 = run_guarded(problems, "serve-run1", c.config);
-  const auto base2 = run_guarded(problems, "serve-run2", c.config);
-  if (!base1 || !base2) return problems;
-
-  // --- determinism: identical config => byte-identical report ---------------
-  if (serve::report_json(base1->report) != serve::report_json(base2->report)) {
-    std::ostringstream os;
-    os << "serve determinism: reports differ across identical runs (digests "
-       << serve::report_digest(base1->report) << " vs "
-       << serve::report_digest(base2->report) << ")";
-    fail(os);
-  }
+  const auto base1 = run_twice(problems, "serve", config);
+  if (!base1) return problems;
 
   // --- accounting: conservation + shed jobs consume no device time ----------
   const serve::ServeReport& r = base1->report;
   if (r.arrived != r.terminal()) {
-    std::ostringstream os;
-    os << "serve accounting: arrived " << r.arrived
-       << " != completed_ok " << r.completed_ok << " + completed_late "
-       << r.completed_late << " + shed " << r.shed_queue_full << "+"
-       << r.shed_breaker << " + timed-out " << r.timed_out_queued
-       << " + quarantined " << r.quarantined;
-    fail(os);
+    add_problem(problems, "serve accounting: arrived ", r.arrived,
+                " != completed_ok ", r.completed_ok, " + completed_late ",
+                r.completed_late, " + shed ", r.shed_queue_full, "+",
+                r.shed_breaker, " + timed-out ", r.timed_out_queued,
+                " + quarantined ", r.quarantined);
   }
   for (const serve::JobRecord& job : base1->jobs) {
     if (serve::is_dropped(job.state) &&
         (job.dispatched_at != 0 || job.completed_at != 0)) {
-      std::ostringstream os;
-      os << "serve accounting: job " << job.job_id << " is "
-         << serve::job_state_name(job.state)
-         << " but carries device timestamps (dispatched "
-         << job.dispatched_at << ", completed " << job.completed_at << ")";
-      fail(os);
+      add_problem(problems, "serve accounting: job ", job.job_id, " is ",
+                  serve::job_state_name(job.state),
+                  " but carries device timestamps (dispatched ",
+                  job.dispatched_at, ", completed ", job.completed_at, ")");
     }
   }
 
   // --- queue-cap monotonicity ------------------------------------------------
-  serve::ServiceConfig uncapped = c.config;
+  serve::ServiceConfig uncapped = config;
   uncapped.queue_cap = 0;
   if (const auto unbounded =
           run_guarded(problems, "serve-uncapped", uncapped)) {
     if (unbounded->report.arrived != r.arrived) {
-      std::ostringstream os;
-      os << "serve metamorphic: arrivals depend on the queue cap ("
-         << unbounded->report.arrived << " uncapped vs " << r.arrived << ")";
-      fail(os);
+      add_problem(problems,
+                  "serve metamorphic: arrivals depend on the queue cap (",
+                  unbounded->report.arrived, " uncapped vs ", r.arrived, ")");
     }
     if (unbounded->report.completed < r.completed) {
-      std::ostringstream os;
-      os << "serve metamorphic: removing the queue cap decreased completed "
-         << "jobs (" << unbounded->report.completed << " < " << r.completed
-         << ")";
-      fail(os);
+      add_problem(problems,
+                  "serve metamorphic: removing the queue cap decreased "
+                  "completed jobs (",
+                  unbounded->report.completed, " < ", r.completed, ")");
     }
   }
 
   // --- deadline monotonicity (drop-tail, no expiry: pure accounting) --------
-  serve::ServiceConfig loose = c.config;
+  serve::ServiceConfig loose = config;
   loose.shed_policy = serve::ShedPolicy::DropTail;
   loose.expire_queued = false;
   loose.deadline = 4 * kMillisecond;
@@ -792,26 +722,26 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   const auto tight_run = run_guarded(problems, "serve-deadline-tight", tight);
   if (loose_run && tight_run) {
     if (loose_run->report.trace_digest != tight_run->report.trace_digest) {
-      std::ostringstream os;
-      os << "serve metamorphic: accounting-only deadline perturbed the "
-         << "schedule (digests " << loose_run->report.trace_digest << " vs "
-         << tight_run->report.trace_digest << ")";
-      fail(os);
+      add_problem(problems,
+                  "serve metamorphic: accounting-only deadline perturbed the "
+                  "schedule (digests ",
+                  loose_run->report.trace_digest, " vs ",
+                  tight_run->report.trace_digest, ")");
     }
     if (tight_run->report.goodput_per_sec >
         loose_run->report.goodput_per_sec) {
-      std::ostringstream os;
-      os << "serve metamorphic: tightening the deadline increased goodput ("
-         << tight_run->report.goodput_per_sec << "/s > "
-         << loose_run->report.goodput_per_sec << "/s)";
-      fail(os);
+      add_problem(
+          problems,
+          "serve metamorphic: tightening the deadline increased goodput (",
+          tight_run->report.goodput_per_sec, "/s > ",
+          loose_run->report.goodput_per_sec, "/s)");
     }
   }
 
   // --- zero perturbation: features off, zero-rate plan == no plan ---------
   // With every overload feature off, attaching a zero-rate fault plan and
   // the metrics registry must leave the schedule untouched.
-  serve::ServiceConfig bare = c.config;
+  serve::ServiceConfig bare = config;
   bare.queue_cap = 0;
   bare.max_inflight = 0;
   bare.shed_policy = serve::ShedPolicy::DropTail;
@@ -829,14 +759,13 @@ std::vector<std::string> Fuzzer::run_serve_case(std::uint64_t case_seed,
   if (bare_run && plain_run &&
       (bare_run->report.trace_digest != plain_run->report.trace_digest ||
        bare_run->report.arrived != plain_run->report.arrived)) {
-    std::ostringstream os;
-    os << "serve zero-perturbation: bare service with a zero-rate plan "
-       << "diverges from the plan-free run (digests "
-       << bare_run->report.trace_digest << " vs "
-       << plain_run->report.trace_digest << ", arrived "
-       << bare_run->report.arrived << " vs " << plain_run->report.arrived
-       << ")";
-    fail(os);
+    add_problem(problems,
+                "serve zero-perturbation: bare service with a zero-rate plan "
+                "diverges from the plan-free run (digests ",
+                bare_run->report.trace_digest, " vs ",
+                plain_run->report.trace_digest, ", arrived ",
+                bare_run->report.arrived, " vs ", plain_run->report.arrived,
+                ")");
   }
 
   return problems;
@@ -873,9 +802,6 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   const FuzzCase c = generate_case(case_seed);
   if (summary_out != nullptr) *summary_out = c.summary();
   std::vector<std::string> problems;
-  const auto fail = [&problems](const std::ostringstream& os) {
-    problems.push_back(os.str());
-  };
 
   const auto workload =
       rodinia::build_workload(c.slots, c.type_names, c.params);
@@ -894,30 +820,24 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   const std::uint64_t digest1 = trace::digest(*hyperq1->trace);
   const std::uint64_t digest2 = trace::digest(*hyperq2->trace);
   if (digest1 != digest2) {
-    std::ostringstream os;
-    os << "determinism: trace digests differ across identical runs ("
-       << digest1 << " vs " << digest2 << ")";
-    fail(os);
+    add_problem(problems,
+                "determinism: trace digests differ across identical runs (",
+                digest1, " vs ", digest2, ")");
   }
   if (hyperq1->makespan != hyperq2->makespan) {
-    std::ostringstream os;
-    os << "determinism: makespan differs across identical runs ("
-       << hyperq1->makespan << " vs " << hyperq2->makespan << ")";
-    fail(os);
+    add_problem(problems,
+                "determinism: makespan differs across identical runs (",
+                hyperq1->makespan, " vs ", hyperq2->makespan, ")");
   }
   if (hyperq1->energy_exact != hyperq2->energy_exact) {
-    std::ostringstream os;
-    os << "determinism: energy differs across identical runs ("
-       << hyperq1->energy_exact << " vs " << hyperq2->energy_exact << ")";
-    fail(os);
+    add_problem(problems, "determinism: energy differs across identical runs (",
+                hyperq1->energy_exact, " vs ", hyperq2->energy_exact, ")");
   }
 
   // --- serialization: NS = 1 is never faster ---------------------------------
   if (serial->makespan < hyperq1->makespan) {
-    std::ostringstream os;
-    os << "metamorphic: serialized makespan " << serial->makespan
-       << " < concurrent makespan " << hyperq1->makespan;
-    fail(os);
+    add_problem(problems, "metamorphic: serialized makespan ", serial->makespan,
+                " < concurrent makespan ", hyperq1->makespan);
   }
 
   // --- Hyper-Q: the Fermi single-queue ablation is never materially faster ---
@@ -928,10 +848,8 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   // that modelling noise from real scheduling regressions.
   if (static_cast<double>(fermi->makespan) <
       static_cast<double>(hyperq1->makespan) * 0.98) {
-    std::ostringstream os;
-    os << "metamorphic: Fermi makespan " << fermi->makespan
-       << " materially below Hyper-Q makespan " << hyperq1->makespan;
-    fail(os);
+    add_problem(problems, "metamorphic: Fermi makespan ", fermi->makespan,
+                " materially below Hyper-Q makespan ", hyperq1->makespan);
   }
 
   // --- work conservation: every mode does the same device work ---------------
@@ -943,13 +861,11 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
         got.copies_dtoh != want.copies_dtoh ||
         got.bytes_htod != want.bytes_htod ||
         got.bytes_dtoh != want.bytes_dtoh) {
-      std::ostringstream os;
-      os << "work conservation: " << label
-         << " device stats differ from the Hyper-Q run (kernels "
-         << got.kernels_completed << "/" << want.kernels_completed
-         << ", copies " << got.copies_htod << "+" << got.copies_dtoh << "/"
-         << want.copies_htod << "+" << want.copies_dtoh << ")";
-      fail(os);
+      add_problem(problems, "work conservation: ", label,
+                  " device stats differ from the Hyper-Q run (kernels ",
+                  got.kernels_completed, "/", want.kernels_completed,
+                  ", copies ", got.copies_htod, "+", got.copies_dtoh, "/",
+                  want.copies_htod, "+", want.copies_dtoh, ")");
     }
   };
   check_stats(serial->device_stats, "serialized");
@@ -959,18 +875,14 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   for (const fw::AppMetrics& m : hyperq1->apps) {
     if (m.htod_effective_latency > 0 &&
         m.htod_own_time > m.htod_effective_latency) {
-      std::ostringstream os;
-      os << "latency bound: app " << m.app_id << " (" << m.type
-         << ") effective HtoD latency " << m.htod_effective_latency
-         << " below own service time " << m.htod_own_time;
-      fail(os);
+      add_problem(problems, "latency bound: app ", m.app_id, " (", m.type,
+                  ") effective HtoD latency ", m.htod_effective_latency,
+                  " below own service time ", m.htod_own_time);
     }
     if (m.htod_effective_latency > hyperq1->makespan ||
         m.dtoh_effective_latency > hyperq1->makespan) {
-      std::ostringstream os;
-      os << "latency bound: app " << m.app_id << " (" << m.type
-         << ") effective latency exceeds makespan " << hyperq1->makespan;
-      fail(os);
+      add_problem(problems, "latency bound: app ", m.app_id, " (", m.type,
+                  ") effective latency exceeds makespan ", hyperq1->makespan);
     }
   }
 
@@ -985,10 +897,8 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
         seconds;
     if (hyperq1->energy_exact < floor * (1.0 - 1e-9) ||
         hyperq1->energy_exact > ceiling * (1.0 + 1e-9)) {
-      std::ostringstream os;
-      os << "energy: phase energy " << hyperq1->energy_exact
-         << " J outside plausible range [" << floor << ", " << ceiling << "]";
-      fail(os);
+      add_problem(problems, "energy: phase energy ", hyperq1->energy_exact,
+                  " J outside plausible range [", floor, ", ", ceiling, "]");
     }
   }
 
@@ -997,9 +907,8 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
     const auto check_verified = [&](const fw::HarnessResult& r,
                                     const char* label) {
       if (!r.all_verified) {
-        std::ostringstream os;
-        os << "functional: " << label << " run failed verification";
-        fail(os);
+        add_problem(problems, "functional: ", label,
+                    " run failed verification");
       }
     };
     check_verified(*hyperq1, "Hyper-Q");
@@ -1012,11 +921,10 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
       const std::uint64_t d_serial = serial->apps[i].output_digest;
       const std::uint64_t d_fermi = fermi->apps[i].output_digest;
       if (d_hq1 != d_hq2 || d_hq1 != d_serial || d_hq1 != d_fermi) {
-        std::ostringstream os;
-        os << "functional: app " << i << " (" << hyperq1->apps[i].type
-           << ") output digests diverge across modes (hq " << d_hq1 << "/"
-           << d_hq2 << ", serial " << d_serial << ", fermi " << d_fermi << ")";
-        fail(os);
+        add_problem(problems, "functional: app ", i, " (",
+                    hyperq1->apps[i].type,
+                    ") output digests diverge across modes (hq ", d_hq1, "/",
+                    d_hq2, ", serial ", d_serial, ", fermi ", d_fermi, ")");
       }
     }
   }
@@ -1029,18 +937,15 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
     const auto zeroed = run_guarded(problems, "fault-zero", zero_cfg, workload);
     if (zeroed) {
       if (trace::digest(*zeroed->trace) != digest1) {
-        std::ostringstream os;
-        os << "fault: zero-rate plan perturbed the trace digest ("
-           << trace::digest(*zeroed->trace) << " vs " << digest1 << ")";
-        fail(os);
+        add_problem(problems,
+                    "fault: zero-rate plan perturbed the trace digest (",
+                    trace::digest(*zeroed->trace), " vs ", digest1, ")");
       }
       if (zeroed->degraded.stats.total() != 0 ||
           !zeroed->degraded.quarantined.empty()) {
-        std::ostringstream os;
-        os << "fault: zero-rate plan reported "
-           << zeroed->degraded.stats.total() << " faults / "
-           << zeroed->degraded.quarantined.size() << " quarantined apps";
-        fail(os);
+        add_problem(problems, "fault: zero-rate plan reported ",
+                    zeroed->degraded.stats.total(), " faults / ",
+                    zeroed->degraded.quarantined.size(), " quarantined apps");
       }
     }
 
@@ -1056,59 +961,49 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
           faulted1->makespan != faulted2->makespan ||
           faulted1->degraded.stats.total() !=
               faulted2->degraded.stats.total()) {
-        std::ostringstream os;
-        os << "fault: faulted run is not deterministic (digests "
-           << trace::digest(*faulted1->trace) << "/"
-           << trace::digest(*faulted2->trace) << ", makespans "
-           << faulted1->makespan << "/" << faulted2->makespan << ", faults "
-           << faulted1->degraded.stats.total() << "/"
-           << faulted2->degraded.stats.total() << ")";
-        fail(os);
+        add_problem(problems,
+                    "fault: faulted run is not deterministic (digests ",
+                    trace::digest(*faulted1->trace), "/",
+                    trace::digest(*faulted2->trace), ", makespans ",
+                    faulted1->makespan, "/", faulted2->makespan, ", faults ",
+                    faulted1->degraded.stats.total(), "/",
+                    faulted2->degraded.stats.total(), ")");
       }
       // Injected faults only ever add service time or submission delay, so
       // the faulted run is never materially faster (same 2% guard band as
       // the Fermi oracle for contention-model noise).
       if (static_cast<double>(faulted1->makespan) <
           static_cast<double>(hyperq1->makespan) * 0.98) {
-        std::ostringstream os;
-        os << "fault: faulted makespan " << faulted1->makespan
-           << " materially below fault-free makespan " << hyperq1->makespan;
-        fail(os);
+        add_problem(problems, "fault: faulted makespan ", faulted1->makespan,
+                    " materially below fault-free makespan ",
+                    hyperq1->makespan);
       }
       // Transient faults never drop device work, and the plan stays below
       // the retry budget, so nothing may be quarantined.
       check_stats(faulted1->device_stats, "faulted");
       if (!faulted1->degraded.quarantined.empty()) {
-        std::ostringstream os;
-        os << "fault: transient-only plan quarantined "
-           << faulted1->degraded.quarantined.size() << " app(s)";
-        fail(os);
+        add_problem(problems, "fault: transient-only plan quarantined ",
+                    faulted1->degraded.quarantined.size(), " app(s)");
       }
       // At full intensity every copy draws a stall at rate 0.25 and every
       // launch at rate 0.5 — a run with zero observed faults means the
       // injector is wired to nothing.
       if (fault_rate >= 1.0 && faulted1->degraded.stats.total() == 0) {
-        std::ostringstream os;
-        os << "fault: rate-1 plan injected zero faults";
-        fail(os);
+        add_problem(problems, "fault: rate-1 plan injected zero faults");
       }
       // Retried launches still reach the device: functional outputs are
       // byte-identical to the fault-free run.
       if (c.config.functional) {
         if (!faulted1->all_verified) {
-          std::ostringstream os;
-          os << "fault: faulted run failed verification";
-          fail(os);
+          add_problem(problems, "fault: faulted run failed verification");
         }
         for (std::size_t i = 0; i < hyperq1->apps.size(); ++i) {
           if (faulted1->apps[i].output_digest !=
               hyperq1->apps[i].output_digest) {
-            std::ostringstream os;
-            os << "fault: app " << i << " (" << hyperq1->apps[i].type
-               << ") output digest diverges under transient faults ("
-               << faulted1->apps[i].output_digest << " vs "
-               << hyperq1->apps[i].output_digest << ")";
-            fail(os);
+            add_problem(problems, "fault: app ", i, " (", hyperq1->apps[i].type,
+                        ") output digest diverges under transient faults (",
+                        faulted1->apps[i].output_digest, " vs ",
+                        hyperq1->apps[i].output_digest, ")");
           }
         }
       }
@@ -1118,59 +1013,76 @@ std::vector<std::string> Fuzzer::run_case(std::uint64_t case_seed,
   return problems;
 }
 
+std::vector<FuzzFailure> Fuzzer::run_iteration(FuzzMode mode,
+                                               std::uint64_t case_seed,
+                                               const FuzzOptions& options,
+                                               std::string* summary_out) {
+  std::vector<FuzzFailure> failures;
+  std::string summary;
+  const auto record = [&](const char* check, std::string case_text,
+                          std::vector<std::string> problems) {
+    if (!problems.empty()) {
+      failures.push_back({0, case_seed, check, std::move(case_text),
+                          std::move(problems)});
+    }
+  };
+  const auto run_check = [&](const char* check, auto checker,
+                             const auto& config) {
+    record(check, codec::to_text(config), checker(case_seed, config));
+    summary += summary.empty() ? check : std::string("+") + check;
+  };
+  if (mode == FuzzMode::Harness) {
+    std::vector<std::string> problems =
+        run_case(case_seed, options.fault_rate, &summary);
+    record("harness", summary, std::move(problems));
+  } else if (mode == FuzzMode::Serve) {
+    run_check("serve", check_serve, draw_serve_case(case_seed));
+    summary += " seed=" + std::to_string(case_seed);
+  } else {
+    std::string flag;
+    run_check("fleet",
+              [&flag](std::uint64_t seed, const fleet::FleetConfig& config) {
+                return check_fleet(seed, config, &flag);
+              },
+              draw_fleet_case(case_seed));
+    if (options.chaos_rate > 0) {
+      run_check("chaos", check_chaos,
+                draw_chaos_case(case_seed, options.chaos_rate));
+    }
+    if (options.sdc_rate > 0) {
+      run_check("sdc", check_sdc, draw_sdc_case(case_seed, options.sdc_rate));
+    }
+    summary += " seed=" + std::to_string(case_seed) + flag;
+  }
+  if (summary_out != nullptr) *summary_out = std::move(summary);
+  return failures;
+}
+
 FuzzReport Fuzzer::run(const Progress& progress) {
   // Case seeds derive from the master seed exactly as the serial loop drew
   // them, so --jobs N fuzzes the same cases as --jobs 1. Serving-mode seeds
   // are drawn after the harness seeds, so enabling them never changes which
   // harness cases an existing master seed covers.
   Rng master(options_.seed);
-  const std::size_t harness_cases = static_cast<std::size_t>(options_.iterations);
-  const std::size_t serve_cases =
-      static_cast<std::size_t>(options_.serve_iterations);
   std::vector<std::uint64_t> case_seeds;
-  case_seeds.reserve(harness_cases + serve_cases +
-                     static_cast<std::size_t>(options_.fleet_iterations));
-  for (int i = 0; i < options_.iterations; ++i) {
-    case_seeds.push_back(master.next_u64());
-  }
-  for (int i = 0; i < options_.serve_iterations; ++i) {
-    case_seeds.push_back(master.next_u64());
-  }
-  for (int i = 0; i < options_.fleet_iterations; ++i) {
-    case_seeds.push_back(master.next_u64());
+  std::vector<FuzzMode> modes;
+  for (const auto& [mode, count] :
+       {std::pair{FuzzMode::Harness, options_.iterations},
+        std::pair{FuzzMode::Serve, options_.serve_iterations},
+        std::pair{FuzzMode::Fleet, options_.fleet_iterations}}) {
+    for (int i = 0; i < count; ++i) {
+      case_seeds.push_back(master.next_u64());
+      modes.push_back(mode);
+    }
   }
 
   struct CaseResult {
     std::string summary;
-    std::vector<std::string> problems;
+    std::vector<FuzzFailure> failures;
   };
   const auto run_one = [&](std::size_t i) {
     CaseResult r;
-    if (i < harness_cases) {
-      r.problems = run_case(case_seeds[i], options_.fault_rate, &r.summary);
-    } else if (i < harness_cases + serve_cases) {
-      r.problems = run_serve_case(case_seeds[i], &r.summary);
-    } else {
-      r.problems = run_fleet_case(case_seeds[i], &r.summary);
-      if (options_.chaos_rate > 0) {
-        std::string chaos_summary;
-        std::vector<std::string> chaos = run_fleet_chaos_case(
-            case_seeds[i], options_.chaos_rate, &chaos_summary);
-        r.summary = std::move(chaos_summary);
-        r.problems.insert(r.problems.end(),
-                          std::make_move_iterator(chaos.begin()),
-                          std::make_move_iterator(chaos.end()));
-      }
-      if (options_.sdc_rate > 0) {
-        std::string sdc_summary;
-        std::vector<std::string> sdc = run_fleet_sdc_case(
-            case_seeds[i], options_.sdc_rate, &sdc_summary);
-        r.summary = std::move(sdc_summary);
-        r.problems.insert(r.problems.end(),
-                          std::make_move_iterator(sdc.begin()),
-                          std::make_move_iterator(sdc.end()));
-      }
-    }
+    r.failures = run_iteration(modes[i], case_seeds[i], options_, &r.summary);
     return r;
   };
 
@@ -1179,13 +1091,9 @@ FuzzReport Fuzzer::run(const Progress& progress) {
   FuzzReport report;
   const auto reduce = [&](std::size_t i, CaseResult r) {
     ++report.iterations_run;
-    const bool clean = r.problems.empty();
-    if (!clean) {
-      FuzzFailure f;
+    const bool clean = r.failures.empty();
+    for (FuzzFailure& f : r.failures) {
       f.iteration = static_cast<int>(i);
-      f.case_seed = case_seeds[i];
-      f.case_summary = r.summary;
-      f.problems = std::move(r.problems);
       report.failures.push_back(std::move(f));
     }
     if (progress) progress(static_cast<int>(i), case_seeds[i], r.summary, clean);
@@ -1214,7 +1122,8 @@ std::string FuzzReport::to_string() const {
   os << iterations_run << " iteration(s), " << failures.size()
      << " failing case(s)";
   for (const FuzzFailure& f : failures) {
-    os << "\n[iteration " << f.iteration << "] " << f.case_summary;
+    os << "\n[iteration " << f.iteration << "] " << f.check
+       << " seed=" << f.case_seed << "\n  case " << f.case_text;
     for (const std::string& p : f.problems) os << "\n  - " << p;
   }
   return os.str();

@@ -32,11 +32,20 @@
 // Every run also carries the hq_check InvariantChecker (via the harness),
 // so scheduler/copy-engine/accounting invariant violations surface here as
 // case failures too.
+//
+// A serving case (serve, fleet, and the fleet's chaos and SDC layers) is a
+// config: a draw maps a case seed to one, and a check runs a mode's
+// oracles on (case seed, config) and returns the violated oracles (empty =
+// clean). A failure prints the config as codec text (common/codec.hpp),
+// which replays through the same check:
+//
+//   Fuzzer::check_chaos(seed, parse_fleet_case(text));
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -66,57 +75,35 @@ struct FuzzCase {
 /// Deterministically expands a case seed into a workload + configuration.
 FuzzCase generate_case(std::uint64_t case_seed);
 
-/// One generated serving workload (open arrivals under overload knobs),
-/// fully determined by its seed. Runs against the serving-mode oracles:
-///
-///   - Determinism: the same config twice yields a byte-identical report.
-///   - Accounting: admitted = completed + shed + timed-out + quarantined,
-///     and shed jobs never consume device time (no dispatch, no spans).
-///   - Queue-cap monotonicity: raising the admission cap never decreases
-///     the number of completed jobs, and never changes arrivals.
-///   - Deadline monotonicity: with expiry off and drop-tail shedding,
-///     deadlines are pure accounting — tightening one never increases
-///     goodput and never perturbs the trace digest.
-///   - Zero perturbation: with every overload feature off, attaching a
-///     zero-rate fault plan and the metrics registry leaves the trace
-///     digest and the arrivals unchanged.
-struct ServeFuzzCase {
-  std::uint64_t seed = 0;
-  serve::ServiceConfig config;
+/// The serving workload (open arrivals under overload knobs) a case seed
+/// draws.
+serve::ServiceConfig draw_serve_case(std::uint64_t case_seed);
 
-  /// One-line human-readable description, e.g. for failure reports.
-  std::string summary() const;
-};
+/// The fleet workload a case seed draws: the serve case's config sharded
+/// over a 1–3 device fleet with random placement / stealing /
+/// device-breaker knobs, sometimes heterogeneous.
+fleet::FleetConfig draw_fleet_case(std::uint64_t case_seed);
 
-/// Deterministically expands a case seed into a serving configuration.
-ServeFuzzCase generate_serve_case(std::uint64_t case_seed);
+/// The fleet case plus the chaos layer: each device crashes, flaps, or
+/// degrades with probability `chaos_rate`, under random failover and
+/// hedging knobs.
+fleet::FleetConfig draw_chaos_case(std::uint64_t case_seed, double chaos_rate);
 
-/// One generated fleet workload (the serve case's config sharded over a
-/// 1–3 device fleet with random placement / stealing / device-breaker
-/// knobs, sometimes heterogeneous). Runs against the fleet oracles:
-///
-///   - Determinism: the same config twice yields a byte-identical
-///     FleetReport (JSON and digest).
-///   - Conservation (the one fleet conservation oracle, shared with the
-///     chaos and SDC cases): fleet arrivals equal JobTally::terminal(),
-///     per-device arrivals plus the fleet-owned sheds reproduce the fleet
-///     total, and the per-device integrity counters reproduce the fleet's.
-///   - Placement permutation safety: every placement policy yields valid
-///     conservation, even with a transient fault plan and the device
-///     health breaker active.
-///   - Fleet-size monotonicity (flagged, not gating): a larger fleet under
-///     the same load should not complete fewer jobs; violations are
-///     appended to the case summary rather than failing the case.
-struct FleetFuzzCase {
-  std::uint64_t seed = 0;
-  fleet::FleetConfig config;
+/// The fleet case plus the SDC layer: each device corrupts copies, ramps
+/// kernel corruption, or goes stuck-at with probability `sdc_rate`, under
+/// a random non-Trust integrity policy, with the lifecycle tracer on.
+fleet::FleetConfig draw_sdc_case(std::uint64_t case_seed, double sdc_rate);
 
-  /// One-line human-readable description, e.g. for failure reports.
-  std::string summary() const;
-};
+/// A chaos or SDC case with its layer taken off: every layer field back at
+/// its FleetConfig{} default and the metrics registry off again, as the
+/// serve draw leaves it. For a drawn case this is the fleet case.
+fleet::FleetConfig fleet_case_of(fleet::FleetConfig layered);
 
-/// Deterministically expands a case seed into a fleet configuration.
-FleetFuzzCase generate_fleet_case(std::uint64_t case_seed);
+/// A failure's codec text as a runnable config: codec::parse, then each
+/// class factory rebuilt (rodinia::make_app) from its type and params
+/// record. Throws hq::Error on text that does not parse.
+serve::ServiceConfig parse_serve_case(std::string_view text);
+fleet::FleetConfig parse_fleet_case(std::string_view text);
 
 struct FuzzOptions {
   /// Master seed; per-iteration case seeds derive from it.
@@ -137,30 +124,26 @@ struct FuzzOptions {
   /// reports use iteration indices `iterations + serve_iterations..`).
   /// 0 disables.
   int fleet_iterations = 0;
-  /// Probability in [0, 1] that each fleet device receives a seed-derived
-  /// lifecycle fault (crash / flap / degrade schedule). When > 0 every
-  /// fleet iteration additionally runs the chaos oracles
-  /// (run_fleet_chaos_case): no-job-lost conservation under arbitrary
-  /// crash schedules, failover determinism, hedge-off/inert-knob runs
-  /// byte-identical to the baseline apart from the config echo, failover
-  /// victims shed back onto a flapping device they ran on, and
-  /// all-devices-dead draining cleanly. 0 disables.
+  /// Per-device probability in [0, 1] of the chaos layer; > 0 adds
+  /// check_chaos on draw_chaos_case to every fleet iteration. 0 disables.
   double chaos_rate = 0.0;
-  /// Probability in [0, 1] that each fleet device receives a seed-derived
-  /// silent-data-corruption plan. When > 0 every fleet iteration
-  /// additionally runs the SDC integrity oracles (run_fleet_sdc_case):
-  /// conservation with verification re-executions counted as attempts, the
-  /// exact sdc_injected == sdc_detected + sdc_missed partition, two-run
-  /// byte determinism, inert-plan/Trust runs byte-identical to the
-  /// baseline apart from the config echo, and no placements on a
-  /// blocklisted device after its blocklist time. 0 disables.
+  /// Per-device probability in [0, 1] of the SDC layer; > 0 adds check_sdc
+  /// on draw_sdc_case to every fleet iteration. 0 disables.
   double sdc_rate = 0.0;
 };
 
+/// The iteration kinds of a run, in case-seed order.
+enum class FuzzMode { Harness, Serve, Fleet };
+
+/// One check that found problems.
 struct FuzzFailure {
   int iteration = 0;
   std::uint64_t case_seed = 0;
-  std::string case_summary;
+  /// "harness", "serve", "fleet", "chaos" or "sdc".
+  std::string check;
+  /// The case: the harness case's summary, or the codec text of the serve
+  /// or fleet config the check ran.
+  std::string case_text;
   std::vector<std::string> problems;
 };
 
@@ -182,6 +165,16 @@ class Fuzzer {
   /// Runs options.iterations generated cases.
   FuzzReport run(const Progress& progress = nullptr);
 
+  /// Runs one iteration's checks: the harness case, the serve case, or the
+  /// fleet case plus the chaos and SDC layers `options` turns on. Returns
+  /// one failure (iteration 0) per check that found problems; *summary_out
+  /// names the checks and the case seed (the harness case's summary) and
+  /// carries any non-gating flag.
+  static std::vector<FuzzFailure> run_iteration(FuzzMode mode,
+                                                std::uint64_t case_seed,
+                                                const FuzzOptions& options,
+                                                std::string* summary_out);
+
   /// Runs every oracle for one case seed; returns the violated oracles
   /// (empty = clean). Used for replaying a failure and by tests.
   static std::vector<std::string> run_case(std::uint64_t case_seed,
@@ -191,45 +184,62 @@ class Fuzzer {
                                            double fault_rate,
                                            std::string* summary_out);
 
-  /// Runs the serving-mode oracles for one case seed; returns the violated
-  /// oracles (empty = clean).
-  static std::vector<std::string> run_serve_case(
-      std::uint64_t case_seed, std::string* summary_out = nullptr);
+  /// The serving-mode oracles:
+  ///   - Determinism: the same config twice yields a byte-identical report.
+  ///   - Accounting: admitted = completed + shed + timed-out + quarantined,
+  ///     and shed jobs never consume device time (no dispatch, no spans).
+  ///   - Queue-cap monotonicity: raising the admission cap never decreases
+  ///     the number of completed jobs, and never changes arrivals.
+  ///   - Deadline monotonicity: with expiry off and drop-tail shedding,
+  ///     deadlines are pure accounting — tightening one never increases
+  ///     goodput and never perturbs the trace digest.
+  ///   - Zero perturbation: with every overload feature off, attaching a
+  ///     zero-rate fault plan and the metrics registry leaves the trace
+  ///     digest and the arrivals unchanged.
+  static std::vector<std::string> check_serve(
+      std::uint64_t case_seed, const serve::ServiceConfig& config);
 
-  /// Runs the fleet-mode oracles for one case seed; returns the violated
-  /// oracles (empty = clean). Non-gating flags (fleet-size monotonicity)
-  /// are appended to the summary instead.
-  static std::vector<std::string> run_fleet_case(
-      std::uint64_t case_seed, std::string* summary_out = nullptr);
+  /// The fleet oracles:
+  ///   - Determinism: the same config twice yields a byte-identical
+  ///     FleetReport (JSON and digest).
+  ///   - Conservation (shared with the chaos and SDC checks): fleet
+  ///     arrivals equal JobTally::terminal(), per-device arrivals plus the
+  ///     fleet-owned sheds reproduce the fleet total, and the per-device
+  ///     integrity counters reproduce the fleet's.
+  ///   - Observability: attaching telemetry, the lifecycle tracer and
+  ///     fleet metrics leaves the report bytes unchanged, and every export
+  ///     is deterministic.
+  ///   - Placement permutation safety: every placement policy conserves
+  ///     under the case seed's transient fault plan with the device health
+  ///     breaker on.
+  ///   - Fleet-size monotonicity (flagged, not gating): a larger fleet
+  ///     under the same load should not complete fewer jobs. Runs only
+  ///     when `flag` is given, and writes a violation there.
+  static std::vector<std::string> check_fleet(
+      std::uint64_t case_seed, const fleet::FleetConfig& config,
+      std::string* flag = nullptr);
 
-  /// Runs the fleet chaos oracles for one case seed: the fleet case's
-  /// config plus a seed-derived device-lifecycle fault schedule (each
-  /// device crashes, flaps, or degrades with probability `chaos_rate`) and
-  /// random failover/hedging knobs. Checks no-job-lost conservation
-  /// (including shed_failover_exhausted), two-run byte determinism, the
-  /// inert-knob identity (hedging off + all-disabled plans == the
-  /// baseline report byte for byte, config echo aside), the failover
-  /// shed-back run (every device flapping: victims shed after failing back
-  /// onto a device they ran on keep their spans, while shed jobs that never
-  /// dispatched stay span-free), and the all-devices-dead clean drain.
-  /// Returns the violated oracles (empty = clean).
-  static std::vector<std::string> run_fleet_chaos_case(
-      std::uint64_t case_seed, double chaos_rate,
-      std::string* summary_out = nullptr);
+  /// The chaos oracles on a fleet config with lifecycle-fault plans:
+  /// no-job-lost conservation (including shed_failover_exhausted),
+  /// determinism, the inert-layer identity (below), the failover shed-back
+  /// run (every device flapping or crashing: victims shed after failing
+  /// back onto a device they ran on keep their spans, while shed jobs that
+  /// never dispatched stay span-free), and the all-devices-dead clean
+  /// drain.
+  static std::vector<std::string> check_chaos(
+      std::uint64_t case_seed, const fleet::FleetConfig& config);
 
-  /// Runs the SDC integrity oracles for one case seed: the fleet case's
-  /// config plus a seed-derived per-device corruption schedule (each
-  /// device corrupts copies, ramps kernel corruption, or goes stuck-at
-  /// with probability `sdc_rate`) under a random non-Trust integrity
-  /// policy. Checks conservation with re-executions counted as attempts,
-  /// the exact detected + missed == injected partition, two-run byte
-  /// determinism, the inert-plan identity (all-clean plans + Trust == the
-  /// baseline report byte for byte, config echo aside), and that a
-  /// blocklisted device receives no placements, hops, or dispatches after
-  /// its blocklist time. Returns the violated oracles (empty = clean).
-  static std::vector<std::string> run_fleet_sdc_case(
-      std::uint64_t case_seed, double sdc_rate,
-      std::string* summary_out = nullptr);
+  /// The SDC oracles on a fleet config with corruption plans: conservation
+  /// with re-executions counted as attempts, the exact detected + missed ==
+  /// injected partition, determinism, the inert-layer identity (below), and
+  /// that a blocklisted device receives no placements, hops, or dispatches
+  /// after its blocklist time.
+  ///
+  /// Inert-layer identity (chaos and SDC): every plan disabled, hedging
+  /// off and the Trust policy reproduce fleet_case_of(config) byte for
+  /// byte, config echo aside.
+  static std::vector<std::string> check_sdc(std::uint64_t case_seed,
+                                            const fleet::FleetConfig& config);
 
   /// The seed-derived transient-only plan fault-mode cases run under
   /// (stalls, slowdowns, throttle windows, retryable launch failures; no

@@ -3,7 +3,15 @@
 // Generates seeded random workloads, runs each under several scheduling
 // configurations (Hyper-Q, serialized, Fermi single-queue) with the online
 // invariant checker attached, and validates the metamorphic oracles
-// described in check/fuzzer.hpp. Exit code 0 = every iteration clean.
+// described in check/fuzzer.hpp. Exit code 0 = every iteration clean,
+// 1 = a check failed, 2 = usage error. A rate flag that no iteration of
+// the run reads (say --chaos-rate without fleet cases) and more than one
+// --*-case-seed are usage errors.
+//
+// Each failing check prints its case seed and its case: the harness
+// summary, or the serve/fleet config as codec text. --*-case-seed reruns a
+// seed; a config's text replays through the same check without its seed's
+// draw: Fuzzer::check_chaos(seed, parse_fleet_case(text)) (check/fuzzer.hpp).
 //
 // Examples:
 //   hqfuzz --seed 1 --iters 100
@@ -12,21 +20,17 @@
 //   hqfuzz --case-seed 1234567890 --verbose   (replay one failing case)
 //   hqfuzz --seed 1 --iters 50 --fault-rate 0.5   (fault-mode oracles on)
 //   hqfuzz --seed 1 --iters 0 --serve-iters 50    (serving-mode oracles)
-//   hqfuzz --serve-case-seed 99 --verbose         (replay one serve case)
+//   hqfuzz --serve-case-seed 99                   (replay one serve case)
 //   hqfuzz --seed 1 --iters 0 --fleet-iters 50    (fleet-mode oracles)
-//   hqfuzz --fleet-case-seed 99 --verbose         (replay one fleet case)
-//   hqfuzz --seed 1 --iters 0 --fleet-iters 50 --chaos-rate 0.5
-//                                                 (device-lifecycle chaos)
+//   hqfuzz --seed 1 --iters 0 --fleet-iters 50 --chaos-rate 0.5 --sdc-rate 0.5
+//                                  (plus the chaos and SDC layers)
 //   hqfuzz --fleet-case-seed 99 --chaos-rate 0.5  (replay one chaos case)
-//   hqfuzz --seed 1 --iters 0 --fleet-iters 50 --sdc-rate 0.5
-//                                                 (SDC integrity oracles)
-//   hqfuzz --fleet-case-seed 99 --sdc-rate 0.5    (replay one SDC case)
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "check/fuzzer.hpp"
 #include "tools/cli.hpp"
@@ -44,6 +48,17 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return static_cast<std::uint64_t>(value);
 }
 
+std::optional<double> parse_rate(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end == nullptr || *end != '\0' ||
+      !(value >= 0.0 && value <= 1.0)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,36 +73,26 @@ int main(int argc, char** argv) {
   args.add_option("case-seed",
                   "run exactly one case with this seed (replay mode)", "");
   args.add_option("serve-iters",
-                  "serving-mode iterations appended after the harness cases "
-                  "(admission/deadline/breaker oracles; 0 = off)",
+                  "serving-mode iterations after the harness cases (0 = off)",
                   "0");
   args.add_option("serve-case-seed",
                   "run exactly one serving-mode case with this seed", "");
   args.add_option("fleet-iters",
-                  "fleet-mode iterations appended after the serving cases "
-                  "(determinism, conservation, placement permutation "
-                  "oracles; 0 = off)",
+                  "fleet-mode iterations after the serving cases (0 = off)",
                   "0");
   args.add_option("fleet-case-seed",
                   "run exactly one fleet-mode case with this seed", "");
   args.add_option("chaos-rate",
                   "per-device lifecycle-fault probability in [0,1]; > 0 adds "
-                  "the fleet chaos oracles (crash-schedule conservation, "
-                  "failover determinism, inert-knob byte identity, "
-                  "failover shed-back, all-devices-dead drain) to every "
-                  "fleet iteration",
+                  "the chaos oracles to every fleet case",
                   "0");
   args.add_option("sdc-rate",
                   "per-device silent-data-corruption probability in [0,1]; "
-                  "> 0 adds the SDC integrity oracles (re-execution "
-                  "conservation, detected+missed == injected partition, "
-                  "inert-plan byte identity, blocklist placement freeze) to "
-                  "every fleet iteration",
+                  "> 0 adds the SDC oracles to every fleet case",
                   "0");
   args.add_option("fault-rate",
                   "fault-plan intensity in [0,1]; > 0 adds the fault-mode "
-                  "oracles (zero-perturbation, faulted determinism, "
-                  "functional digest equality) to every case",
+                  "oracles to every harness case",
                   "0");
   args.add_flag("verbose", "print every case as it runs");
   args.add_flag("help", "show this help");
@@ -100,149 +105,103 @@ int main(int argc, char** argv) {
     return args.get_flag("help") ? 0 : 2;
   }
 
-  double fault_rate = 0.0;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("fault-rate");
-    fault_rate = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || fault_rate < 0.0 ||
-        fault_rate > 1.0) {
-      std::fprintf(stderr, "error: --fault-rate needs a number in [0,1]\n");
-      return 2;
-    }
-  }
-
-  double chaos_rate = 0.0;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("chaos-rate");
-    chaos_rate = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || chaos_rate < 0.0 ||
-        chaos_rate > 1.0) {
-      std::fprintf(stderr, "error: --chaos-rate needs a number in [0,1]\n");
-      return 2;
-    }
-  }
-
-  double sdc_rate = 0.0;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("sdc-rate");
-    sdc_rate = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || sdc_rate < 0.0 ||
-        sdc_rate > 1.0) {
-      std::fprintf(stderr, "error: --sdc-rate needs a number in [0,1]\n");
-      return 2;
-    }
-  }
-
-  if (args.provided("fleet-case-seed")) {
-    const auto case_seed = parse_u64(args.get("fleet-case-seed"));
-    if (!case_seed) {
-      std::fprintf(stderr,
-                   "error: --fleet-case-seed needs an unsigned integer\n");
-      return 2;
-    }
-    std::string summary;
-    auto problems = check::Fuzzer::run_fleet_case(*case_seed, &summary);
-    if (chaos_rate > 0) {
-      std::string chaos_summary;
-      auto chaos = check::Fuzzer::run_fleet_chaos_case(*case_seed, chaos_rate,
-                                                       &chaos_summary);
-      summary = std::move(chaos_summary);
-      problems.insert(problems.end(),
-                      std::make_move_iterator(chaos.begin()),
-                      std::make_move_iterator(chaos.end()));
-    }
-    if (sdc_rate > 0) {
-      std::string sdc_summary;
-      auto sdc = check::Fuzzer::run_fleet_sdc_case(*case_seed, sdc_rate,
-                                                   &sdc_summary);
-      summary = std::move(sdc_summary);
-      problems.insert(problems.end(),
-                      std::make_move_iterator(sdc.begin()),
-                      std::make_move_iterator(sdc.end()));
-    }
-    std::printf("case %s\n", summary.c_str());
-    for (const auto& p : problems) std::printf("  - %s\n", p.c_str());
-    std::printf("%s\n", problems.empty() ? "clean" : "FAILED");
-    return problems.empty() ? 0 : 1;
-  }
-
-  if (args.provided("serve-case-seed")) {
-    const auto case_seed = parse_u64(args.get("serve-case-seed"));
-    if (!case_seed) {
-      std::fprintf(stderr,
-                   "error: --serve-case-seed needs an unsigned integer\n");
-      return 2;
-    }
-    std::string summary;
-    const auto problems = check::Fuzzer::run_serve_case(*case_seed, &summary);
-    std::printf("case %s\n", summary.c_str());
-    for (const auto& p : problems) std::printf("  - %s\n", p.c_str());
-    std::printf("%s\n", problems.empty() ? "clean" : "FAILED");
-    return problems.empty() ? 0 : 1;
-  }
-
-  if (args.provided("case-seed")) {
-    const auto case_seed = parse_u64(args.get("case-seed"));
-    if (!case_seed) {
-      std::fprintf(stderr, "error: --case-seed needs an unsigned integer\n");
-      return 2;
-    }
-    std::string summary;
-    const auto problems =
-        check::Fuzzer::run_case(*case_seed, fault_rate, &summary);
-    std::printf("case %s\n", summary.c_str());
-    for (const auto& p : problems) std::printf("  - %s\n", p.c_str());
-    std::printf("%s\n", problems.empty() ? "clean" : "FAILED");
-    return problems.empty() ? 0 : 1;
-  }
-
-  const auto seed = parse_u64(args.get("seed"));
-  const auto iters = args.get_int("iters");
-  const auto serve_iters = args.get_int("serve-iters");
-  const auto fleet_iters = args.get_int("fleet-iters");
-  const auto jobs = args.get_int("jobs");
-  if (!seed || !iters || *iters < 0 || !serve_iters || *serve_iters < 0 ||
-      !fleet_iters || *fleet_iters < 0 || !jobs || *jobs < 0) {
-    std::fprintf(stderr,
-                 "error: bad --seed/--iters/--serve-iters/--fleet-iters/"
-                 "--jobs\n");
-    return 2;
-  }
-  if (*iters == 0 && *serve_iters == 0 && *fleet_iters == 0) {
-    std::fprintf(stderr,
-                 "error: need --iters, --serve-iters, or --fleet-iters > 0\n");
-    return 2;
-  }
-
   check::FuzzOptions options;
-  options.seed = *seed;
-  options.iterations = static_cast<int>(*iters);
-  options.serve_iterations = static_cast<int>(*serve_iters);
-  options.fleet_iterations = static_cast<int>(*fleet_iters);
-  options.jobs = static_cast<int>(*jobs);
-  options.fault_rate = fault_rate;
-  options.chaos_rate = chaos_rate;
-  options.sdc_rate = sdc_rate;
-  const bool verbose = args.get_flag("verbose");
+  for (const auto& [flag, rate] : {std::pair{"fault-rate", &options.fault_rate},
+                                   std::pair{"chaos-rate", &options.chaos_rate},
+                                   std::pair{"sdc-rate", &options.sdc_rate}}) {
+    const auto value = parse_rate(args.get(flag));
+    if (!value) {
+      std::fprintf(stderr, "error: --%s needs a number in [0,1]\n", flag);
+      return 2;
+    }
+    *rate = *value;
+  }
 
-  check::Fuzzer fuzzer(options);
-  const auto report = fuzzer.run(
-      [verbose](int i, std::uint64_t case_seed, const std::string& summary,
-                bool clean) {
-        if (verbose) {
-          std::printf("[%4d] %s: %s\n", i, clean ? "ok" : "FAIL",
-                      summary.c_str());
-        } else if (!clean) {
-          std::printf("[%4d] FAIL seed=%llu\n", i,
-                      static_cast<unsigned long long>(case_seed));
-        }
-      });
+  // The replay flags, in FuzzMode order; at most one may be given.
+  const char* const replay_flags[] = {"case-seed", "serve-case-seed",
+                                      "fleet-case-seed"};
+  std::optional<check::FuzzMode> replay;
+  for (int m = 0; m < 3; ++m) {
+    if (!args.provided(replay_flags[m])) continue;
+    if (replay) {
+      std::fprintf(stderr,
+                   "error: give at most one of --case-seed, "
+                   "--serve-case-seed, --fleet-case-seed\n");
+      return 2;
+    }
+    replay = static_cast<check::FuzzMode>(m);
+  }
+
+  if (!replay) {
+    const auto seed = parse_u64(args.get("seed"));
+    const auto iters = args.get_int("iters");
+    const auto serve_iters = args.get_int("serve-iters");
+    const auto fleet_iters = args.get_int("fleet-iters");
+    const auto jobs = args.get_int("jobs");
+    if (!seed || !iters || *iters < 0 || !serve_iters || *serve_iters < 0 ||
+        !fleet_iters || *fleet_iters < 0 || !jobs || *jobs < 0) {
+      std::fprintf(stderr,
+                   "error: bad --seed/--iters/--serve-iters/--fleet-iters/"
+                   "--jobs\n");
+      return 2;
+    }
+    if (*iters == 0 && *serve_iters == 0 && *fleet_iters == 0) {
+      std::fprintf(stderr,
+                   "error: need --iters, --serve-iters, or --fleet-iters > 0\n");
+      return 2;
+    }
+    options.seed = *seed;
+    options.iterations = static_cast<int>(*iters);
+    options.serve_iterations = static_cast<int>(*serve_iters);
+    options.fleet_iterations = static_cast<int>(*fleet_iters);
+    options.jobs = static_cast<int>(*jobs);
+  }
+
+  // A rate that no iteration of this run reads is an error, not a no-op.
+  const bool harness =
+      replay ? *replay == check::FuzzMode::Harness : options.iterations > 0;
+  const bool fleet =
+      replay ? *replay == check::FuzzMode::Fleet : options.fleet_iterations > 0;
+  if (args.provided("fault-rate") && !harness) {
+    std::fprintf(stderr,
+                 "error: --fault-rate needs harness cases (--iters > 0 or "
+                 "--case-seed)\n");
+    return 2;
+  }
+  if ((args.provided("chaos-rate") || args.provided("sdc-rate")) && !fleet) {
+    std::fprintf(stderr,
+                 "error: --chaos-rate and --sdc-rate need fleet cases "
+                 "(--fleet-iters > 0 or --fleet-case-seed)\n");
+    return 2;
+  }
+
+  check::FuzzReport report;
+  if (replay) {
+    const char* flag = replay_flags[static_cast<int>(*replay)];
+    const auto case_seed = parse_u64(args.get(flag));
+    if (!case_seed) {
+      std::fprintf(stderr, "error: --%s needs an unsigned integer\n", flag);
+      return 2;
+    }
+    std::string summary;
+    report.failures =
+        check::Fuzzer::run_iteration(*replay, *case_seed, options, &summary);
+    report.iterations_run = 1;
+    std::printf("case %s\n", summary.c_str());
+  } else {
+    const bool verbose = args.get_flag("verbose");
+    report = check::Fuzzer(options).run(
+        [verbose](int i, std::uint64_t case_seed, const std::string& summary,
+                  bool clean) {
+          if (verbose) {
+            std::printf("[%4d] %s: %s\n", i, clean ? "ok" : "FAIL",
+                        summary.c_str());
+          } else if (!clean) {
+            std::printf("[%4d] FAIL seed=%llu\n", i,
+                        static_cast<unsigned long long>(case_seed));
+          }
+        });
+  }
 
   std::printf("%s\n", report.to_string().c_str());
   return report.ok() ? 0 : 1;
