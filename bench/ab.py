@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Paired CPU-time A/B comparison of two revisions on the fleet workloads.
+"""Paired CPU-time A/B comparison of two revisions on the perfbench workloads.
 
-Builds `hqserve` for each revision from `git archive <rev>` into its own
-fresh directory (never from the live tree, so no build mixes sources), then
-runs the perfbench `fleet_scale` and `fleet_chaos` command lines (see
-perfbench/README.md) as fixed work: four hqserve runs per side per pair.
+Builds `hqrun` and `hqserve` for each revision from `git archive <rev>` into
+its own fresh directory (never from the live tree, so no build mixes
+sources), then runs fixed-work command lines equivalent to three perfbench
+workloads (see perfbench/README.md), four times per side per pair:
+`paper_pairs` as its 12 hqrun runs (6 heterogeneous pairs x memsync off/on,
+NA = NS = 16, naive FIFO; 192 apps), and `fleet_scale` and `fleet_chaos` as
+one hqserve run each.
 
 Both sides of a run start at the same time, each pinned to its own core,
 so host load hits both sides alike and cancels in the ratio. The cores
 swap on every run, so each side meets each core equally often. Other
 tenants only ever add CPU time, and a slow core stays slow for seconds, so
 each side keeps its least child CPU time (user + system) over the pair's
-runs. Each pair yields head/base of those; the report is the median ratio
-with a bootstrap 95% interval. Every run also compares the two sides'
-outputs (the text report and, for fleet_chaos, the Prometheus export) and
-fails on any difference, so an A/B run is also a zero-perturbation check.
+runs, each run's time being the sum over its commands. Each pair yields
+head/base of those; the report is the median ratio with a bootstrap 95%
+interval. Every command also compares the two sides' outputs (stdout and,
+for fleet_chaos, the Prometheus export) and fails on any difference, so an
+A/B run is also a zero-perturbation check. Each run also counts the apps
+(paper_pairs) or arrived jobs (fleet) it ran against perfbench's batch.
 
-Each run's peak RSS (ru_maxrss from the same wait4 call) is reported too:
-the per-workload median of each side over all its runs and the head/base
+Each run's peak RSS (ru_maxrss from the same wait4 call, the largest over
+the run's commands) is reported too: the per-workload median of each side
+over all its runs and the head/base
 ratio of the medians. A child forked from this Python process starts with
 its RSS, and ru_maxrss keeps that across exec, so no reading goes below
 what this process held at the fork. Its own peak is printed as the floor:
@@ -33,8 +39,8 @@ interval's upper end is below 1 - H, "slower" when its lower end is above
 1 + H, "not slower" when its upper end is at most 1 + H, and "unresolved"
 otherwise. Builds are kept under --build-root, one directory per commit id;
 a directory without a finished build is wiped and rebuilt. Exit status: 0
-on success, 1 when outputs differ or a job count is off, 2 on a usage or
-build error. The last line printed is one JSON object.
+on success, 1 when outputs differ or an app or job count is off, 2 on a
+usage or build error. The last line printed is one JSON object.
 """
 
 import argparse
@@ -62,19 +68,35 @@ CHAOS_PLANS = [
 # Side-by-side runs per pair. Even, so each side meets each core equally.
 RUNS = 4
 
-# name -> (hqserve arguments, jobs arrived at seed 1 in perfbench, exports)
+HETERO_PAIRS = [("gaussian", "nn"), ("gaussian", "needle"),
+                ("gaussian", "srad"), ("nn", "needle"), ("nn", "srad"),
+                ("needle", "srad")]
+
+TOOLS = ("hqrun", "hqserve")
+
+# name -> (tool, one argument list per command, perfbench's count of the
+# batch, the stdout pattern whose group 1 counts it per command)
 WORKLOADS = {
+    "paper_pairs": (
+        "hqrun",
+        [["--apps", f"{x},{y}", "--na", "16", "--ns", "16", "--order", "fifo"]
+         + (["--memsync"] if memsync else [])
+         for memsync in (False, True) for x, y in HETERO_PAIRS],
+        192, rb"workload +\S+ x (\d+)"),
     "fleet_scale": (
-        ["--devices", "64", "--placement", "least-loaded", "--window-ms", "50",
-         "--mean-gap-us", "7"],
-        7048, False),
+        "hqserve",
+        [["--devices", "64", "--placement", "least-loaded", "--window-ms",
+          "50", "--mean-gap-us", "7"]],
+        7048, rb"jobs: arrived=(\d+)"),
     "fleet_chaos": (
-        ["--devices", "8", "--placement", "least-loaded", "--mean-gap-us", "30",
-         "--window-ms", "100", "--streams", "8", "--max-inflight", "4",
-         "--queue-cap", "48", "--deadline-us", "4000", "--steal",
-         "--failover-budget", "2", "--hedge", "--integrity", "spotcheck",
-         "--spotcheck-rate", "0.25", "--device-fault-plan-file", "{plans}"],
-        3296, True),
+        "hqserve",
+        [["--devices", "8", "--placement", "least-loaded", "--mean-gap-us",
+          "30", "--window-ms", "100", "--streams", "8", "--max-inflight", "4",
+          "--queue-cap", "48", "--deadline-us", "4000", "--steal",
+          "--failover-budget", "2", "--hedge", "--integrity", "spotcheck",
+          "--spotcheck-rate", "0.25", "--device-fault-plan-file", "{plans}",
+          "--prom", "out.prom"]],
+        3296, rb"jobs: arrived=(\d+)"),
 }
 
 
@@ -92,12 +114,12 @@ def commit_of(rev):
 
 
 def build(commit, root):
-    """Returns the hqserve built from a fresh `git archive` of `commit`."""
+    """Returns {tool: binary} built from a fresh `git archive` of `commit`."""
     top = os.path.join(root, commit)
-    binary = os.path.join(top, "build", "tools", "hqserve")
+    binaries = {t: os.path.join(top, "build", "tools", t) for t in TOOLS}
     stamp = os.path.join(top, "built")
     if os.path.exists(stamp):
-        return binary
+        return binaries
     shutil.rmtree(top, ignore_errors=True)
     src = os.path.join(top, "src")
     os.makedirs(src)
@@ -115,11 +137,11 @@ def build(commit, root):
                      "-DHQ_BUILD_EXAMPLES=OFF"],
                     ["cmake", "--build", os.path.join(top, "build"),
                      "-j", str(min(4, os.cpu_count() or 1)),
-                     "--target", "hqserve"]):
+                     "--target", *TOOLS]):
             if subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT).returncode:
                 fail(f"build of {commit[:12]} failed; see {log_path}")
     open(stamp, "w").close()
-    return binary
+    return binaries
 
 
 def run_side_by_side(binaries, args, cores, work):
@@ -199,8 +221,8 @@ def main():
         fail("needs two usable cores")
     cores = cores[-2:]
 
-    binaries = {"base": build(base, args.build_root)}
-    binaries["head"] = build(head, args.build_root)
+    builds = {"base": build(base, args.build_root)}
+    builds["head"] = build(head, args.build_root)
 
     work = tempfile.mkdtemp(prefix="hq-ab-run-")
     plans = os.path.join(work, "plans.txt")
@@ -211,27 +233,34 @@ def main():
     rss = {name: {"base": [], "head": []} for name in WORKLOADS}
     problems = []
     for pair in range(args.pairs):
-        for name, (hq_args, jobs, prom) in WORKLOADS.items():
-            hq_args = [a.replace("{plans}", plans) for a in hq_args]
-            if prom:
-                hq_args = hq_args + ["--prom", "out.prom"]
+        for name, (tool, commands, expected, pattern) in WORKLOADS.items():
+            sides_of = {side: builds[side][tool] for side in builds}
             best = {}
             for run in range(RUNS):
                 pinned = cores if (pair + run) % 2 == 0 else cores[::-1]
-                sides = run_side_by_side(binaries, hq_args, pinned, work)
-                for side, (cpu, peak, status, _) in sides.items():
-                    best[side] = min(cpu, best.get(side, cpu))
-                    rss[name][side].append(peak)
-                    if status != 0:
-                        problems.append(f"{name} pair {pair}: {side} exited "
-                                        f"{status}")
-                if sides["base"][3] != sides["head"][3]:
-                    problems.append(f"{name} pair {pair}: outputs differ")
-                arrived = re.search(rb"jobs: arrived=(\d+)",
-                                    sides["head"][3].get("stdout", b""))
-                if arrived is None or int(arrived.group(1)) != jobs:
-                    problems.append(f"{name} pair {pair}: expected {jobs} "
-                                    f"jobs, got {arrived and arrived.group(1)}")
+                cpu = {"base": 0.0, "head": 0.0}
+                peak = {"base": 0.0, "head": 0.0}
+                count = 0
+                for command in commands:
+                    command = [a.replace("{plans}", plans) for a in command]
+                    sides = run_side_by_side(sides_of, command, pinned, work)
+                    for side, (seconds, rss_mb, status, _) in sides.items():
+                        cpu[side] += seconds
+                        peak[side] = max(peak[side], rss_mb)
+                        if status != 0:
+                            problems.append(f"{name} pair {pair}: {side} "
+                                            f"exited {status}")
+                    if sides["base"][3] != sides["head"][3]:
+                        problems.append(f"{name} pair {pair}: outputs differ")
+                    found = re.search(pattern,
+                                      sides["head"][3].get("stdout", b""))
+                    count += int(found.group(1)) if found else 0
+                if count != expected:
+                    problems.append(f"{name} pair {pair}: expected "
+                                    f"{expected}, counted {count}")
+                for side in cpu:
+                    best[side] = min(cpu[side], best.get(side, cpu[side]))
+                    rss[name][side].append(peak[side])
             ratios[name].append(best["head"] / best["base"])
             print(f"pair {pair} {name}: base {best['base']:.3f} s, head "
                   f"{best['head']:.3f} s, ratio {ratios[name][-1]:.4f}",

@@ -195,7 +195,7 @@ struct FaultStats {
 struct QuarantinedApp {
   std::int32_t app_id = -1;
   std::string type;    ///< application name, e.g. "gaussian"
-  std::string reason;  ///< e.g. "launch-aborted", "allocation-failed: ..."
+  std::string reason;  ///< e.g. launch-aborted, allocation-failed: ...
 };
 
 /// Graceful-degradation summary attached to every HarnessResult: which apps

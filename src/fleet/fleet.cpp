@@ -6,12 +6,12 @@
 #include <sstream>
 #include <utility>
 
-#include "check/invariants.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "fault/lifecycle.hpp"
+#include "hyperq/app_body.hpp"
 #include "serve/signals.hpp"
 #include "trace/trace.hpp"
 
@@ -124,13 +124,6 @@ fault::FaultPlan effective_fault_plan(const FleetConfig& cfg,
   return plan;
 }
 
-std::unique_ptr<fault::FaultInjector> make_injector(const FleetConfig& cfg,
-                                                    std::size_t index) {
-  const fault::FaultPlan plan = effective_fault_plan(cfg, index);
-  if (!plan.enabled) return nullptr;
-  return std::make_unique<fault::FaultInjector>(plan);
-}
-
 /// Lifecycle schedule for the device's effective plan; null when the plan
 /// carries no crash/flap (degrade is handled inside the injector's copy
 /// path and needs no transition events).
@@ -140,15 +133,6 @@ std::unique_ptr<fault::DeviceLifecycle> make_lifecycle(
     return nullptr;
   }
   return std::make_unique<fault::DeviceLifecycle>(injector->plan());
-}
-
-rt::RuntimeOptions make_rt_options(const serve::ServiceConfig& base,
-                                   fault::FaultInjector* injector) {
-  rt::RuntimeOptions options;
-  options.functional = base.functional;
-  options.retry = base.retry;
-  options.fault_injector = injector;
-  return options;
 }
 
 std::vector<std::unique_ptr<fault::CircuitBreaker>> make_breakers(
@@ -165,27 +149,18 @@ std::vector<std::unique_ptr<fault::CircuitBreaker>> make_breakers(
 
 }  // namespace
 
-/// One device's serving engine. Shards live in a deque so addresses stay
-/// stable.
-struct FleetService::Shard {
+/// One device's serving engine: the shared device stack plus the serving
+/// state around it. Shards live in a deque so addresses stay stable.
+struct FleetService::Shard : fw::DeviceStack {
   std::size_t index;
-  std::unique_ptr<fault::FaultInjector> injector;
-  gpu::DeviceSpec spec;  ///< after fault degradation (offline SMXs)
-  std::shared_ptr<trace::Recorder> recorder;
-  gpu::Device device;
-  rt::Runtime runtime;
-  fw::StreamManager manager;
-  sim::Mutex htod_lock;
   serve::OverloadController controller;
   /// Empty when the class breaker is disabled; else one per class.
   std::vector<std::unique_ptr<fault::CircuitBreaker>> breakers;
   serve::AdmissionQueue queue;
-  std::unique_ptr<check::InvariantChecker> checker;
   serve::ServeSignals signals;
   CopyDepthTracker copy_depth;
   /// Device health breaker; nullptr when disabled.
   std::unique_ptr<fault::CircuitBreaker> device_breaker;
-  gpu::ObserverFanout fanout;
 
   // --- observability plane (all null unless base.collect_metrics) ----------
   /// Per-device telemetry observer; owns this device's MetricsRegistry.
@@ -231,20 +206,13 @@ struct FleetService::Shard {
 
   Shard(std::size_t idx, sim::Simulator& sim, const FleetConfig& cfg,
         const gpu::DeviceSpec& raw_spec, std::deque<serve::JobRecord>* jobs)
-      : index(idx),
-        injector(make_injector(cfg, idx)),
-        spec(injector != nullptr ? injector->degraded(raw_spec) : raw_spec),
-        recorder(std::make_shared<trace::Recorder>()),
-        device(sim, spec, recorder.get()),
-        runtime(sim, device, make_rt_options(cfg.base, injector.get())),
-        manager(runtime, cfg.base.num_streams),
-        htod_lock(sim),
+      : fw::DeviceStack(sim, raw_spec, effective_fault_plan(cfg, idx),
+                        cfg.base.functional, cfg.base.retry,
+                        cfg.base.num_streams, cfg.base.check_invariants),
+        index(idx),
         controller(cfg.base.controller),
         breakers(make_breakers(cfg.base)),
         queue({cfg.base.queue_cap, cfg.base.shed_policy}),
-        checker(cfg.base.check_invariants
-                    ? std::make_unique<check::InvariantChecker>(spec)
-                    : nullptr),
         signals(&controller, jobs, &breakers),
         device_breaker(cfg.device_breaker_enabled
                            ? std::make_unique<fault::CircuitBreaker>(
@@ -420,14 +388,7 @@ struct FleetService::RunState {
     a.app = spec.item.factory();
     HQ_CHECK_MSG(a.app != nullptr, "factory for '" << spec.item.type_name
                                                    << "' returned null");
-    fw::Context ctx;
-    ctx.sim = sim;
-    ctx.runtime = &s.runtime;
-    ctx.htod_lock = &s.htod_lock;
-    ctx.recorder = s.recorder.get();
-    ctx.app_id = job_id;
-    ctx.functional = config->base.functional;
-    a.context = ctx;
+    a.context = s.context(*sim, job_id);
     ++(*exec)[static_cast<std::size_t>(job_id)].dispatches;
     return attempt_index;
   }
@@ -1092,71 +1053,28 @@ sim::Task FleetService::job_lifecycle(RunState* st,
   fw::Kernel& app = *attempt.app;
   fw::Context& ctx = attempt.context;
 
-  // Setup is host-side and instantaneous in virtual time. Under fault
-  // injection a pinned allocation can exhaust its bounded retries; the
-  // attempt is then quarantined and the device keeps serving. Outcomes are
-  // attempt-local until the end: only the winning attempt of a job (still
-  // viable, job still inflight) applies them; cancelled attempts drain as
-  // zombies and discard theirs.
-  bool alloc_failed = false;
+  // Setup is host-side and instantaneous in virtual time, and happens per
+  // attempt. Outcomes are attempt-local until the end: only the winning
+  // attempt of a job (still viable, job still inflight) applies them;
+  // cancelled attempts drain as zombies and discard theirs.
   bool quarantined = false;
   std::string quarantine_reason;
-  // Timing-only jobs never read their host buffers, so skip the (often
-  // RNG-heavy) host initialization exactly as the batch harness does.
-  const bool init_host = st->config->base.functional;
-  if (s.injector == nullptr) {
-    app.allocateHostMemory(ctx);
-    app.allocateDeviceMemory(ctx);
-    if (init_host) app.initializeHostMemory(ctx);
-  } else {
-    try {
-      app.allocateHostMemory(ctx);
-      app.allocateDeviceMemory(ctx);
-      if (init_host) app.initializeHostMemory(ctx);
-    } catch (const Error& e) {
-      quarantined = true;
-      quarantine_reason = std::string("allocation-failed: ") + e.what();
-      alloc_failed = true;
-    }
-  }
-
-  if (!alloc_failed) {
-    ctx.stream = s.manager.acquire();
+  if (s.allocate(app, ctx, &quarantined, &quarantine_reason)) {
+    // An engaged overload controller turns memory sync on for this job
+    // (pseudo-burst) even when the config leaves it off.
     const bool engaged = s.controller.engaged();
-    const bool memsync = st->config->base.memory_sync || engaged;
     if (engaged && !st->config->base.memory_sync) {
       job.pseudo_burst = true;
       ++s.pseudo_burst_jobs;
     }
-    if (memsync) {
-      const TimeNs requested = st->sim->now();
-      auto guard = co_await s.htod_lock.scoped_lock();
-      const TimeNs acquired = st->sim->now();
-      if (acquired > requested) {
-        s.recorder->add(ctx.stream.id, ctx.app_id, trace::SpanKind::LockWait,
-                        "htod-lock", requested, acquired);
-      }
-      co_await app.transferMemory(ctx, fw::Direction::HostToDevice);
-      guard.reset();
-    } else {
-      co_await app.transferMemory(ctx, fw::Direction::HostToDevice);
-    }
-    co_await app.executeKernel(ctx);
-    co_await app.transferMemory(ctx, fw::Direction::DeviceToHost);
+    co_await s.run_stages(&app, &ctx, st->config->base.memory_sync || engaged,
+                          &quarantined, &quarantine_reason);
   }
 
   // Frees mirror the harness: tracked buffers only, so partially allocated
   // (quarantined) attempts release exactly what they acquired.
   app.freeHostMemory(ctx);
   app.freeDeviceMemory(ctx);
-
-  // A launch that exhausted its retry budget left the stream in a sticky
-  // fault state; the attempt drained but produced nothing useful.
-  if (!quarantined && s.injector != nullptr &&
-      s.runtime.stream_fault(ctx.stream) != rt::Status::Ok) {
-    quarantined = true;
-    quarantine_reason = "launch-aborted";
-  }
 
   const bool winner =
       attempt.viable && job.state == serve::JobState::Inflight;
@@ -1341,33 +1259,18 @@ FleetResult FleetService::run() {
   }
 
   for (Shard& s : shards) {
-    s.fanout.add(s.checker.get());
-    s.fanout.add(&s.signals);
-    s.fanout.add(&s.copy_depth);
-    s.fanout.add(s.telemetry.get());
-    s.device.set_observer(&s.fanout);
-    if (s.injector != nullptr) {
-      s.injector->set_observer(&s.fanout);
-      s.device.set_copy_fault_hook(
-          [inj = s.injector.get()](TimeNs now, gpu::CopyDirection dir,
-                                   gpu::OpId op, Bytes bytes,
-                                   DurationNs service_base) {
-            return inj->copy_service_penalty(now, dir, op, bytes,
-                                             service_base);
+    s.attach_observers({&s.signals, &s.copy_depth, s.telemetry.get()});
+    if (s.injector != nullptr && !s.breakers.empty()) {
+      s.injector->set_launch_fault_hook(
+          [sp = &s, jb = &jobs](TimeNs now, std::int32_t app_id,
+                                bool /*aborted*/) {
+            if (app_id < 0 || static_cast<std::size_t>(app_id) >= jb->size()) {
+              return;
+            }
+            fault::CircuitBreaker* b = sp->breaker_for(
+                (*jb)[static_cast<std::size_t>(app_id)].klass);
+            if (b != nullptr) b->record_failure(now);
           });
-      if (!s.breakers.empty()) {
-        s.injector->set_launch_fault_hook(
-            [sp = &s, jb = &jobs](TimeNs now, std::int32_t app_id,
-                                  bool /*aborted*/) {
-              if (app_id < 0 ||
-                  static_cast<std::size_t>(app_id) >= jb->size()) {
-                return;
-              }
-              fault::CircuitBreaker* b = sp->breaker_for(
-                  (*jb)[static_cast<std::size_t>(app_id)].klass);
-              if (b != nullptr) b->record_failure(now);
-            });
-      }
     }
   }
 
@@ -1405,16 +1308,7 @@ FleetResult FleetService::run() {
   HQ_CHECK_MSG(sim.live_tasks() == 0, "fleet run finished with live tasks");
   HQ_CHECK_MSG(drained.fired(), "fleet run ended without draining");
 
-  for (Shard& s : shards) {
-    if (s.checker != nullptr) {
-      s.checker->finalize(s.device);
-      s.checker->finalize_runtime(s.runtime);
-      if (s.injector != nullptr) s.checker->finalize_faults(s.injector->stats());
-      HQ_CHECK_MSG(s.checker->ok(), "fleet device " << s.index
-                                        << " invariant violations:\n"
-                                        << s.checker->report());
-    }
-  }
+  for (Shard& s : shards) s.finalize_checks(s.index);
 
   // --- drain: one pass over every job ----------------------------------------
   // Each job joins the accounting and class slice of the device that

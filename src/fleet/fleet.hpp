@@ -208,7 +208,11 @@ class FleetService {
   struct RunState;
   static sim::Task generator_task(RunState* st);
   /// Runs one dispatch attempt (primary, failover re-dispatches reuse the
-  /// same path, hedges are extra attempts of the same job).
+  /// same path, hedges are extra attempts of the same job). It allocates
+  /// and runs the app body shared with the batch harness
+  /// (hyperq/app_body.hpp), with memory sync also on while the overload
+  /// controller is engaged, frees, and then applies the fleet's own outcome
+  /// logic: winner, hedge sibling, breakers, integrity.
   static sim::Task job_lifecycle(RunState* st, std::size_t attempt_index);
 
   FleetConfig config_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "check/invariants.hpp"
 #include "common/check.hpp"
+#include "hyperq/app_body.hpp"
 
 namespace hq::fw {
 
@@ -39,13 +39,8 @@ std::span<const codec::Field<HarnessConfig>> codec_fields(
 struct Harness::RunState {
   const HarnessConfig* config = nullptr;
   sim::Simulator* sim = nullptr;
-  gpu::Device* device = nullptr;
-  rt::Runtime* runtime = nullptr;
-  trace::Recorder* recorder = nullptr;
-  StreamManager* manager = nullptr;
-  sim::Mutex* htod_lock = nullptr;
+  DeviceStack* stack = nullptr;
   PowerMonitor* monitor = nullptr;
-  fault::FaultInjector* injector = nullptr;
   sim::CountdownLatch* latch = nullptr;
   std::vector<std::unique_ptr<Kernel>>* apps = nullptr;
   std::vector<Context>* contexts = nullptr;
@@ -62,44 +57,12 @@ struct Harness::RunState {
 };
 
 sim::Task Harness::child_task(RunState* st, int index) {
-  Kernel* app = (*st->apps)[static_cast<std::size_t>(index)].get();
-  Context& ctx = (*st->contexts)[static_cast<std::size_t>(index)];
-  AppMetrics& metrics = (*st->metrics)[static_cast<std::size_t>(index)];
-
-  // Streams are assigned dynamically, in launch order (Section III-C: "we
-  // create an independent thread for each application, and dynamically
-  // assign GPU streams to these threads as they are needed").
-  ctx.stream = st->manager->acquire();
-
-  if (st->config->memory_sync) {
-    // Section III-B: a mutex around the entire HtoD transfer stage gives a
-    // pseudo-burst transfer — all of this application's transfers complete
-    // before another application takes control of the copy queue.
-    const TimeNs requested = st->sim->now();
-    auto guard = co_await st->htod_lock->scoped_lock();
-    const TimeNs acquired = st->sim->now();
-    if (st->recorder != nullptr && acquired > requested) {
-      st->recorder->add(ctx.stream.id, ctx.app_id, trace::SpanKind::LockWait,
-                        "htod-lock", requested, acquired);
-    }
-    co_await app->transferMemory(ctx, Direction::HostToDevice);
-    guard.reset();
-  } else {
-    co_await app->transferMemory(ctx, Direction::HostToDevice);
-  }
-
-  co_await app->executeKernel(ctx);
-  co_await app->transferMemory(ctx, Direction::DeviceToHost);
-
+  const auto i = static_cast<std::size_t>(index);
+  AppMetrics& metrics = (*st->metrics)[i];
+  co_await st->stack->run_stages((*st->apps)[i].get(), &(*st->contexts)[i],
+                                 st->config->memory_sync, &metrics.quarantined,
+                                 &metrics.quarantine_reason);
   metrics.end_time = st->sim->now();
-  // A launch that exhausted its retry budget leaves the stream in a sticky
-  // fault state (later submissions fail fast, so the child still drains).
-  // Quarantine the app; the rest of the schedule completes normally.
-  if (st->injector != nullptr && !metrics.quarantined &&
-      st->runtime->stream_fault(ctx.stream) != rt::Status::Ok) {
-    metrics.quarantined = true;
-    metrics.quarantine_reason = "launch-aborted";
-  }
   st->latch->count_down();
 }
 
@@ -120,36 +83,15 @@ sim::Task Harness::watchdog_task(RunState* st) {
 sim::Task Harness::parent_task(RunState* st) {
   // Phase 1 (untimed, as in the paper): instantiate, allocate, initialize.
   for (std::size_t i = 0; i < st->apps->size(); ++i) {
-    Kernel& app = *(*st->apps)[i];
-    Context& ctx = (*st->contexts)[i];
-    // Host initialization only matters when the real algorithms run: in
-    // timing-only mode kernels never read the buffers, so filling them (and
-    // the hundreds of millions of RNG draws some apps spend doing it) is
-    // pure host-side overhead with zero effect on the simulated schedule.
-    const bool init_host = st->config->functional;
-    if (st->injector == nullptr) {
-      app.allocateHostMemory(ctx);
-      app.allocateDeviceMemory(ctx);
-      if (init_host) app.initializeHostMemory(ctx);
-      continue;
-    }
-    // Under fault injection a pinned allocation can exhaust its bounded
-    // retries; quarantine the app and let the rest of the schedule run.
-    try {
-      app.allocateHostMemory(ctx);
-      app.allocateDeviceMemory(ctx);
-      if (init_host) app.initializeHostMemory(ctx);
-    } catch (const Error& e) {
-      AppMetrics& m = (*st->metrics)[i];
-      m.quarantined = true;
-      m.quarantine_reason = std::string("allocation-failed: ") + e.what();
-    }
+    AppMetrics& m = (*st->metrics)[i];
+    st->stack->allocate(*(*st->apps)[i], (*st->contexts)[i], &m.quarantined,
+                        &m.quarantine_reason);
   }
 
   if (st->config->monitor_power) st->monitor->start();
   st->phase_begin = st->sim->now();
-  st->energy_begin = st->device->energy();
-  st->occupancy_begin = st->device->occupancy_integral_seconds();
+  st->energy_begin = st->stack->device.energy();
+  st->occupancy_begin = st->stack->device.occupancy_integral_seconds();
   if (st->config->watchdog_timeout > 0) {
     st->sim->spawn(watchdog_task(st));
   }
@@ -175,8 +117,8 @@ sim::Task Harness::parent_task(RunState* st) {
   co_await st->latch->wait();
 
   st->phase_end = st->sim->now();
-  st->energy_end = st->device->energy();
-  st->occupancy_end = st->device->occupancy_integral_seconds();
+  st->energy_end = st->stack->device.energy();
+  st->occupancy_end = st->stack->device.occupancy_integral_seconds();
   if (st->config->monitor_power) st->monitor->stop();
 
   // Verification must see the DtoH results, so it runs before the frees.
@@ -204,60 +146,22 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
   HQ_CHECK_MSG(!workload.empty(),
                "Harness::run: empty workload (need at least one application)");
 
-  // The injector (when a plan is enabled) is built first: SMX offlining
-  // degrades the spec every other component sees, and the runtime needs the
-  // injector for launch/allocation fault decisions.
-  std::unique_ptr<fault::FaultInjector> injector;
-  gpu::DeviceSpec device_spec = config_.device;
-  if (config_.fault_plan.enabled) {
-    injector = std::make_unique<fault::FaultInjector>(config_.fault_plan);
-    device_spec = injector->degraded(device_spec);
-  }
-
   sim::Simulator sim;
   // Capacity hint from the workload shape: the event heap's high-water mark
   // scales with the number of concurrently-resident apps. Over-reserving
   // slightly is cheap; reallocating mid-run is not.
   sim.reserve_events(256 + 16 * workload.size());
-  auto recorder = std::make_shared<trace::Recorder>();
-  gpu::Device device(sim, device_spec, recorder.get());
-  rt::RuntimeOptions rt_options;
-  rt_options.functional = config_.functional;
-  rt_options.retry = config_.retry;
-  rt_options.fault_injector = injector.get();
-  rt::Runtime runtime(sim, device, rt_options);
-  nvml::ManagementLibrary nvml(sim, device, config_.sensor);
-  StreamManager manager(runtime, config_.num_streams);
-  sim::Mutex htod_lock(sim);
+  DeviceStack stack(sim, config_.device, config_.fault_plan,
+                    config_.functional, config_.retry, config_.num_streams,
+                    config_.check_invariants);
+  nvml::ManagementLibrary nvml(sim, stack.device, config_.sensor);
   sim::CountdownLatch latch(sim, workload.size());
   PowerMonitor monitor(sim, nvml, config_.power_period);
-
-  std::unique_ptr<check::InvariantChecker> checker;
-  if (config_.check_invariants) {
-    checker = std::make_unique<check::InvariantChecker>(device_spec);
-  }
   std::shared_ptr<obs::TelemetryObserver> telemetry;
-  gpu::ObserverFanout fanout;
-  gpu::DeviceObserver* observer = checker.get();
   if (config_.collect_telemetry) {
-    telemetry = std::make_shared<obs::TelemetryObserver>(device_spec);
-    // Both observers are passive, so fanning out changes nothing about the
-    // simulated schedule (the zero-perturbation golden tests pin this).
-    fanout.add(checker.get());
-    fanout.add(telemetry.get());
-    observer = &fanout;
+    telemetry = std::make_shared<obs::TelemetryObserver>(stack.spec);
   }
-  if (observer != nullptr) device.set_observer(observer);
-  if (injector != nullptr) {
-    // Faults report through the same chain as device events, so the checker
-    // can reconcile every on_fault_injected against the injector's stats.
-    injector->set_observer(observer);
-    device.set_copy_fault_hook(
-        [inj = injector.get()](TimeNs now, gpu::CopyDirection dir,
-                               gpu::OpId op, Bytes bytes, DurationNs base) {
-          return inj->copy_service_penalty(now, dir, op, bytes, base);
-        });
-  }
+  stack.attach_observers({telemetry.get()});
 
   std::vector<std::unique_ptr<Kernel>> apps;
   std::vector<Context> contexts;
@@ -267,13 +171,7 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
     apps.push_back(workload[i].factory());
     HQ_CHECK_MSG(apps.back() != nullptr,
                  "factory for '" << workload[i].type_name << "' returned null");
-    Context ctx;
-    ctx.sim = &sim;
-    ctx.runtime = &runtime;
-    ctx.htod_lock = &htod_lock;
-    ctx.recorder = recorder.get();
-    ctx.app_id = static_cast<int>(i);
-    ctx.functional = config_.functional;
+    Context ctx = stack.context(sim, static_cast<int>(i));
     ctx.transfer_chunk_bytes = config_.transfer_chunk_bytes;
     ctx.blocking_transfers = config_.blocking_transfers;
     contexts.push_back(ctx);
@@ -286,13 +184,8 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
   RunState state;
   state.config = &config_;
   state.sim = &sim;
-  state.device = &device;
-  state.runtime = &runtime;
-  state.recorder = recorder.get();
-  state.manager = &manager;
-  state.htod_lock = &htod_lock;
+  state.stack = &stack;
   state.monitor = &monitor;
-  state.injector = injector.get();
   state.latch = &latch;
   state.apps = &apps;
   state.contexts = &contexts;
@@ -303,14 +196,7 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
   HQ_CHECK_MSG(sim.live_tasks() == 0, "run finished with live tasks");
   const std::uint64_t run_events = sim.events_processed();
   const sim::CallbackStats run_callback_stats = sim.callback_stats();
-
-  if (checker != nullptr) {
-    checker->finalize(device);
-    checker->finalize_runtime(runtime);
-    if (injector != nullptr) checker->finalize_faults(injector->stats());
-    HQ_CHECK_MSG(checker->ok(),
-                 "invariant violations:\n" << checker->report());
-  }
+  stack.finalize_checks(0);
 
   HarnessResult result;
   result.phase_begin = state.phase_begin;
@@ -327,7 +213,7 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
                                to_seconds(result.makespan);
   }
   result.power_trace = monitor.samples();
-  result.device_stats = device.stats();
+  result.device_stats = stack.device.stats();
   result.events_processed = run_events;
   result.callback_stats = run_callback_stats;
 
@@ -335,7 +221,7 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
 
   // One shared index: per-app extraction over NA apps costs O(spans) total
   // instead of the O(NA * spans) the per-app by_app scans would.
-  const trace::AppIndex index(*recorder);
+  const trace::AppIndex index(*stack.recorder);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     AppMetrics& m = metrics[i];
     m.htod_effective_latency =
@@ -375,9 +261,11 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
           {m.app_id, m.type, m.quarantine_reason});
     }
   }
-  if (injector != nullptr) result.degraded.stats = injector->stats();
+  if (stack.injector != nullptr) {
+    result.degraded.stats = stack.injector->stats();
+  }
   result.apps = std::move(metrics);
-  result.trace = std::move(recorder);
+  result.trace = stack.recorder;
   result.telemetry = std::move(telemetry);
   return result;
 }

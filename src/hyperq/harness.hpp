@@ -148,6 +148,9 @@ class Harness {
  private:
   struct RunState;
   static sim::Task parent_task(RunState* st);
+  /// One app's child thread: DeviceStack::run_stages (hyperq/app_body.hpp),
+  /// then its end time and the latch. Phase 1 allocated the app
+  /// (DeviceStack::allocate); phase 3 frees it.
   static sim::Task child_task(RunState* st, int index);
   static sim::Task watchdog_task(RunState* st);
 

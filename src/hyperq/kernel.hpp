@@ -19,9 +19,7 @@
 #include <string>
 
 #include "cudart/runtime.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "trace/trace.hpp"
 
 namespace hq::fw {
 
@@ -31,12 +29,6 @@ namespace hq::fw {
 struct Context {
   sim::Simulator* sim = nullptr;
   rt::Runtime* runtime = nullptr;
-  /// Host-side memory-synchronization mutex (Section III-B); null when the
-  /// pseudo-burst transfer mechanism is disabled.
-  sim::Mutex* htod_lock = nullptr;
-  /// Recorder for host-side spans (lock waits); device spans are recorded by
-  /// the device itself.
-  trace::Recorder* recorder = nullptr;
   /// Stream assigned for the execution phase (acquired from StreamManager
   /// when the application's child thread starts).
   rt::Stream stream;

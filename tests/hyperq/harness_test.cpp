@@ -35,6 +35,17 @@ TEST(HarnessTest, SingleAppRunsToCompletion) {
   EXPECT_GT(result.energy_exact, 0.0);
 }
 
+TEST(HarnessTest, HostMemoryIsInitialisedOnlyInFunctionalRuns) {
+  for (const bool functional : {false, true}) {
+    int inits = 0;
+    HarnessConfig config;
+    config.functional = functional;
+    Harness(config).run(std::vector<WorkloadItem>(
+        3, testing::init_counting_item(&inits)));
+    EXPECT_EQ(inits, functional ? 3 : 0) << "functional=" << functional;
+  }
+}
+
 TEST(HarnessTest, AppMetricsPopulated) {
   Harness harness(quiet_config());
   const auto result = harness.run(synthetic_workload(3, {}));

@@ -132,4 +132,46 @@ inline std::vector<WorkloadItem> synthetic_workload(int count,
   return items;
 }
 
+/// Forwards every call to `app` and counts its initializeHostMemory calls.
+/// (Appended last: the serve goldens pin quarantine reasons that carry the
+/// source line of SyntheticApp's allocation check.)
+class InitCounter final : public Kernel {
+ public:
+  InitCounter(std::unique_ptr<Kernel> app, int* calls)
+      : app_(std::move(app)), calls_(calls) {}
+
+  void allocateHostMemory(Context& c) override { app_->allocateHostMemory(c); }
+  void allocateDeviceMemory(Context& c) override {
+    app_->allocateDeviceMemory(c);
+  }
+  void initializeHostMemory(Context& c) override {
+    ++*calls_;
+    app_->initializeHostMemory(c);
+  }
+  sim::Task transferMemory(Context& c, Direction d) override {
+    return app_->transferMemory(c, d);
+  }
+  sim::Task executeKernel(Context& c) override { return app_->executeKernel(c); }
+  void freeHostMemory(Context& c) override { app_->freeHostMemory(c); }
+  void freeDeviceMemory(Context& c) override { app_->freeDeviceMemory(c); }
+  const std::string& name() const override { return app_->name(); }
+  Bytes htod_bytes() const override { return app_->htod_bytes(); }
+  Bytes dtoh_bytes() const override { return app_->dtoh_bytes(); }
+  bool verify(Context& c) const override { return app_->verify(c); }
+
+ private:
+  std::unique_ptr<Kernel> app_;
+  int* calls_;
+};
+
+/// A workload item of synthetic apps whose host initialisations count
+/// into `*calls`.
+inline WorkloadItem init_counting_item(int* calls) {
+  return WorkloadItem{"synthetic", [calls] {
+                        return std::make_unique<InitCounter>(
+                            std::make_unique<SyntheticApp>(SyntheticApp::Spec{}),
+                            calls);
+                      }};
+}
+
 }  // namespace hq::fw::testing

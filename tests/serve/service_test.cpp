@@ -300,6 +300,19 @@ TEST(ServeServiceTest, PlainRunCompletesEverything) {
   EXPECT_GT(report.trace_digest, 0u);
 }
 
+TEST(ServeServiceTest, HostMemoryIsInitialisedOnlyInFunctionalRuns) {
+  for (const bool functional : {false, true}) {
+    int inits = 0;
+    ServiceConfig config = base_config();
+    config.functional = functional;
+    config.classes[0].item = fw::testing::init_counting_item(&inits);
+    const ServeResult result = Service(config).run();
+    ASSERT_GT(result.report.completed, 0u);
+    EXPECT_EQ(inits, functional ? static_cast<int>(result.report.completed) : 0)
+        << "functional=" << functional;
+  }
+}
+
 TEST(ServeServiceTest, ReportIsByteIdenticalAcrossRuns) {
   const ServeResult a = Service(overload_config()).run();
   const ServeResult b = Service(overload_config()).run();

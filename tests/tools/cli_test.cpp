@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "fault/fault.hpp"
@@ -88,6 +91,46 @@ TEST_F(CliTest, NonIntegerValueYieldsNullopt) {
 TEST_F(CliTest, NegativeIntegersParse) {
   EXPECT_TRUE(parse({"--na", "-3"}));
   EXPECT_EQ(*parser_.get_int("na"), -3);
+}
+
+TEST_F(CliTest, DoublesAreRangeChecked) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(parse({"--na", "0.5"}));
+  EXPECT_EQ(*parser_.get_double("na", 0.0, 1.0), 0.5);
+  EXPECT_EQ(*parser_.get_double("na", 0.0, inf, /*lo_open=*/true), 0.5);
+  const std::pair<const char*, std::string> rejected[] = {
+      {"1.5", "--na needs a number in [0, 1]"},
+      {"nan", "--na needs a number in [0, 1]"},
+      {"", "--na needs a number in [0, 1]"},
+      {"0.5x", "--na needs a number in [0, 1]"},
+  };
+  for (const auto& [value, error] : rejected) {
+    EXPECT_TRUE(parse({"--na", value}));
+    EXPECT_FALSE(parser_.get_double("na", 0.0, 1.0).has_value()) << value;
+    EXPECT_EQ(parser_.error(), error) << value;
+  }
+  EXPECT_TRUE(parse({"--na", "0"}));
+  EXPECT_FALSE(parser_.get_double("na", 0.0, 1.0, true).has_value());
+  EXPECT_EQ(parser_.error(), "--na needs a number in (0, 1]");
+  EXPECT_FALSE(parser_.get_double("na", 0.0, inf, true).has_value());
+  EXPECT_EQ(parser_.error(), "--na needs a number > 0");
+  EXPECT_TRUE(parse({"--na", "-1"}));
+  EXPECT_FALSE(parser_.get_double("na", 0.0, inf).has_value());
+  EXPECT_EQ(parser_.error(), "--na needs a number >= 0");
+}
+
+TEST(CliHelpersTest, SplitCsvDropsEmptyItems) {
+  EXPECT_EQ(split_csv("a,,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(split_csv("").empty());
+}
+
+TEST(CliHelpersTest, DevicePresetsResolveByName) {
+  EXPECT_EQ(device_preset("k20")->name, gpu::DeviceSpec::tesla_k20().name);
+  EXPECT_EQ(device_preset("fermi")->name,
+            gpu::DeviceSpec::fermi_single_queue().name);
+  EXPECT_EQ(device_preset("single-copy")->name,
+            gpu::DeviceSpec::single_copy_engine().name);
+  EXPECT_FALSE(device_preset("k40").has_value());
 }
 
 TEST_F(CliTest, UsageListsOptionsAndDefaults) {

@@ -1,5 +1,6 @@
 // End-to-end checks of the built hqfuzz: rate flags that no iteration of
-// the run reads, and more than one replay seed, are usage errors (exit 2);
+// the run reads, more than one replay seed, and loop flags given to a
+// replay are usage errors (exit 2);
 // a replay runs the layers it is given; the output is byte-identical at any
 // job count. HQ_HQFUZZ_PATH is the binary's path, set by CMake.
 #include <gtest/gtest.h>
@@ -43,6 +44,13 @@ TEST(HqfuzzCliTest, UnreadRatesAndSeveralReplaySeedsAreUsageErrors) {
            "--serve-case-seed 5 --fleet-case-seed 5",
            "--iters 1 --fault-rate 1.5",
            "--iters 1 --fault-rate nan",
+           "--case-seed 5 --seed 3",
+           "--case-seed 5 --iters 2",
+           "--serve-case-seed 5 --serve-iters 1",
+           "--fleet-case-seed 5 --fleet-iters 1",
+           "--case-seed 5 --fleet-iters 0",
+           "--serve-case-seed 5 --jobs 2",
+           "--fleet-case-seed 5 --verbose",
        }) {
     const Outcome run = hqfuzz(args);
     EXPECT_EQ(run.exit_code, 2) << args << "\n" << run.output;

@@ -1,11 +1,31 @@
 #include "tools/cli.hpp"
 
+#include <cerrno>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace hq::tools {
+
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+std::optional<gpu::DeviceSpec> device_preset(const std::string& name) {
+  if (name == "k20") return gpu::DeviceSpec::tesla_k20();
+  if (name == "fermi") return gpu::DeviceSpec::fermi_single_queue();
+  if (name == "single-copy") return gpu::DeviceSpec::single_copy_engine();
+  return std::nullopt;
+}
 
 void ArgParser::add_option(const std::string& name, const std::string& help,
                            const std::string& default_value) {
@@ -78,6 +98,29 @@ std::optional<long long> ArgParser::get_int(const std::string& name) const {
   const auto [ptr, ec] = std::from_chars(begin, end, out);
   if (ec != std::errc{} || ptr != end) return std::nullopt;
   return out;
+}
+
+std::optional<double> ArgParser::get_double(const std::string& name,
+                                            double lo, double hi,
+                                            bool lo_open) {
+  const std::string text = get(name);
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  const bool parsed = errno == 0 && end != text.c_str() && *end == '\0';
+  // Written so that NaN fails every bound.
+  if (parsed && (lo_open ? value > lo : value >= lo) && value <= hi) {
+    return value;
+  }
+  std::ostringstream os;
+  os << "--" << name << " needs a number ";
+  if (std::isinf(hi)) {
+    os << (lo_open ? "> " : ">= ") << lo;
+  } else {
+    os << "in " << (lo_open ? '(' : '[') << lo << ", " << hi << ']';
+  }
+  error_ = os.str();
+  return std::nullopt;
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

@@ -5,8 +5,9 @@
 // invariant checker attached, and validates the metamorphic oracles
 // described in check/fuzzer.hpp. Exit code 0 = every iteration clean,
 // 1 = a check failed, 2 = usage error. A rate flag that no iteration of
-// the run reads (say --chaos-rate without fleet cases) and more than one
-// --*-case-seed are usage errors.
+// the run reads (say --chaos-rate without fleet cases), more than one
+// --*-case-seed, and a replay given a flag it ignores (--seed, --iters,
+// --serve-iters, --fleet-iters, --jobs, --verbose) are usage errors.
 //
 // Each failing check prints its case seed and its case: the harness
 // summary, or the serve/fleet config as codec text. --*-case-seed reruns a
@@ -17,7 +18,7 @@
 //   hqfuzz --seed 1 --iters 100
 //   hqfuzz --seed 1 --iters 300 --jobs 0      (all hardware threads,
 //                                              identical output to --jobs 1)
-//   hqfuzz --case-seed 1234567890 --verbose   (replay one failing case)
+//   hqfuzz --case-seed 1234567890             (replay one failing case)
 //   hqfuzz --seed 1 --iters 50 --fault-rate 0.5   (fault-mode oracles on)
 //   hqfuzz --seed 1 --iters 0 --serve-iters 50    (serving-mode oracles)
 //   hqfuzz --serve-case-seed 99                   (replay one serve case)
@@ -46,17 +47,6 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end == nullptr || *end != '\0') return std::nullopt;
   return static_cast<std::uint64_t>(value);
-}
-
-std::optional<double> parse_rate(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0' ||
-      !(value >= 0.0 && value <= 1.0)) {
-    return std::nullopt;
-  }
-  return value;
 }
 
 }  // namespace
@@ -109,9 +99,9 @@ int main(int argc, char** argv) {
   for (const auto& [flag, rate] : {std::pair{"fault-rate", &options.fault_rate},
                                    std::pair{"chaos-rate", &options.chaos_rate},
                                    std::pair{"sdc-rate", &options.sdc_rate}}) {
-    const auto value = parse_rate(args.get(flag));
+    const auto value = args.get_double(flag, 0.0, 1.0);
     if (!value) {
-      std::fprintf(stderr, "error: --%s needs a number in [0,1]\n", flag);
+      std::fprintf(stderr, "error: %s\n", args.error().c_str());
       return 2;
     }
     *rate = *value;
@@ -132,7 +122,17 @@ int main(int argc, char** argv) {
     replay = static_cast<check::FuzzMode>(m);
   }
 
-  if (!replay) {
+  if (replay) {
+    // A replay runs one case: the loop's flags would be silently ignored.
+    for (const char* flag :
+         {"seed", "iters", "serve-iters", "fleet-iters", "jobs", "verbose"}) {
+      if (args.provided(flag)) {
+        std::fprintf(stderr, "error: --%s does not apply to a --%s replay\n",
+                     flag, replay_flags[static_cast<int>(*replay)]);
+        return 2;
+      }
+    }
+  } else {
     const auto seed = parse_u64(args.get("seed"));
     const auto iters = args.get_int("iters");
     const auto serve_iters = args.get_int("serve-iters");

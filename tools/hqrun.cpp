@@ -27,16 +27,6 @@
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 std::optional<hq::fw::Order> parse_order(const std::string& name) {
   using hq::fw::Order;
   if (name == "fifo") return Order::NaiveFifo;
@@ -44,14 +34,6 @@ std::optional<hq::fw::Order> parse_order(const std::string& name) {
   if (name == "shuffle") return Order::RandomShuffle;
   if (name == "rev-fifo") return Order::ReverseFifo;
   if (name == "rev-rr") return Order::ReverseRoundRobin;
-  return std::nullopt;
-}
-
-std::optional<hq::gpu::DeviceSpec> parse_device(const std::string& name) {
-  using hq::gpu::DeviceSpec;
-  if (name == "k20") return DeviceSpec::tesla_k20();
-  if (name == "fermi") return DeviceSpec::fermi_single_queue();
-  if (name == "single-copy") return DeviceSpec::single_copy_engine();
   return std::nullopt;
 }
 
@@ -116,7 +98,7 @@ int hqrun_main(int argc, char** argv) {
     return args.get_flag("help") ? 0 : 2;
   }
 
-  const auto apps = split_csv(args.get("apps"));
+  const auto apps = tools::split_csv(args.get("apps"));
   if (apps.empty() || apps.size() > 2) {
     std::fprintf(stderr, "error: --apps needs one or two types\n");
     return 2;
@@ -135,7 +117,7 @@ int hqrun_main(int argc, char** argv) {
                  args.get("order").c_str());
     return 2;
   }
-  const auto device = parse_device(args.get("device"));
+  const auto device = tools::device_preset(args.get("device"));
   if (!device) {
     std::fprintf(stderr,
                  "error: unknown device '%s' (valid: k20|fermi|single-copy)\n",

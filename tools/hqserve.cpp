@@ -49,6 +49,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,15 +71,7 @@
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+using hq::tools::split_csv;
 
 /// Parses one --mix entry of the form "app" or "app:priority".
 bool parse_class(const std::string& entry, int size,
@@ -153,18 +146,13 @@ bool read_device_specs(const std::string& path,
     std::istringstream ls(line);
     std::string preset;
     ls >> preset;
-    hq::gpu::DeviceSpec spec;
-    if (preset == "k20") {
-      spec = hq::gpu::DeviceSpec::tesla_k20();
-    } else if (preset == "fermi") {
-      spec = hq::gpu::DeviceSpec::fermi_single_queue();
-    } else if (preset == "single-copy") {
-      spec = hq::gpu::DeviceSpec::single_copy_engine();
-    } else {
+    const auto found = hq::tools::device_preset(preset);
+    if (!found) {
       *error = "unknown device preset '" + preset + "' at " + path + ":" +
                std::to_string(line_no) + " (want k20, fermi, or single-copy)";
       return false;
     }
+    hq::gpu::DeviceSpec spec = *found;
     std::string token;
     while (ls >> token) {
       const std::size_t eq = token.find('=');
@@ -462,58 +450,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  double hedge_threshold = 2.0;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("hedge-threshold");
-    hedge_threshold = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' ||
-        hedge_threshold <= 0.0) {
-      std::fprintf(stderr, "error: --hedge-threshold needs a number > 0\n");
-      return 2;
-    }
-  }
-
-  double copy_penalty = 2.0;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("copy-penalty");
-    copy_penalty = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || copy_penalty < 0.0) {
-      std::fprintf(stderr, "error: --copy-penalty needs a number >= 0\n");
-      return 2;
-    }
-  }
-
-  double spotcheck_rate = 0.1;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("spotcheck-rate");
-    spotcheck_rate = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || spotcheck_rate < 0.0 ||
-        spotcheck_rate > 1.0) {
-      std::fprintf(stderr,
-                   "error: --spotcheck-rate needs a number in [0, 1]\n");
-      return 2;
-    }
-  }
-
-  double sdc_blocklist_threshold = 0.8;
-  {
-    errno = 0;
-    char* end = nullptr;
-    const std::string text = args.get("sdc-blocklist-threshold");
-    sdc_blocklist_threshold = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' ||
-        sdc_blocklist_threshold <= 0.0 || sdc_blocklist_threshold > 1.0) {
-      std::fprintf(stderr,
-                   "error: --sdc-blocklist-threshold needs a number in "
-                   "(0, 1]\n");
-      return 2;
-    }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto hedge_threshold =
+      args.get_double("hedge-threshold", 0.0, kInf, /*lo_open=*/true);
+  const auto copy_penalty = args.get_double("copy-penalty", 0.0, kInf);
+  const auto spotcheck_rate = args.get_double("spotcheck-rate", 0.0, 1.0);
+  const auto sdc_blocklist_threshold =
+      args.get_double("sdc-blocklist-threshold", 0.0, 1.0, /*lo_open=*/true);
+  if (!hedge_threshold || !copy_penalty || !spotcheck_rate ||
+      !sdc_blocklist_threshold) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 2;
   }
 
   fleet::IntegrityPolicy integrity = fleet::IntegrityPolicy::Trust;
@@ -747,7 +694,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       fleet_config.placement = *placement;
-      fleet_config.copy_penalty = copy_penalty;
+      fleet_config.copy_penalty = *copy_penalty;
       fleet_config.work_stealing = args.get_flag("steal");
       fleet_config.device_breaker_enabled = args.get_flag("device-breaker");
       fleet_config.device_breaker.failure_threshold =
@@ -756,12 +703,12 @@ int main(int argc, char** argv) {
           static_cast<DurationNs>(*device_breaker_cooldown_us) * kMicrosecond;
       fleet_config.failover_budget = static_cast<int>(*failover_budget);
       fleet_config.hedging = args.get_flag("hedge");
-      fleet_config.hedge_threshold = hedge_threshold;
+      fleet_config.hedge_threshold = *hedge_threshold;
       fleet_config.hedge_min_samples =
           static_cast<std::size_t>(*hedge_min_samples);
       fleet_config.integrity = integrity;
-      fleet_config.spotcheck_rate = spotcheck_rate;
-      fleet_config.sdc_blocklist_threshold = sdc_blocklist_threshold;
+      fleet_config.spotcheck_rate = *spotcheck_rate;
+      fleet_config.sdc_blocklist_threshold = *sdc_blocklist_threshold;
       if (!args.get("device-fault-plan-file").empty()) {
         if (!read_fault_plans(args.get("device-fault-plan-file"),
                               fleet_config.device_fault_plans, &error)) {
