@@ -1,17 +1,11 @@
-// Shared scaffolding for the figure/table reproduction binaries.
-//
-// Every binary in bench/ regenerates one table or figure from the paper's
-// evaluation section: it runs the relevant simulated experiment(s) and
-// prints the same rows/series the paper reports. Absolute times differ from
-// the authors' testbed (this is a simulator); the shapes are the claim.
+// The paper's heterogeneous pair recipe: the six pairings, the timing-only
+// harness config and one pair run. The figure table (figures.hpp) and the
+// golden-digest tests share it.
 #pragma once
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
-#include "exec/parallel.hpp"
 #include "hyperq/harness.hpp"
 #include "hyperq/schedule.hpp"
 #include "rodinia/registry.hpp"
@@ -66,57 +60,6 @@ inline fw::HarnessResult run_pair(const Pair& pair, int na, int ns,
       schedule, {pair.x, pair.y}, {rodinia::AppParams{}, rodinia::AppParams{}});
   fw::Harness harness(config);
   return harness.run(workload);
-}
-
-/// Runs a homogeneous workload of `na` copies of one application.
-inline fw::HarnessResult run_homogeneous(const std::string& app, int na,
-                                         int ns, bool memory_sync = false) {
-  fw::HarnessConfig config = timing_config(ns);
-  config.memory_sync = memory_sync;
-  std::vector<fw::WorkloadItem> workload;
-  for (int i = 0; i < na; ++i) {
-    workload.push_back(rodinia::make_app(app));
-  }
-  fw::Harness harness(config);
-  return harness.run(workload);
-}
-
-/// Prints the standard figure header.
-inline void print_header(const std::string& figure, const std::string& what) {
-  std::string bar(78, '=');
-  std::printf("%s\n%s — %s\n%s\n", bar.c_str(), figure.c_str(), what.c_str(),
-              bar.c_str());
-}
-
-/// Parses an optional `--jobs N` / `--jobs=N` argument (0 or "--jobs auto"
-/// = all hardware threads; default 1). Every figure binary accepts it: the
-/// runs of a sweep are independent simulations, and results are always
-/// consumed in submission order, so the printed output is byte-identical at
-/// any job count.
-inline int parse_jobs(int argc, char** argv) {
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--jobs" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      value = arg.substr(7);
-    } else {
-      continue;
-    }
-    jobs = value == "auto" ? 0 : std::atoi(value.c_str());
-  }
-  return jobs <= 0 ? exec::ThreadPool::hardware_jobs() : jobs;
-}
-
-/// Fans `count` independent runs out over `jobs` threads and returns the
-/// results **in index order** (the determinism contract of hq_exec).
-/// The figure sweeps enumerate their runs into a flat index space, map them
-/// through this, and then print from the ordered vector.
-template <typename Fn>
-auto run_indexed(int jobs, std::size_t count, Fn&& fn) {
-  return exec::parallel_map_jobs(jobs, count, std::forward<Fn>(fn));
 }
 
 }  // namespace hq::bench

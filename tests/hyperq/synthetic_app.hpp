@@ -107,9 +107,12 @@ class SyntheticApp final : public Kernel {
          ++attempt) {
       result = ctx.runtime->malloc_host(bytes);
     }
-    HQ_CHECK_MSG(result.ok(), spec_.name << ": host allocation of " << bytes
-                                         << " bytes failed after "
-                                         << kMaxAllocAttempts << " attempts");
+    if (!result.ok()) {
+      // No source location: the serve goldens hash this quarantine reason.
+      throw Error(spec_.name + ": host allocation of " + std::to_string(bytes) +
+                  " bytes failed after " + std::to_string(kMaxAllocAttempts) +
+                  " attempts");
+    }
     return result.value();
   }
 
@@ -133,8 +136,6 @@ inline std::vector<WorkloadItem> synthetic_workload(int count,
 }
 
 /// Forwards every call to `app` and counts its initializeHostMemory calls.
-/// (Appended last: the serve goldens pin quarantine reasons that carry the
-/// source line of SyntheticApp's allocation check.)
 class InitCounter final : public Kernel {
  public:
   InitCounter(std::unique_ptr<Kernel> app, int* calls)

@@ -223,9 +223,9 @@ const GoldenCase kGoldenCases[] = {
      0xa8c7f832281a39c5, 0, 0x8aeac0448cdf1980},
     {"alloc_faults",
      [] { return faulted_config("alloc-fail-rate=0.6,seed=11"); },
-     // jobs re-pinned 2026-10: the quarantine reasons it hashes quote
-     // __FILE__, which the build now makes relative to the source root.
-     0xd7abbc4a82465e99, 0x64c3b0381165b7ac, 0xa467a196e7b0ce9f,
+     // The jobs digest hashes the quarantine reasons, which carry no
+     // source location (SyntheticApp throws a plain hq::Error).
+     0xd7abbc4a82465e99, 0x64c3b0381165b7ac, 0xee289a7f8ecd2575,
      0xa8c7f832281a39c5, 287, 0x59b6ce2fdda9c7cf},
     {"offline_smx_throttle",
      [] {

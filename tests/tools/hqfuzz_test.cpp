@@ -4,32 +4,20 @@
 // a replay runs the layers it is given; the output is byte-identical at any
 // job count. HQ_HQFUZZ_PATH is the binary's path, set by CMake.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <string>
+
+#include "tests/common/run_command.hpp"
 
 namespace hq::tools {
 namespace {
 
-struct Outcome {
-  int exit_code = -1;
-  std::string output;  ///< stdout and stderr
-};
+using Outcome = hq::testing::CommandOutcome;
 
+/// Runs `hqfuzz <args>`; the output is its stdout and stderr.
 Outcome hqfuzz(const std::string& args) {
-  const std::string command =
-      std::string("'") + HQ_HQFUZZ_PATH + "' " + args + " 2>&1";
-  Outcome outcome;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return outcome;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
-    outcome.output.append(buf, n);
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) outcome.exit_code = WEXITSTATUS(status);
-  return outcome;
+  return hq::testing::run_command(std::string("'") + HQ_HQFUZZ_PATH + "' " +
+                                  args + " 2>&1");
 }
 
 TEST(HqfuzzCliTest, UnreadRatesAndSeveralReplaySeedsAreUsageErrors) {

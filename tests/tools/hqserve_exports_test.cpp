@@ -4,17 +4,19 @@
 // metrics exports and the JSON and text reports. Each output must be
 // non-empty, byte-identical across the two runs, and every JSON output
 // (each snapshot line included) must be well formed; the one-device report
-// must not change when the exports are on. HQ_HQSERVE_PATH is the binary's
+// must not change when the exports are on. Also: a queue-cap sweep prints
+// the same bytes at 1 and 4 jobs, and flag combinations hqserve cannot
+// honour fail instead of being ignored. HQ_HQSERVE_PATH is the binary's
 // path, set by CMake.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "tests/common/json_check.hpp"
+#include "tests/common/run_command.hpp"
 
 namespace hq::tools {
 namespace {
@@ -36,13 +38,14 @@ std::string slurp(const fs::path& path) {
   return out.str();
 }
 
-/// Runs `hqserve <args>` inside a fresh `dir`.
-void run_hqserve(const fs::path& dir, const std::string& args) {
+/// Runs `hqserve <args>` inside a fresh `dir`; the output is its stdout
+/// unless `args` redirects it.
+hq::testing::CommandOutcome hqserve(const fs::path& dir,
+                                    const std::string& args) {
   fs::remove_all(dir);
   fs::create_directories(dir);
-  const std::string command =
-      "cd '" + dir.string() + "' && '" + HQ_HQSERVE_PATH + "'" + args;
-  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  return hq::testing::run_command("cd '" + dir.string() + "' && '" +
+                                  HQ_HQSERVE_PATH + "'" + args);
 }
 
 TEST(HqserveExportsTest, FleetExportsAreWellFormedAndByteStable) {
@@ -51,8 +54,8 @@ TEST(HqserveExportsTest, FleetExportsAreWellFormedAndByteStable) {
   const fs::path second = root / "run2";
   const std::string args =
       std::string(kFleet) + kObs + " --report json > report.json";
-  ASSERT_NO_FATAL_FAILURE(run_hqserve(first, args));
-  ASSERT_NO_FATAL_FAILURE(run_hqserve(second, args));
+  ASSERT_EQ(hqserve(first, args).exit_code, 0) << args;
+  ASSERT_EQ(hqserve(second, args).exit_code, 0) << args;
 
   for (const char* name : kOutputs) {
     const std::string bytes = slurp(first / name);
@@ -89,7 +92,7 @@ TEST(HqserveExportsTest, OneDeviceExportsAreByteStableAndZeroPerturbation) {
       {"text2", serve + " --report text > r.txt"},
   };
   for (const auto& [dir, args] : runs) {
-    ASSERT_NO_FATAL_FAILURE(run_hqserve(root / dir, args));
+    ASSERT_EQ(hqserve(root / dir, args).exit_code, 0) << args;
   }
 
   for (const char* name : {"m.json", "m.prom", "r.json"}) {
@@ -108,6 +111,45 @@ TEST(HqserveExportsTest, OneDeviceExportsAreByteStableAndZeroPerturbation) {
   EXPECT_EQ(text.rfind("serve report: gaussian+needle\n", 0), 0u) << text;
   EXPECT_TRUE(text == slurp(root / "text2/r.txt"));
   fs::remove_all(root);
+}
+
+TEST(HqserveCliGateTest, QueueCapSweepIsByteIdenticalAcrossJobCounts) {
+  const std::string sweep =
+      " --mix needle,srad --size 96 --window-ms 25 --mean-gap-us 150"
+      " --max-inflight 2 --deadline-us 2000 --sweep-cap 4,8,16,0"
+      " --report json";
+  const fs::path dir = fs::current_path() / "hqserve_cap_sweep";
+  const auto serial = hqserve(dir, sweep + " --jobs 1");
+  const auto parallel = hqserve(dir, sweep + " --jobs 4");
+  EXPECT_EQ(serial.exit_code, 0);
+  EXPECT_EQ(parallel.exit_code, 0);
+  EXPECT_TRUE(hq::testing::json_well_formed(serial.output)) << serial.output;
+  EXPECT_TRUE(serial.output == parallel.output)
+      << "--jobs 1:\n" << serial.output << "\n--jobs 4:\n" << parallel.output;
+  fs::remove_all(dir);
+}
+
+TEST(HqserveCliGateTest, UnsupportedFlagCombinationsAreHardErrors) {
+  const fs::path dir = fs::current_path() / "hqserve_bad_flags";
+  for (const char* args : {
+           " --mix gaussian --size 64 --sweep-fleet 1,2 --metrics m.json",
+           " --mix gaussian --size 64 --sweep-cap 4,8 --trace t.json",
+           " --mix gaussian --size 64 --snapshot-interval 50ms"
+           " --snapshot-file s.jsonl",
+           " --mix gaussian --size 64 --devices 2 --snapshot-file s.jsonl",
+       }) {
+    const auto run = hqserve(dir, std::string(args) + " 2>&1");
+    EXPECT_NE(run.exit_code, 0) << args << "\n" << run.output;
+  }
+  // A crash plan needs a fleet to fail over to: one-device mode rejects it
+  // and points at fleet mode instead of ignoring it.
+  const auto crash = hqserve(
+      dir,
+      " --mix gaussian --size 64 --window-ms 10"
+      " --fault-plan crash-at-us=3000,seed=1 2>&1 >/dev/null");
+  EXPECT_NE(crash.exit_code, 0) << crash.output;
+  EXPECT_NE(crash.output.find("fleet"), std::string::npos) << crash.output;
+  fs::remove_all(dir);
 }
 
 }  // namespace
