@@ -13,13 +13,15 @@
 // member type (Int, Double, Bool, Text, Enum, Table, List) except for Hex,
 // Micros and Gate. An unset optional renders `none`; a `when_set` row
 // renders only when its text differs from a default-constructed struct's.
-// table<T>(rows) is the member-count guard: a table missing a row, or with
-// two rows over one member, does not compile.
+// Row bounds are a field's only range: parse(), check() and the tools' flag
+// tables apply them. table<T>(rows) is the member-count guard: a table
+// missing a row, or with two rows over one member, does not compile.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -50,23 +52,40 @@ enum class Kind : std::uint8_t {
 /// How a row is written and what its parser accepts.
 struct Spec {
   Kind kind = Kind::Auto;
-  /// Inclusive bounds on a numeric value.
+  /// Bounds on a numeric value, inclusive unless `min_open`.
   double min = -std::numeric_limits<double>::infinity();
   double max = std::numeric_limits<double>::infinity();
-  /// The accepted values, for errors ("a rate in [0,1]").
+  /// The accepted values, for errors; accepts() words them by default.
   const char* what = nullptr;
   bool when_set = false;
+  bool min_open = false;
 };
 
-/// One row of T's table; the function pointers are generated by row().
+/// Written so that NaN fails every bound.
+inline bool in_bounds(const Spec& s, double v) {
+  return (s.min_open ? v > s.min : v >= s.min) && v <= s.max;
+}
+
+/// What each kind accepts, for rows without their own `what`.
+inline constexpr const char* kAccepts[] = {
+    "", "an integer", "a hex integer", "a microsecond count (up to 3 decimals)",
+    "a number", "0 or 1", "a quoted text", "a known name", "a table {...}",
+    "a list [{...},...]", "0 or 1"};
+
+/// The values `s` accepts: "an integer >= 1", "a number in (0, 1]".
+inline std::string accepts(const Spec& s) {
+  if (s.what != nullptr) return s.what;
+  const std::string kind = kAccepts[int(s.kind)], lo = format_double(s.min);
+  if (!std::isfinite(s.min)) return kind;
+  if (!std::isfinite(s.max)) return kind + (s.min_open ? " > " : " >= ") + lo;
+  return kind + " in " + (s.min_open ? "(" : "[") + lo + ", " +
+         format_double(s.max) + "]";
+}
+
+/// One row of T's table: its Spec, key and the functions row() generates.
 template <typename T>
-struct Field {
+struct Field : Spec {
   const char* key;
-  Kind kind;
-  double min;
-  double max;
-  const char* what;
-  bool when_set;
   /// The member path's spelling, e.g. "... [with auto ...Path =
   /// {&FaultPlan::seed}]": one string per path, compared by content.
   std::string_view member;
@@ -75,6 +94,8 @@ struct Field {
   /// Parses `text` into the member; on failure fills *error (may be null)
   /// with a message naming the key.
   bool (*parse)(const Field&, T&, std::string_view text, std::string* error);
+  /// Checks the member against the row's bounds (nested tables: theirs).
+  bool (*check)(const Field&, const T&, std::string* error);
   const char* (*name_at)(std::size_t);  ///< Enum: enumerator i's name
 };
 
@@ -82,6 +103,8 @@ template <typename T>
 std::string to_text(const T& obj);
 template <typename T>
 bool parse(std::string_view text, T* obj, std::string* error);
+template <typename T>
+bool check(const T& obj, std::string* error);
 
 namespace detail {
 
@@ -292,8 +315,7 @@ std::errc read_value(const Field<T>& f, V& v, std::string_view text,
       r = std::from_chars(digits.data(), end, parsed);
     }
     if (r.ec != std::errc()) return r.ec;
-    const double d = static_cast<double>(parsed);
-    if (r.ptr != end || !(d >= f.min && d <= f.max)) return kBad;
+    if (r.ptr != end || !in_bounds(f, double(parsed))) return kBad;
     v = parsed;
   } else if constexpr (std::is_same_v<V, std::string>) {
     if (!read_quoted(text, &v)) return kBad;
@@ -317,11 +339,32 @@ std::errc read_value(const Field<T>& f, V& v, std::string_view text,
   return std::errc();
 }
 
-/// What each kind accepts, for rows without their own `what`.
-inline constexpr const char* kAccepts[] = {
-    "", "an integer", "a hex integer", "a microsecond count (up to 3 decimals)",
-    "a number", "0 or 1", "a quoted text", "a known name", "a table {...}",
-    "a list [{...},...]", "0 or 1"};
+template <typename T, typename V>
+bool check_value(const Field<T>& f, const V& v, std::string* error) {
+  if constexpr (kOptional<V>) {
+    return !v || check_value(f, *v, error);
+  } else if constexpr (kVector<V>) {
+    return std::all_of(v.begin(), v.end(), [&](const auto& item) {
+      return check_value(f, item, error);
+    });
+  } else if constexpr (std::is_arithmetic_v<V> && !std::is_same_v<V, bool>) {
+    if (in_bounds(f, double(v))) return true;
+    std::string got;
+    write_value(f, v, got);
+    return fail(error, std::string(f.key) + " needs " + accepts(f) +
+                           ", got '" + got + "'");
+  } else if constexpr (std::is_class_v<V> && !std::is_same_v<V, std::string>) {
+    std::string nested;
+    return check(v, &nested) || fail(error, std::string(f.key) + ": " + nested);
+  }
+  return true;
+}
+
+template <auto... Path>
+bool check_row(const Field<owner_t<Path...>>& f, const owner_t<Path...>& obj,
+               std::string* error) {
+  return check_value(f, member<Path...>(obj), error);
+}
 
 template <auto... Path>
 void render_row(const Field<owner_t<Path...>>& f, const owner_t<Path...>& obj,
@@ -341,8 +384,7 @@ bool parse_row(const Field<owner_t<Path...>>& f, owner_t<Path...>& obj,
   if (ec == std::errc::result_out_of_range) {
     return fail(error, key + " is out of range" + got);
   }
-  const char* what = f.what != nullptr ? f.what : kAccepts[int(f.kind)];
-  return fail(error, key + " needs " + what + got);
+  return fail(error, key + " needs " + accepts(f) + got);
 }
 
 template <auto Name, typename E>
@@ -364,15 +406,13 @@ consteval Field<detail::owner_t<Path...>> row(const char* key, Spec spec = {}) {
         ((kind == Kind::Hex || kind == Kind::Micros) && u64))) {
     throw "codec row: the kind does not fit the member (enums: enum_row)";
   }
-  return {key,
-          kind,
-          spec.min,
-          spec.max,
-          spec.what,
-          spec.when_set,
+  spec.kind = kind;
+  return {spec,
+          key,
           detail::member_path<Path...>(),
           &detail::render_row<Path...>,
           &detail::parse_row<Path...>,
+          &detail::check_row<Path...>,
           nullptr};
 }
 
@@ -380,15 +420,12 @@ consteval Field<detail::owner_t<Path...>> row(const char* key, Spec spec = {}) {
 /// enumerators are 0..Count-1.
 template <auto Member, auto Name, std::size_t Count>
 consteval Field<detail::owner_t<Member>> enum_row(const char* key) {
-  return {key,
-          Kind::Enum,
-          0.0,
-          static_cast<double>(Count - 1),
-          nullptr,
-          false,
+  return {Spec{.kind = Kind::Enum, .min = 0, .max = double(Count - 1)},
+          key,
           detail::member_path<Member>(),
           &detail::render_row<Member>,
           &detail::parse_row<Member>,
+          &detail::check_row<Member>,
           &detail::enum_name_at<Name, detail::value_t<Member>>};
 }
 
@@ -433,6 +470,16 @@ std::string to_text(const T& obj) {
     out += (out.empty() ? "" : ",") + std::string(f.key) + '=' + value;
   }
   return out;
+}
+
+/// Whether every row of `obj`, nested tables included, is within its
+/// bounds; otherwise *error (may be null) names the key path.
+template <typename T>
+bool check(const T& obj, std::string* error) {
+  const auto fields = codec_fields(obj);
+  return std::all_of(fields.begin(), fields.end(), [&](const Field<T>& f) {
+    return f.check(f, obj, error);
+  });
 }
 
 /// Parses canonical text over a default-constructed T, its gate on (or off

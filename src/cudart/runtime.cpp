@@ -22,9 +22,9 @@ const char* status_name(Status status) {
 
 std::span<const codec::Field<RetryPolicy>> codec_fields(const RetryPolicy&) {
   static constexpr auto kFields = codec::table<RetryPolicy>({
-      codec::row<&RetryPolicy::max_attempts>("max-attempts"),
+      codec::row<&RetryPolicy::max_attempts>("max-attempts", {.min = 1}),
       codec::row<&RetryPolicy::base_backoff>("base-backoff"),
-      codec::row<&RetryPolicy::multiplier>("multiplier"),
+      codec::row<&RetryPolicy::multiplier>("multiplier", {.min = 1}),
       codec::row<&RetryPolicy::max_backoff>("max-backoff"),
   });
   return kFields;
@@ -33,9 +33,8 @@ std::span<const codec::Field<RetryPolicy>> codec_fields(const RetryPolicy&) {
 Runtime::Runtime(sim::Simulator& sim, gpu::Device& device,
                  RuntimeOptions options)
     : sim_(sim), device_(device), options_(options) {
-  HQ_CHECK_MSG(options_.retry.max_attempts >= 1,
-               "RetryPolicy needs at least one attempt");
-  HQ_CHECK(options_.retry.multiplier >= 1.0);
+  std::string error;
+  HQ_CHECK_MSG(codec::check(options_.retry, &error), "retry policy: " << error);
 }
 
 // ------------------------------------------------------------- submissions

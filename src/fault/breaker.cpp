@@ -7,8 +7,8 @@ std::span<const codec::Field<CircuitBreaker::Config>> codec_fields(
     const CircuitBreaker::Config&) {
   using C = CircuitBreaker::Config;
   static constexpr auto kFields = codec::table<C>({
-      codec::row<&C::failure_threshold>("failure-threshold"),
-      codec::row<&C::cooldown>("cooldown"),
+      codec::row<&C::failure_threshold>("failure-threshold", {.min = 1}),
+      codec::row<&C::cooldown>("cooldown", {.min = 0, .min_open = true}),
   });
   return kFields;
 }
@@ -16,9 +16,8 @@ std::span<const codec::Field<CircuitBreaker::Config>> codec_fields(
 CircuitBreaker::CircuitBreaker() : CircuitBreaker(Config{}) {}
 
 CircuitBreaker::CircuitBreaker(Config config) : config_(config) {
-  HQ_CHECK_MSG(config_.failure_threshold >= 1,
-               "breaker failure_threshold must be >= 1");
-  HQ_CHECK_MSG(config_.cooldown > 0, "breaker cooldown must be positive");
+  std::string error;
+  HQ_CHECK_MSG(codec::check(config_, &error), "breaker: " << error);
 }
 
 bool CircuitBreaker::allow(TimeNs now) {

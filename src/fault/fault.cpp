@@ -192,10 +192,8 @@ std::uint64_t FaultStats::count_for(gpu::ObservedFault kind) const {
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) {
   HQ_CHECK_MSG(plan_.enabled, "FaultInjector needs an enabled plan");
-  HQ_CHECK(plan_.copy_slowdown_factor >= 1.0);
-  HQ_CHECK(plan_.throttle_factor >= 1.0);
-  HQ_CHECK(plan_.degrade_copy_factor >= 1.0);
-  HQ_CHECK(plan_.flap_jitter >= 0.0 && plan_.flap_jitter <= 1.0);
+  std::string error;
+  HQ_CHECK_MSG(codec::check(plan_, &error), "fault plan: " << error);
 }
 
 gpu::DeviceSpec FaultInjector::degraded(gpu::DeviceSpec spec) const {

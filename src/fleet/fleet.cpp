@@ -28,23 +28,25 @@ const char* integrity_policy_name(IntegrityPolicy policy) {
 
 std::span<const codec::Field<FleetConfig>> codec_fields(const FleetConfig&) {
   using F = FleetConfig;
+  constexpr codec::Spec kUnit{.min = 0, .max = 1, .min_open = true};
   static constexpr auto kFields = codec::table<F>({
       codec::row<&F::base>("base"),
       codec::row<&F::devices>("devices"),
       codec::enum_row<&F::placement, placement_policy_name, 4>("placement"),
-      codec::row<&F::copy_penalty>("copy-penalty"),
+      codec::row<&F::copy_penalty>("copy-penalty", {.min = 0}),
       codec::row<&F::work_stealing>("work-stealing"),
       codec::row<&F::device_breaker_enabled>("device-breaker-enabled"),
       codec::row<&F::device_breaker>("device-breaker"),
       codec::row<&F::device_fault_plans>("device-fault-plans"),
-      codec::row<&F::failover_budget>("failover-budget"),
+      codec::row<&F::failover_budget>("failover-budget", {.min = 0}),
       codec::row<&F::hedging>("hedging"),
-      codec::row<&F::hedge_threshold>("hedge-threshold"),
-      codec::row<&F::hedge_min_samples>("hedge-min-samples"),
+      codec::row<&F::hedge_threshold>("hedge-threshold",
+                                      {.min = 0, .min_open = true}),
+      codec::row<&F::hedge_min_samples>("hedge-min-samples", {.min = 1}),
       codec::enum_row<&F::integrity, integrity_policy_name, 3>("integrity"),
-      codec::row<&F::spotcheck_rate>("spotcheck-rate"),
-      codec::row<&F::sdc_blocklist_threshold>("sdc-blocklist-threshold"),
-      codec::row<&F::sdc_score_alpha>("sdc-score-alpha"),
+      codec::row<&F::spotcheck_rate>("spotcheck-rate", {.min = 0, .max = 1}),
+      codec::row<&F::sdc_blocklist_threshold>("sdc-blocklist-threshold", kUnit),
+      codec::row<&F::sdc_score_alpha>("sdc-score-alpha", kUnit),
   });
   return kFields;
 }
@@ -61,31 +63,13 @@ void FleetConfig::resize_homogeneous(std::size_t n) {
 
 void FleetConfig::validate() const {
   base.validate();
-  HQ_CHECK_MSG(copy_penalty >= 0,
-               "fleet config: copy_penalty must be >= 0, got " << copy_penalty);
+  std::string error;
+  HQ_CHECK_MSG(codec::check(*this, &error), "fleet config: " << error);
   HQ_CHECK_MSG(device_fault_plans.empty() ||
                    device_fault_plans.size() == num_devices(),
                "fleet config: device_fault_plans has "
                    << device_fault_plans.size() << " entries for "
                    << num_devices() << " devices");
-  HQ_CHECK_MSG(failover_budget >= 0,
-               "fleet config: failover_budget must be >= 0, got "
-                   << failover_budget);
-  HQ_CHECK_MSG(hedge_threshold > 0,
-               "fleet config: hedge_threshold must be > 0, got "
-                   << hedge_threshold);
-  HQ_CHECK_MSG(hedge_min_samples >= 1,
-               "fleet config: hedge_min_samples must be >= 1, got "
-                   << hedge_min_samples);
-  HQ_CHECK_MSG(spotcheck_rate >= 0.0 && spotcheck_rate <= 1.0,
-               "fleet config: spotcheck_rate must be in [0,1], got "
-                   << spotcheck_rate);
-  HQ_CHECK_MSG(sdc_blocklist_threshold > 0.0 && sdc_blocklist_threshold <= 1.0,
-               "fleet config: sdc_blocklist_threshold must be in (0,1], got "
-                   << sdc_blocklist_threshold);
-  HQ_CHECK_MSG(sdc_score_alpha > 0.0 && sdc_score_alpha <= 1.0,
-               "fleet config: sdc_score_alpha must be in (0,1], got "
-                   << sdc_score_alpha);
 }
 
 namespace {

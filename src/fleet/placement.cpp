@@ -12,14 +12,6 @@ const char* placement_policy_name(PlacementPolicy policy) {
   return "?";
 }
 
-std::optional<PlacementPolicy> parse_placement_policy(const std::string& name) {
-  if (name == "round-robin") return PlacementPolicy::RoundRobin;
-  if (name == "least-loaded") return PlacementPolicy::LeastLoaded;
-  if (name == "copy-aware") return PlacementPolicy::CopyAware;
-  if (name == "class-affinity") return PlacementPolicy::ClassAffinity;
-  return std::nullopt;
-}
-
 std::vector<PlacementPolicy> all_placement_policies() {
   return {PlacementPolicy::RoundRobin, PlacementPolicy::LeastLoaded,
           PlacementPolicy::CopyAware, PlacementPolicy::ClassAffinity};

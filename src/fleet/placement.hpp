@@ -43,9 +43,6 @@ enum class PlacementPolicy : std::uint8_t {
 /// "least-loaded", "copy-aware", "class-affinity").
 const char* placement_policy_name(PlacementPolicy policy);
 
-/// Inverse of placement_policy_name; nullopt on an unknown name.
-std::optional<PlacementPolicy> parse_placement_policy(const std::string& name);
-
 /// Every policy, in enum order — the sweep/fuzz iteration set.
 std::vector<PlacementPolicy> all_placement_policies();
 

@@ -16,7 +16,7 @@ std::span<const codec::Field<HarnessConfig>> codec_fields(
   using H = HarnessConfig;
   static constexpr auto kFields = codec::table<H>({
       codec::row<&H::device>("device"),
-      codec::row<&H::num_streams>("num-streams"),
+      codec::row<&H::num_streams>("num-streams", {.min = 1}),
       codec::row<&H::memory_sync>("memory-sync"),
       codec::row<&H::transfer_chunk_bytes>("transfer-chunk-bytes"),
       codec::row<&H::blocking_transfers>("blocking-transfers"),

@@ -16,13 +16,6 @@ const char* shed_policy_name(ShedPolicy policy) {
   return "?";
 }
 
-std::optional<ShedPolicy> parse_shed_policy(const std::string& name) {
-  if (name == "drop-tail") return ShedPolicy::DropTail;
-  if (name == "deadline") return ShedPolicy::DeadlineAware;
-  if (name == "priority") return ShedPolicy::Priority;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Remaining time to the deadline (negative once missed). Jobs without a

@@ -40,9 +40,6 @@ enum class ShedPolicy : std::uint8_t {
 /// "priority").
 const char* shed_policy_name(ShedPolicy policy);
 
-/// Inverse of shed_policy_name; nullopt on an unknown name.
-std::optional<ShedPolicy> parse_shed_policy(const std::string& name);
-
 /// Admission-relevant view of one job.
 struct QueuedJob {
   int job_id = -1;

@@ -9,8 +9,8 @@ std::span<const codec::Field<OverloadController::Config>> codec_fields(
   static constexpr auto kFields = codec::table<C>({
       codec::row<&C::enabled>("enabled"),
       codec::row<&C::engage_stretch>("engage-stretch"),
-      codec::row<&C::release_stretch>("release-stretch"),
-      codec::row<&C::alpha>("alpha"),
+      codec::row<&C::release_stretch>("release-stretch", {.min = 1}),
+      codec::row<&C::alpha>("alpha", {.min = 0, .max = 1, .min_open = true}),
       codec::row<&C::min_samples>("min-samples"),
       codec::row<&C::min_dwell>("min-dwell"),
   });
@@ -18,17 +18,13 @@ std::span<const codec::Field<OverloadController::Config>> codec_fields(
 }
 
 OverloadController::OverloadController(Config config) : config_(config) {
-  HQ_CHECK_MSG(config_.release_stretch >= 1.0,
-               "overload controller: release_stretch must be >= 1, got "
-                   << config_.release_stretch);
+  std::string error;
+  HQ_CHECK_MSG(codec::check(config_, &error), "overload controller: " << error);
   HQ_CHECK_MSG(config_.engage_stretch > config_.release_stretch,
                "overload controller: engage_stretch ("
                    << config_.engage_stretch
                    << ") must be strictly above release_stretch ("
                    << config_.release_stretch << ")");
-  HQ_CHECK_MSG(config_.alpha > 0.0 && config_.alpha <= 1.0,
-               "overload controller: alpha must be in (0, 1], got "
-                   << config_.alpha);
 }
 
 void OverloadController::observe_htod(TimeNs now, DurationNs wait,

@@ -29,13 +29,14 @@ std::span<const codec::Field<Arrival>> codec_fields(const Arrival&) {
 std::span<const codec::Field<ServiceConfig>> codec_fields(
     const ServiceConfig&) {
   using S = ServiceConfig;
+  constexpr codec::Spec kPositive{.min = 0, .min_open = true};
   static constexpr auto kFields = codec::table<S>({
       codec::row<&S::device>("device"),
-      codec::row<&S::num_streams>("num-streams"),
+      codec::row<&S::num_streams>("num-streams", {.min = 1}),
       codec::row<&S::memory_sync>("memory-sync"),
       codec::row<&S::functional>("functional"),
-      codec::row<&S::window>("window"),
-      codec::row<&S::mean_interarrival>("mean-interarrival"),
+      codec::row<&S::window>("window", kPositive),
+      codec::row<&S::mean_interarrival>("mean-interarrival", kPositive),
       codec::row<&S::classes>("classes"),
       codec::row<&S::seed>("seed"),
       codec::row<&S::arrivals>("arrivals"),
@@ -56,6 +57,8 @@ std::span<const codec::Field<ServiceConfig>> codec_fields(
 }
 
 void ServiceConfig::validate() const {
+  std::string error;
+  HQ_CHECK_MSG(codec::check(*this, &error), "serve config: " << error);
   HQ_CHECK_MSG(!classes.empty(),
                "serve config: classes must not be empty "
                "(need at least one application class)");
@@ -64,11 +67,6 @@ void ServiceConfig::validate() const {
                  "serve config: class " << i << " ('"
                      << classes[i].item.type_name << "') has a null factory");
   }
-  HQ_CHECK_MSG(window > 0, "serve config: window must be positive");
-  HQ_CHECK_MSG(mean_interarrival > 0,
-               "serve config: mean_interarrival must be positive");
-  HQ_CHECK_MSG(num_streams >= 1,
-               "serve config: num_streams must be >= 1, got " << num_streams);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     HQ_CHECK_MSG(arrivals[i].klass < classes.size(),
                  "serve config: arrival " << i << " names class "

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fleet/fleet.hpp"
 
 namespace hq::fleet {
 namespace {
@@ -20,12 +21,16 @@ std::vector<DeviceLoad> healthy_loads(std::size_t n) {
 }
 
 TEST(PlacementTest, NamesRoundTrip) {
+  // Through the config's codec row, which hqserve's --placement reads.
   for (const PlacementPolicy policy : all_placement_policies()) {
-    const auto parsed = parse_placement_policy(placement_policy_name(policy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, policy);
+    FleetConfig config;
+    ASSERT_TRUE(codec::parse(
+        std::string("placement=") + placement_policy_name(policy), &config,
+        nullptr));
+    EXPECT_EQ(config.placement, policy);
   }
-  EXPECT_FALSE(parse_placement_policy("wat").has_value());
+  FleetConfig config;
+  EXPECT_FALSE(codec::parse("placement=wat", &config, nullptr));
 }
 
 TEST(PlacementTest, NoPolicyEverPicksAnUnhealthyDevice) {

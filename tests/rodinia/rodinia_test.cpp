@@ -307,6 +307,8 @@ TEST(RegistryTest, ExposesTableIApplications) {
     EXPECT_EQ(app->name(), name);
   }
   EXPECT_FALSE(is_app_name("bogus"));
+  EXPECT_FALSE(is_app_name(""));
+  EXPECT_FALSE(is_app_name("GAUSSIAN"));  // names are exact
   EXPECT_THROW(make_app("bogus"), hq::Error);
 }
 

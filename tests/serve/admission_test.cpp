@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
+#include "serve/service.hpp"
 
 namespace hq::serve {
 namespace {
@@ -97,13 +98,18 @@ TEST(AdmissionQueueTest, TieBreaksOnNewestJobId) {
 }
 
 TEST(AdmissionQueueTest, PolicyNamesRoundTrip) {
+  // The names parse back through the config's codec row, which is what
+  // hqserve's --shed-policy reads.
   for (ShedPolicy policy : {ShedPolicy::DropTail, ShedPolicy::DeadlineAware,
                             ShedPolicy::Priority}) {
-    const auto parsed = parse_shed_policy(shed_policy_name(policy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, policy);
+    ServiceConfig config;
+    ASSERT_TRUE(codec::parse(
+        std::string("shed-policy=") + shed_policy_name(policy), &config,
+        nullptr));
+    EXPECT_EQ(config.shed_policy, policy);
   }
-  EXPECT_FALSE(parse_shed_policy("nonsense").has_value());
+  ServiceConfig config;
+  EXPECT_FALSE(codec::parse("shed-policy=nonsense", &config, nullptr));
 }
 
 TEST(AdmissionQueueTest, PopFromEmptyThrows) {

@@ -655,7 +655,9 @@ TEST(StreamingTest, ConfigValidationReportsStructuredErrors) {
     config.validate();
     FAIL() << "num_streams = 0 must throw";
   } catch (const hq::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("num_streams"), std::string::npos);
+    // The generic row check names the field by its codec key.
+    EXPECT_NE(std::string(e.what()).find("num-streams"), std::string::npos)
+        << e.what();
   }
   // A valid config passes and still runs.
   EXPECT_NO_THROW(streaming_config().validate());

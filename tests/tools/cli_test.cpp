@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <limits>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/codec.hpp"
+#include "common/units.hpp"
 #include "fault/fault.hpp"
 #include "hyperq/harness.hpp"
 #include "rodinia/registry.hpp"
@@ -25,98 +28,204 @@ std::vector<const char*> argv_of(std::initializer_list<const char*> args) {
   return v;
 }
 
+/// A config for member-bound flags. `unlisted` has no codec row.
+struct Knobs {
+  int na = 0;
+  double rate = 0;
+  bool sync = false;
+  std::uint64_t gap = 0;
+  int unlisted = 0;
+};
+
+std::span<const codec::Field<Knobs>> codec_fields(const Knobs&) {
+  static constexpr auto kFields = codec::table<Knobs, 4>({
+      codec::row<&Knobs::na>("na", {.min = 1}),
+      codec::row<&Knobs::rate>("rate", {.min = 0, .max = 1, .min_open = true}),
+      codec::row<&Knobs::sync>("sync"),
+      codec::row<&Knobs::gap>("gap", {.min = 0, .min_open = true}),
+  });
+  return kFields;
+}
+
+constexpr unsigned kModeA = 1, kModeB = 2;
+
 class CliTest : public ::testing::Test {
  protected:
-  CliTest() {
-    parser_.add_option("na", "apps", "8");
-    parser_.add_option("order", "order", "fifo");
-    parser_.add_flag("memsync", "sync");
-  }
-  bool parse(std::initializer_list<const char*> args) {
+  /// Parses `args` with a fresh table and checks its modes against `active`.
+  bool parse(std::initializer_list<const char*> args,
+             unsigned active = kModeA) {
+    knobs_ = Knobs{};
+    order_ = 0;
+    seed_.reset();
+    table_ = std::make_unique<FlagTable>(
+        std::vector<Flag>{
+            {"na", "apps", "8", member<&Knobs::na>(knobs_)},
+            {"rate", "a rate", "0.5", member<&Knobs::rate>(knobs_), kModeB},
+            {"memsync", "sync", nullptr, member<&Knobs::sync>(knobs_)},
+            {"gap-us", "a gap (us)", "2",
+             member<&Knobs::gap>(knobs_, kMicrosecond)},
+            {"order", "order", "fifo", names(&order_, {"fifo", "rr"})},
+            {"seed", "seed", nullptr, value(&seed_)},
+            {"delta", "any integer", "0", value(&delta_)},
+            {"caps", "sizes", nullptr, list(&caps_, {.min = 1})},
+        },
+        std::vector<std::string>{"mode a", "mode b"});
     auto v = argv_of(args);
-    return parser_.parse(static_cast<int>(v.size()), v.data());
+    return table_->parse(static_cast<int>(v.size()), v.data()) &&
+           table_->check_modes(active);
   }
-  ArgParser parser_;
+  const std::string& error() const { return table_->error(); }
+
+  Knobs knobs_;
+  std::size_t order_ = 0;
+  std::optional<std::uint64_t> seed_;
+  int delta_ = 0;
+  std::vector<std::size_t> caps_;
+  std::unique_ptr<FlagTable> table_;
 };
 
 TEST_F(CliTest, DefaultsApplyWithoutArguments) {
   EXPECT_TRUE(parse({}));
-  EXPECT_EQ(parser_.get("na"), "8");
-  EXPECT_EQ(*parser_.get_int("na"), 8);
-  EXPECT_FALSE(parser_.get_flag("memsync"));
-  EXPECT_FALSE(parser_.provided("na"));
+  EXPECT_EQ(knobs_.na, 8);
+  EXPECT_EQ(knobs_.rate, 0.5);
+  EXPECT_FALSE(knobs_.sync);
+  EXPECT_EQ(knobs_.gap, 2 * kMicrosecond);
+  EXPECT_EQ(order_, 0u);
+  EXPECT_FALSE(seed_.has_value());  // no default: written only when given
+  EXPECT_TRUE(caps_.empty());
+  EXPECT_FALSE(table_->help());
 }
 
 TEST_F(CliTest, SpaceSeparatedValues) {
-  EXPECT_TRUE(parse({"--na", "32", "--order", "rr"}));
-  EXPECT_EQ(*parser_.get_int("na"), 32);
-  EXPECT_EQ(parser_.get("order"), "rr");
-  EXPECT_TRUE(parser_.provided("na"));
+  EXPECT_TRUE(parse({"--na", "32", "--order", "rr", "--seed", "7"}));
+  EXPECT_EQ(knobs_.na, 32);
+  EXPECT_EQ(order_, 1u);
+  EXPECT_EQ(seed_, 7u);
 }
 
 TEST_F(CliTest, EqualsSeparatedValues) {
-  EXPECT_TRUE(parse({"--na=16", "--order=rev-rr"}));
-  EXPECT_EQ(*parser_.get_int("na"), 16);
-  EXPECT_EQ(parser_.get("order"), "rev-rr");
+  EXPECT_TRUE(parse({"--na=16", "--order=rr"}));
+  EXPECT_EQ(knobs_.na, 16);
+  EXPECT_EQ(order_, 1u);
 }
 
 TEST_F(CliTest, FlagsToggle) {
   EXPECT_TRUE(parse({"--memsync"}));
-  EXPECT_TRUE(parser_.get_flag("memsync"));
+  EXPECT_TRUE(knobs_.sync);
+  EXPECT_TRUE(parse({"--help"}));
+  EXPECT_TRUE(table_->help());
 }
 
 TEST_F(CliTest, UnknownOptionFails) {
   EXPECT_FALSE(parse({"--bogus", "1"}));
-  EXPECT_NE(parser_.error().find("bogus"), std::string::npos);
+  EXPECT_EQ(error(), "unknown option '--bogus'");
 }
 
 TEST_F(CliTest, MissingValueFails) {
   EXPECT_FALSE(parse({"--na"}));
-  EXPECT_NE(parser_.error().find("needs a value"), std::string::npos);
+  EXPECT_EQ(error(), "option '--na' needs a value");
 }
 
 TEST_F(CliTest, FlagWithValueFails) {
   EXPECT_FALSE(parse({"--memsync=yes"}));
+  EXPECT_EQ(error(), "flag '--memsync' does not take a value");
 }
 
 TEST_F(CliTest, PositionalArgumentFails) {
   EXPECT_FALSE(parse({"stray"}));
+  EXPECT_EQ(error(), "unexpected positional argument 'stray'");
 }
 
 TEST_F(CliTest, NonIntegerValueYieldsNullopt) {
-  EXPECT_TRUE(parse({"--order", "rr"}));
-  EXPECT_FALSE(parser_.get_int("order").has_value());
+  // A malformed value is a usage error naming the flag, and the target
+  // keeps its state: an optional stays unset.
+  EXPECT_FALSE(parse({"--seed", "x"}));
+  EXPECT_FALSE(seed_.has_value());
+  EXPECT_EQ(error(), "--seed needs an integer >= 0, got 'x'");
+  EXPECT_FALSE(parse({"--na", "rr"}));
+  EXPECT_EQ(error(), "--na needs an integer >= 1, got 'rr'");
+  EXPECT_FALSE(parse({"--order", "3"}));
+  EXPECT_EQ(error(), "--order needs one of fifo|rr, got '3'");
 }
 
 TEST_F(CliTest, NegativeIntegersParse) {
-  EXPECT_TRUE(parse({"--na", "-3"}));
-  EXPECT_EQ(*parser_.get_int("na"), -3);
+  EXPECT_TRUE(parse({"--delta", "-3"}));
+  EXPECT_EQ(delta_, -3);
+  // The na row's bound rejects it; an unsigned target rejects the sign.
+  EXPECT_FALSE(parse({"--na", "-3"}));
+  EXPECT_EQ(error(), "--na needs an integer >= 1, got '-3'");
+  EXPECT_FALSE(parse({"--seed", "-1"}));
 }
 
 TEST_F(CliTest, DoublesAreRangeChecked) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(parse({"--na", "0.5"}));
-  EXPECT_EQ(*parser_.get_double("na", 0.0, 1.0), 0.5);
-  EXPECT_EQ(*parser_.get_double("na", 0.0, inf, /*lo_open=*/true), 0.5);
-  const std::pair<const char*, std::string> rejected[] = {
-      {"1.5", "--na needs a number in [0, 1]"},
-      {"nan", "--na needs a number in [0, 1]"},
-      {"", "--na needs a number in [0, 1]"},
-      {"0.5x", "--na needs a number in [0, 1]"},
-  };
-  for (const auto& [value, error] : rejected) {
-    EXPECT_TRUE(parse({"--na", value}));
-    EXPECT_FALSE(parser_.get_double("na", 0.0, 1.0).has_value()) << value;
-    EXPECT_EQ(parser_.error(), error) << value;
+  EXPECT_TRUE(parse({"--rate", "1"}, kModeB));
+  EXPECT_EQ(knobs_.rate, 1.0);
+  for (const char* value : {"1.5", "nan", "", "0.5x", "0"}) {
+    EXPECT_FALSE(parse({"--rate", value}, kModeB)) << value;
+    EXPECT_EQ(error(), "--rate needs a number in (0, 1], got '" +
+                           std::string(value) + "'");
   }
-  EXPECT_TRUE(parse({"--na", "0"}));
-  EXPECT_FALSE(parser_.get_double("na", 0.0, 1.0, true).has_value());
-  EXPECT_EQ(parser_.error(), "--na needs a number in (0, 1]");
-  EXPECT_FALSE(parser_.get_double("na", 0.0, inf, true).has_value());
-  EXPECT_EQ(parser_.error(), "--na needs a number > 0");
-  EXPECT_TRUE(parse({"--na", "-1"}));
-  EXPECT_FALSE(parser_.get_double("na", 0.0, inf).has_value());
-  EXPECT_EQ(parser_.error(), "--na needs a number >= 0");
+  // The wording of each bound form comes from codec::accepts.
+  using codec::Kind;
+  EXPECT_EQ(codec::accepts({.kind = Kind::Double, .min = 0, .max = 1}),
+            "a number in [0, 1]");
+  EXPECT_EQ(codec::accepts({.kind = Kind::Double, .min = 0}),
+            "a number >= 0");
+  EXPECT_EQ(codec::accepts({.kind = Kind::Double, .min = 0, .min_open = true}),
+            "a number > 0");
+  EXPECT_EQ(codec::accepts({.kind = Kind::Int}), "an integer");
+}
+
+TEST_F(CliTest, ScaledMembersTakeTheirUnitAndTheRowBounds) {
+  EXPECT_TRUE(parse({"--gap-us", "3"}));
+  EXPECT_EQ(knobs_.gap, 3 * kMicrosecond);
+  for (const char* value : {"0", "-1", "1.5", "18446744073709552"}) {
+    EXPECT_FALSE(parse({"--gap-us", value})) << value;
+    EXPECT_EQ(error(), "--gap-us needs an integer > 0, got '" +
+                           std::string(value) + "'");
+  }
+}
+
+TEST_F(CliTest, ListsRejectWhatTheyCannotHold) {
+  EXPECT_TRUE(parse({"--caps", "1,2,,4"}));
+  EXPECT_EQ(caps_, (std::vector<std::size_t>{1, 2, 4}));
+  for (const char* value : {"-1", "0", "1,x", ",", "18446744073709551616"}) {
+    EXPECT_FALSE(parse({"--caps", value})) << value;
+    EXPECT_EQ(error(), "--caps needs a comma list, each an integer >= 1, "
+                       "got '" + std::string(value) + "'");
+  }
+}
+
+TEST_F(CliTest, FlagsOutsideTheirModesAreErrors) {
+  EXPECT_TRUE(parse({"--rate", "0.7"}, kModeA | kModeB));
+  EXPECT_FALSE(parse({"--rate", "0.7"}, kModeA));
+  EXPECT_EQ(error(), "--rate does not apply to mode a (it needs mode b)");
+  // A default is not a given flag: the mode rule leaves it alone.
+  EXPECT_TRUE(parse({}, kModeA));
+}
+
+TEST_F(CliTest, UsageListsOptionsAndDefaults) {
+  ASSERT_TRUE(parse({}));
+  const std::string usage = table_->usage("hqrun");
+  EXPECT_EQ(usage.rfind("usage: hqrun [options]\n", 0), 0u) << usage;
+  EXPECT_NE(usage.find("  --na <value>\n      apps (default: 8)\n"),
+            std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("  --memsync\n      sync\n"), std::string::npos);
+  EXPECT_NE(usage.find("  --seed <value>\n      seed\n"), std::string::npos);
+  EXPECT_NE(usage.find("  --help\n"), std::string::npos);
+}
+
+TEST_F(CliTest, UnregisteredAccessThrows) {
+  // A flag over a member without a codec row has no range to take.
+  EXPECT_THROW(member<&Knobs::unlisted>(knobs_), hq::Error);
+}
+
+TEST_F(CliTest, DuplicateRegistrationThrows) {
+  int n = 0;
+  EXPECT_THROW(FlagTable({{"n", "", "0", value(&n)}, {"n", "", "0", value(&n)}}),
+               hq::Error);
+  EXPECT_THROW(FlagTable({{"help", "", nullptr, value(&n)}}), hq::Error);
 }
 
 TEST(CliHelpersTest, SplitCsvDropsEmptyItems) {
@@ -131,73 +240,6 @@ TEST(CliHelpersTest, DevicePresetsResolveByName) {
   EXPECT_EQ(device_preset("single-copy")->name,
             gpu::DeviceSpec::single_copy_engine().name);
   EXPECT_FALSE(device_preset("k40").has_value());
-}
-
-TEST_F(CliTest, UsageListsOptionsAndDefaults) {
-  const std::string usage = parser_.usage("hqrun");
-  EXPECT_NE(usage.find("--na"), std::string::npos);
-  EXPECT_NE(usage.find("default: 8"), std::string::npos);
-  EXPECT_NE(usage.find("--memsync"), std::string::npos);
-}
-
-TEST_F(CliTest, UnregisteredAccessThrows) {
-  EXPECT_THROW(parser_.get("nope"), hq::Error);
-  EXPECT_THROW(parser_.provided("nope"), hq::Error);
-}
-
-TEST_F(CliTest, DuplicateRegistrationThrows) {
-  EXPECT_THROW(parser_.add_option("na", "again"), hq::Error);
-  EXPECT_THROW(parser_.add_flag("memsync", "again"), hq::Error);
-}
-
-// ------------------------------------------------- hqrun-level validation
-//
-// Mirrors the option set hqrun registers, so the rejection paths the tool
-// relies on (bad values, flag/option confusion, unknown applications) are
-// pinned here without spawning the binary.
-
-class HqrunCliTest : public ::testing::Test {
- protected:
-  HqrunCliTest() {
-    parser_.add_option("apps", "types", "gaussian,needle");
-    parser_.add_option("na", "apps", "8");
-    parser_.add_option("ns", "streams", "8");
-    parser_.add_option("order", "order", "fifo");
-    parser_.add_flag("memsync", "sync");
-    parser_.add_option("device", "model", "k20");
-    parser_.add_flag("functional", "verify");
-  }
-  bool parse(std::initializer_list<const char*> args) {
-    auto v = argv_of(args);
-    return parser_.parse(static_cast<int>(v.size()), v.data());
-  }
-  ArgParser parser_;
-};
-
-TEST_F(HqrunCliTest, InvalidFlagCombinationsAreRejected) {
-  EXPECT_FALSE(parse({"--functional=yes"}));   // flag given a value
-  EXPECT_FALSE(parse({"--ns"}));               // option missing its value
-  EXPECT_FALSE(parse({"--streams", "8"}));     // unregistered spelling
-  EXPECT_FALSE(parse({"--na", "8", "extra"})); // stray positional
-}
-
-TEST_F(HqrunCliTest, NonNumericCountsSurfaceAsNullopt) {
-  // hqrun turns these nullopts into its "bad --order/--device/--na/--ns"
-  // usage error (exit code 2).
-  ASSERT_TRUE(parse({"--na", "lots", "--ns", "many"}));
-  EXPECT_FALSE(parser_.get_int("na").has_value());
-  EXPECT_FALSE(parser_.get_int("ns").has_value());
-}
-
-TEST_F(HqrunCliTest, UnknownApplicationNamesAreDetectable) {
-  ASSERT_TRUE(parse({"--apps", "gaussian,blur"}));
-  EXPECT_TRUE(rodinia::is_app_name("gaussian"));
-  EXPECT_FALSE(rodinia::is_app_name("blur"));
-  EXPECT_FALSE(rodinia::is_app_name(""));
-  EXPECT_FALSE(rodinia::is_app_name("GAUSSIAN"));  // names are exact
-  for (const auto& name : rodinia::app_names()) {
-    EXPECT_TRUE(rodinia::is_app_name(name)) << name;
-  }
 }
 
 // ------------------------------------------------ hqserve-level validation

@@ -4,10 +4,8 @@
 // metrics exports and the JSON and text reports. Each output must be
 // non-empty, byte-identical across the two runs, and every JSON output
 // (each snapshot line included) must be well formed; the one-device report
-// must not change when the exports are on. Also: a queue-cap sweep prints
-// the same bytes at 1 and 4 jobs, and flag combinations hqserve cannot
-// honour fail instead of being ignored. HQ_HQSERVE_PATH is the binary's
-// path, set by CMake.
+// must not change when the exports are on. HQ_HQSERVE_PATH is the binary's
+// path, set by CMake. The flag contract is cli_table_test.cpp's.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -111,45 +109,6 @@ TEST(HqserveExportsTest, OneDeviceExportsAreByteStableAndZeroPerturbation) {
   EXPECT_EQ(text.rfind("serve report: gaussian+needle\n", 0), 0u) << text;
   EXPECT_TRUE(text == slurp(root / "text2/r.txt"));
   fs::remove_all(root);
-}
-
-TEST(HqserveCliGateTest, QueueCapSweepIsByteIdenticalAcrossJobCounts) {
-  const std::string sweep =
-      " --mix needle,srad --size 96 --window-ms 25 --mean-gap-us 150"
-      " --max-inflight 2 --deadline-us 2000 --sweep-cap 4,8,16,0"
-      " --report json";
-  const fs::path dir = fs::current_path() / "hqserve_cap_sweep";
-  const auto serial = hqserve(dir, sweep + " --jobs 1");
-  const auto parallel = hqserve(dir, sweep + " --jobs 4");
-  EXPECT_EQ(serial.exit_code, 0);
-  EXPECT_EQ(parallel.exit_code, 0);
-  EXPECT_TRUE(hq::testing::json_well_formed(serial.output)) << serial.output;
-  EXPECT_TRUE(serial.output == parallel.output)
-      << "--jobs 1:\n" << serial.output << "\n--jobs 4:\n" << parallel.output;
-  fs::remove_all(dir);
-}
-
-TEST(HqserveCliGateTest, UnsupportedFlagCombinationsAreHardErrors) {
-  const fs::path dir = fs::current_path() / "hqserve_bad_flags";
-  for (const char* args : {
-           " --mix gaussian --size 64 --sweep-fleet 1,2 --metrics m.json",
-           " --mix gaussian --size 64 --sweep-cap 4,8 --trace t.json",
-           " --mix gaussian --size 64 --snapshot-interval 50ms"
-           " --snapshot-file s.jsonl",
-           " --mix gaussian --size 64 --devices 2 --snapshot-file s.jsonl",
-       }) {
-    const auto run = hqserve(dir, std::string(args) + " 2>&1");
-    EXPECT_NE(run.exit_code, 0) << args << "\n" << run.output;
-  }
-  // A crash plan needs a fleet to fail over to: one-device mode rejects it
-  // and points at fleet mode instead of ignoring it.
-  const auto crash = hqserve(
-      dir,
-      " --mix gaussian --size 64 --window-ms 10"
-      " --fault-plan crash-at-us=3000,seed=1 2>&1 >/dev/null");
-  EXPECT_NE(crash.exit_code, 0) << crash.output;
-  EXPECT_NE(crash.output.find("fleet"), std::string::npos) << crash.output;
-  fs::remove_all(dir);
 }
 
 }  // namespace

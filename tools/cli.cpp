@@ -1,12 +1,7 @@
 #include "tools/cli.hpp"
 
-#include <cerrno>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
-
-#include "common/check.hpp"
 
 namespace hq::tools {
 
@@ -27,126 +22,138 @@ std::optional<gpu::DeviceSpec> device_preset(const std::string& name) {
   return std::nullopt;
 }
 
-void ArgParser::add_option(const std::string& name, const std::string& help,
-                           const std::string& default_value) {
-  HQ_CHECK_MSG(options_.find(name) == options_.end(),
-               "duplicate option --" << name);
-  options_[name] = Option{help, default_value, false, false};
-  order_.push_back(name);
+std::string join(const std::vector<std::string>& items, const char* sep) {
+  std::string out;
+  for (const std::string& item : items) {
+    out += (out.empty() ? "" : sep) + item;
+  }
+  return out;
 }
 
-void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  HQ_CHECK_MSG(options_.find(name) == options_.end(),
-               "duplicate flag --" << name);
-  options_[name] = Option{help, "false", true, false};
-  order_.push_back(name);
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
 }
 
-bool ArgParser::parse(int argc, const char* const* argv) {
-  error_.clear();
+Target detail::one_of(std::vector<std::string> names,
+                      std::function<void(std::size_t)> write) {
+  return {"one of " + join(names, "|"),
+          [names, write](const std::string& text, std::string*) {
+            for (std::size_t i = 0; i < names.size(); ++i) {
+              if (text == names[i]) {
+                write(i);
+                return true;
+              }
+            }
+            return false;
+          }};
+}
+
+Target names(std::size_t* out, std::vector<std::string> names) {
+  return detail::one_of(std::move(names), [out](std::size_t i) { *out = i; });
+}
+
+Target names(std::vector<std::size_t>* out, std::vector<std::string> names) {
+  auto slot = std::make_shared<std::size_t>();
+  return detail::list_of(out, slot, tools::names(slot.get(), std::move(names)));
+}
+
+FlagTable::FlagTable(std::vector<Flag> flags,
+                     std::vector<std::string> mode_names)
+    : flags_(std::move(flags)), mode_names_(std::move(mode_names)) {
+  flags_.push_back({"help", "show this help", nullptr,
+                    {"", [](const std::string&, std::string*) { return true; },
+                     true}});
+  for (std::size_t i = 0; i < flags_.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      HQ_CHECK_MSG(flags_[i].name != flags_[j].name,
+                   "duplicate flag --" << flags_[i].name);
+    }
+  }
+  given_.resize(flags_.size());
+}
+
+bool FlagTable::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       error_ = "unexpected positional argument '" + arg + "'";
       return false;
     }
-    arg = arg.substr(2);
-    std::string value;
-    bool has_inline_value = false;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline_value = true;
-    }
-    auto it = options_.find(arg);
-    if (it == options_.end()) {
-      error_ = "unknown option '--" + arg + "'";
+    const std::size_t eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    std::size_t f = 0;
+    while (f < flags_.size() && flags_[f].name != name) ++f;
+    if (f == flags_.size()) {
+      error_ = "unknown option '--" + name + "'";
       return false;
     }
-    Option& opt = it->second;
-    if (opt.is_flag) {
-      if (has_inline_value) {
-        error_ = "flag '--" + arg + "' does not take a value";
+    if (flags_[f].target.is_switch) {
+      if (eq != std::string::npos) {
+        error_ = "flag '--" + name + "' does not take a value";
         return false;
       }
-      opt.value = "true";
-    } else if (has_inline_value) {
-      opt.value = value;
+      given_[f] = "1";
+    } else if (eq != std::string::npos) {
+      given_[f] = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      given_[f] = argv[++i];
     } else {
-      if (i + 1 >= argc) {
-        error_ = "option '--" + arg + "' needs a value";
-        return false;
-      }
-      opt.value = argv[++i];
+      error_ = "option '--" + name + "' needs a value";
+      return false;
     }
-    opt.seen = true;
+  }
+  for (std::size_t f = 0; f < flags_.size(); ++f) {
+    const Flag& flag = flags_[f];
+    if (!given_[f] && flag.fallback == nullptr) continue;
+    const std::string text = given_[f] ? *given_[f] : flag.fallback;
+    std::string why;
+    if (!flag.target.set(text, &why)) {
+      error_ = "--" + flag.name + " needs " + flag.target.accepts + ", got '" +
+               text + "'" + (why.empty() ? "" : ": " + why);
+      return false;
+    }
   }
   return true;
 }
 
-std::string ArgParser::get(const std::string& name) const {
-  auto it = options_.find(name);
-  HQ_CHECK_MSG(it != options_.end(), "unregistered option --" << name);
-  return it->second.value;
-}
-
-std::optional<long long> ArgParser::get_int(const std::string& name) const {
-  const std::string value = get(name);
-  long long out = 0;
-  const auto* begin = value.data();
-  const auto* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return out;
-}
-
-std::optional<double> ArgParser::get_double(const std::string& name,
-                                            double lo, double hi,
-                                            bool lo_open) {
-  const std::string text = get(name);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  const bool parsed = errno == 0 && end != text.c_str() && *end == '\0';
-  // Written so that NaN fails every bound.
-  if (parsed && (lo_open ? value > lo : value >= lo) && value <= hi) {
-    return value;
+bool FlagTable::check_modes(unsigned active) {
+  const auto names_of = [this](unsigned modes) {
+    std::vector<std::string> names;
+    for (std::size_t bit = 0; bit < mode_names_.size(); ++bit) {
+      if (modes >> bit & 1u) names.push_back(mode_names_[bit]);
+    }
+    return join(names, " or ");
+  };
+  for (std::size_t f = 0; f < flags_.size(); ++f) {
+    if (!given_[f] || (flags_[f].modes & active) != 0) continue;
+    error_ = "--" + flags_[f].name + " does not apply to " +
+             names_of(active & -active) + " (it needs " +
+             names_of(flags_[f].modes) + ")";
+    return false;
   }
-  std::ostringstream os;
-  os << "--" << name << " needs a number ";
-  if (std::isinf(hi)) {
-    os << (lo_open ? "> " : ">= ") << lo;
-  } else {
-    os << "in " << (lo_open ? '(' : '[') << lo << ", " << hi << ']';
-  }
-  error_ = os.str();
-  return std::nullopt;
+  return true;
 }
 
-bool ArgParser::get_flag(const std::string& name) const {
-  return get(name) == "true";
-}
-
-bool ArgParser::provided(const std::string& name) const {
-  auto it = options_.find(name);
-  HQ_CHECK_MSG(it != options_.end(), "unregistered option --" << name);
-  return it->second.seen;
-}
-
-std::string ArgParser::usage(const std::string& program) const {
+std::string FlagTable::usage(const std::string& program) const {
   std::ostringstream os;
   os << "usage: " << program << " [options]\n";
-  for (const std::string& name : order_) {
-    const Option& opt = options_.at(name);
-    os << "  --" << name;
-    if (!opt.is_flag) os << " <value>";
-    os << "\n      " << opt.help;
-    if (!opt.is_flag && !opt.value.empty() && !opt.seen) {
-      os << " (default: " << opt.value << ")";
+  for (const Flag& flag : flags_) {
+    os << "  --" << flag.name << (flag.target.is_switch ? "" : " <value>")
+       << "\n      " << flag.help;
+    if (flag.fallback != nullptr && *flag.fallback != '\0') {
+      os << " (default: " << flag.fallback << ")";
     }
     os << "\n";
   }
   return os.str();
+}
+
+int FlagTable::usage_exit(const std::string& program) const {
+  if (!help()) return usage_error(error_);
+  std::fprintf(stderr, "%s", usage(program).c_str());
+  return 0;
 }
 
 }  // namespace hq::tools

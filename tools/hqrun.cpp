@@ -27,186 +27,135 @@
 
 namespace {
 
-std::optional<hq::fw::Order> parse_order(const std::string& name) {
-  using hq::fw::Order;
-  if (name == "fifo") return Order::NaiveFifo;
-  if (name == "rr") return Order::RoundRobin;
-  if (name == "shuffle") return Order::RandomShuffle;
-  if (name == "rev-fifo") return Order::ReverseFifo;
-  if (name == "rev-rr") return Order::ReverseRoundRobin;
-  return std::nullopt;
-}
+// The modes a flag can be read in (FlagTable bits).
+constexpr unsigned kSingle = 1, kSweep = 2, kFault = 4, kJournal = 8;
 
 int hqrun_main(int argc, char** argv) {
   using namespace hq;
-  tools::ArgParser args;
-  args.add_option("apps", "comma-separated application types (one or two)",
-                  "gaussian,needle");
-  args.add_option("na", "number of applications", "8");
-  args.add_option("ns", "number of streams", "8");
-  args.add_option("order", "launch order: fifo|rr|shuffle|rev-fifo|rev-rr",
-                  "fifo");
-  args.add_flag("memsync", "enable the HtoD memory-synchronization mutex");
-  args.add_option("chunk", "split transfers into chunks of this many bytes",
-                  "0");
-  args.add_option("device", "device model: k20|fermi|single-copy", "k20");
-  args.add_option("size", "application problem size override", "0");
-  args.add_option("seed", "shuffle seed", "42");
-  args.add_option("stagger-us", "child-thread launch stagger (us)", "100");
-  args.add_option("trace",
-                  "write a Chrome-trace JSON (spans + counter tracks) to "
-                  "this path",
-                  "");
-  args.add_option("metrics",
-                  "write the telemetry metrics JSON report to this path "
-                  "(with --all-orders: the per-point sweep aggregate)",
-                  "");
-  args.add_option("metrics-prom",
-                  "write the Prometheus text exposition to this path", "");
-  args.add_option("power-csv", "write the power trace CSV to this path", "");
-  args.add_flag("timeline", "print the ASCII execution timeline");
-  args.add_flag("functional", "run real algorithm payloads and verify");
-  args.add_flag("all-orders",
-                "run the workload under all five launch orders and print a "
-                "comparison table (one independent run per order)");
-  args.add_option("jobs",
-                  "worker threads for --all-orders (0 = all hardware "
-                  "threads); output is identical at any job count",
-                  "1");
-  args.add_option("fault-plan",
-                  "deterministic fault plan, key=value[,key=value...] or "
-                  "'zero' (see EXPERIMENTS.md); same plan + seed reproduces "
-                  "byte-identical runs",
-                  "");
-  args.add_option("fault-seed", "override the fault plan's seed", "0");
-  args.add_option("watchdog-ms",
-                  "quarantine apps still running this many ms into the "
-                  "timed phase (0 = off; requires --fault-plan)",
-                  "0");
-  args.add_option("journal",
-                  "crash-safe sweep checkpoint file (--all-orders only): "
-                  "each finished point is appended and flushed",
-                  "");
-  args.add_flag("resume",
-                "replay finished points from --journal and run only the "
-                "missing ones (byte-identical to an uninterrupted run)");
-  args.add_flag("help", "show this help");
-
-  if (!args.parse(argc, argv) || args.get_flag("help")) {
-    if (!args.error().empty()) std::fprintf(stderr, "error: %s\n", args.error().c_str());
-    std::fprintf(stderr, "%s", args.usage("hqrun").c_str());
-    return args.get_flag("help") ? 0 : 2;
-  }
-
-  const auto apps = tools::split_csv(args.get("apps"));
-  if (apps.empty() || apps.size() > 2) {
-    std::fprintf(stderr, "error: --apps needs one or two types\n");
-    return 2;
-  }
-  for (const auto& app : apps) {
-    if (!rodinia::is_app_name(app)) {
-      std::fprintf(stderr, "error: unknown application '%s'\n", app.c_str());
-      return 2;
-    }
-  }
-  const auto order = parse_order(args.get("order"));
-  if (!order) {
-    std::fprintf(stderr,
-                 "error: unknown order '%s' (valid: "
-                 "fifo|rr|shuffle|rev-fifo|rev-rr)\n",
-                 args.get("order").c_str());
-    return 2;
-  }
-  const auto device = tools::device_preset(args.get("device"));
-  if (!device) {
-    std::fprintf(stderr,
-                 "error: unknown device '%s' (valid: k20|fermi|single-copy)\n",
-                 args.get("device").c_str());
-    return 2;
-  }
-  const auto na = args.get_int("na");
-  const auto ns = args.get_int("ns");
-  if (!na || !ns || *na < 1 || *ns < 1) {
-    std::fprintf(stderr, "error: --na/--ns must be positive integers\n");
-    return 2;
-  }
-
+  using tools::member;
+  using tools::value;
   fw::HarnessConfig config;
-  config.device = *device;
-  config.num_streams = static_cast<int>(*ns);
-  config.memory_sync = args.get_flag("memsync");
-  config.functional = args.get_flag("functional");
-  config.transfer_chunk_bytes =
-      static_cast<Bytes>(args.get_int("chunk").value_or(0));
-  config.launch_stagger = static_cast<DurationNs>(
-      args.get_int("stagger-us").value_or(100) * 1000);
-
-  if (const std::string plan_text = args.get("fault-plan");
-      !plan_text.empty()) {
-    std::string plan_error;
-    const auto plan = fault::parse_fault_plan(plan_text, &plan_error);
-    if (!plan) {
-      std::fprintf(stderr, "error: bad --fault-plan: %s\n",
-                   plan_error.c_str());
-      return 2;
-    }
-    config.fault_plan = *plan;
-    if (args.provided("fault-seed")) {
-      config.fault_plan.seed =
-          static_cast<std::uint64_t>(args.get_int("fault-seed").value_or(0));
-    }
-    config.watchdog_timeout = static_cast<DurationNs>(
-        args.get_int("watchdog-ms").value_or(0) * kMillisecond);
-  } else if (args.provided("fault-seed") || args.provided("watchdog-ms")) {
-    std::fprintf(stderr,
-                 "error: --fault-seed/--watchdog-ms need a --fault-plan\n");
-    return 2;
+  std::vector<std::size_t> app_types;
+  int na = 0;
+  std::size_t order = 0;
+  int size = 0;
+  std::uint64_t seed = 0;
+  std::string trace_path, metrics_path, prom_path, power_path, journal;
+  bool timeline = false, all_orders = false, resume = false;
+  int jobs = 1;
+  using H = fw::HarnessConfig;
+  tools::FlagTable flags(
+      {
+          {"apps", "comma-separated application types (one or two)",
+           "gaussian,needle", tools::names(&app_types, rodinia::app_names())},
+          {"na", "number of applications", "8", value(&na, {.min = 1})},
+          {"ns", "number of streams", "8", member<&H::num_streams>(config)},
+          {"order", "launch order", "fifo",
+           tools::names(&order, {"fifo", "rr", "shuffle", "rev-fifo",
+                                 "rev-rr"}),
+           kSingle},
+          {"memsync", "enable the HtoD memory-synchronization mutex", nullptr,
+           member<&H::memory_sync>(config)},
+          {"chunk", "split transfers into chunks of this many bytes", "0",
+           member<&H::transfer_chunk_bytes>(config)},
+          {"device", "device model: k20|fermi|single-copy", "k20",
+           tools::Target{"one of k20|fermi|single-copy",
+                         [&config](const std::string& name, std::string*) {
+                           const auto spec = tools::device_preset(name);
+                           if (spec) config.device = *spec;
+                           return spec.has_value();
+                         }}},
+          {"size", "application problem size override (0 = default)", "0",
+           value(&size, {.min = 0})},
+          {"seed", "shuffle seed", "42", value(&seed)},
+          {"stagger-us", "child-thread launch stagger (us)", "100",
+           member<&H::launch_stagger>(config, kMicrosecond)},
+          {"trace",
+           "write a Chrome-trace JSON (spans + counter tracks) to this path",
+           "", value(&trace_path), kSingle},
+          {"metrics",
+           "write the telemetry metrics JSON report to this path (with "
+           "--all-orders: the per-point sweep aggregate)",
+           "", value(&metrics_path)},
+          {"metrics-prom", "write the Prometheus text exposition to this path",
+           "", value(&prom_path), kSingle},
+          {"power-csv", "write the power trace CSV to this path", "",
+           value(&power_path), kSingle},
+          {"timeline", "print the ASCII execution timeline", nullptr,
+           value(&timeline), kSingle},
+          {"functional", "run real algorithm payloads and verify", nullptr,
+           member<&H::functional>(config)},
+          {"all-orders",
+           "run the workload under all five launch orders and print a "
+           "comparison table (one independent run per order)",
+           nullptr, value(&all_orders)},
+          {"jobs",
+           "worker threads for --all-orders (0 = all hardware threads); "
+           "output is identical at any job count",
+           "1", value(&jobs, {.min = 0}), kSweep},
+          {"fault-plan",
+           "deterministic fault plan, key=value[,key=value...] or 'zero' (see "
+           "EXPERIMENTS.md); same plan + seed reproduces byte-identical runs",
+           "", tools::Target{"a fault plan",
+                             [&config](const std::string& text,
+                                       std::string* why) {
+                               if (text.empty()) return true;
+                               const auto plan =
+                                   fault::parse_fault_plan(text, why);
+                               if (plan) config.fault_plan = *plan;
+                               return plan.has_value();
+                             }}},
+          {"fault-seed", "override the fault plan's seed", nullptr,
+           member<&H::fault_plan, &fault::FaultPlan::seed>(config), kFault},
+          {"watchdog-ms",
+           "quarantine apps still running this many ms into the timed phase "
+           "(0 = off)",
+           "0", member<&H::watchdog_timeout>(config, kMillisecond), kFault},
+          {"journal",
+           "crash-safe sweep checkpoint file (--all-orders only): each "
+           "finished point is appended and flushed",
+           "", value(&journal), kSweep},
+          {"resume",
+           "replay finished points from --journal and run only the missing "
+           "ones (byte-identical to an uninterrupted run)",
+           nullptr, value(&resume), kJournal},
+      },
+      {"a single run", "--all-orders", "--fault-plan", "--journal"});
+  if (!flags.parse(argc, argv) || flags.help()) {
+    return flags.usage_exit("hqrun");
   }
-
+  if (!flags.check_modes((all_orders ? kSweep : kSingle) |
+                         (config.fault_plan.enabled ? kFault : 0) |
+                         (journal.empty() ? 0 : kJournal))) {
+    return tools::usage_error(flags.error());
+  }
+  if (app_types.size() > 2) {
+    return tools::usage_error("--apps needs one or two types");
+  }
+  std::vector<std::string> apps;
+  for (const std::size_t t : app_types) apps.push_back(rodinia::app_names()[t]);
   rodinia::AppParams params;
-  if (const auto size = args.get_int("size"); size && *size > 0) {
-    params.size = static_cast<int>(*size);
-  }
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
+  if (size > 0) params.size = size;
 
-  const std::string metrics_path = args.get("metrics");
-  const std::string prom_path = args.get("metrics-prom");
-  const std::string trace_path = args.get("trace");
   // Telemetry is passive (the schedule is bit-identical either way), so it
   // is enabled exactly when an export needs it.
   config.collect_telemetry =
       !metrics_path.empty() || !prom_path.empty() || !trace_path.empty();
 
-  if (args.get_flag("all-orders")) {
-    if (!prom_path.empty()) {
-      std::fprintf(stderr,
-                   "error: --metrics-prom is a single-run export; it cannot "
-                   "be combined with --all-orders\n");
-      return 2;
-    }
-    const auto jobs = args.get_int("jobs");
-    if (!jobs || *jobs < 0) {
-      std::fprintf(stderr, "error: bad --jobs\n");
-      return 2;
-    }
+  if (all_orders) {
     exec::SweepGrid grid;
     grid.app_sets = {apps};
-    grid.na = {static_cast<int>(*na)};
-    grid.ns = {static_cast<int>(*ns)};
+    grid.na = {na};
+    grid.ns = {config.num_streams};
     grid.orders.assign(std::begin(fw::kAllOrders), std::end(fw::kAllOrders));
     grid.memory_sync = {config.memory_sync};
     grid.seeds = {seed};
     grid.base = config;
     grid.params = params;
     exec::SweepRunner::Options options;
-    options.jobs = static_cast<int>(*jobs);
-    options.journal_path = args.get("journal");
-    options.resume = args.get_flag("resume");
-    if (options.resume && options.journal_path.empty()) {
-      std::fprintf(stderr, "error: --resume needs --journal\n");
-      return 2;
-    }
+    options.jobs = jobs;
+    options.journal_path = journal;
+    options.resume = resume;
     const auto outcomes = exec::SweepRunner().run(grid, options);
     std::printf("%s", exec::render_report(outcomes).c_str());
     if (config.fault_plan.enabled) {
@@ -229,22 +178,16 @@ int hqrun_main(int argc, char** argv) {
     for (const auto& o : outcomes) verified = verified && o.all_verified;
     return (config.functional && !verified) ? 1 : 0;
   }
-  if (args.provided("journal") || args.get_flag("resume")) {
-    std::fprintf(stderr,
-                 "error: --journal/--resume only apply to --all-orders "
-                 "sweeps\n");
-    return 2;
-  }
 
   Rng rng(seed);
   std::vector<int> counts;
   if (apps.size() == 2) {
-    counts = {static_cast<int>(*na) / 2,
-              static_cast<int>(*na) - static_cast<int>(*na) / 2};
+    counts = {na / 2, na - na / 2};
   } else {
-    counts = {static_cast<int>(*na)};
+    counts = {na};
   }
-  const auto schedule = fw::make_schedule(*order, counts, &rng);
+  const fw::Order launch = fw::kAllOrders[order];
+  const auto schedule = fw::make_schedule(launch, counts, &rng);
   const auto workload = rodinia::build_workload(
       schedule, apps, std::vector<rodinia::AppParams>(apps.size(), params));
 
@@ -253,9 +196,10 @@ int hqrun_main(int argc, char** argv) {
 
   TextTable summary;
   summary.set_header({"metric", "value"});
-  summary.add_row({"workload", args.get("apps") + " x " + std::to_string(*na)});
-  summary.add_row({"streams", std::to_string(*ns)});
-  summary.add_row({"order", fw::order_name(*order)});
+  const std::string apps_text = tools::join(apps, ",");
+  summary.add_row({"workload", apps_text + " x " + std::to_string(na)});
+  summary.add_row({"streams", std::to_string(config.num_streams)});
+  summary.add_row({"order", fw::order_name(launch)});
   summary.add_row({"makespan", format_duration(result.makespan)});
   summary.add_row({"energy", format_fixed(result.energy_exact, 3) + " J"});
   summary.add_row({"avg power", format_fixed(result.average_power, 1) + " W"});
@@ -280,7 +224,7 @@ int hqrun_main(int argc, char** argv) {
                 q.reason.c_str());
   }
 
-  if (args.get_flag("timeline")) {
+  if (timeline) {
     trace::AsciiTimelineOptions opt;
     opt.width = 110;
     std::printf("\n%s", render_ascii_timeline(*result.trace, opt).c_str());
@@ -295,8 +239,8 @@ int hqrun_main(int argc, char** argv) {
     std::printf("wrote %s\n", trace_path.c_str());
   }
   if (!metrics_path.empty()) {
-    const auto info = fw::telemetry_run_info(config, result, args.get("apps"),
-                                             fw::order_name(*order));
+    const auto info = fw::telemetry_run_info(config, result, apps_text,
+                                             fw::order_name(launch));
     std::ofstream out(metrics_path);
     obs::write_metrics_json(out, info, result.telemetry->registry(),
                             fw::telemetry_app_reports(result));
@@ -307,13 +251,13 @@ int hqrun_main(int argc, char** argv) {
     obs::write_prometheus(out, result.telemetry->registry());
     std::printf("wrote %s\n", prom_path.c_str());
   }
-  if (const std::string path = args.get("power-csv"); !path.empty()) {
-    std::ofstream out(path);
+  if (!power_path.empty()) {
+    std::ofstream out(power_path);
     out << "t_ms,watts\n";
     for (const auto& sample : result.power_trace) {
       out << to_milliseconds(sample.time) << "," << sample.watts << "\n";
     }
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", power_path.c_str());
   }
   return (config.functional && !result.all_verified) ? 1 : 0;
 }
