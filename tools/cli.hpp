@@ -12,6 +12,7 @@
 // the flag.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <functional>
