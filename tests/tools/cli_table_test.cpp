@@ -1,15 +1,17 @@
-// The command-line contract of the built hqrun, hqserve and hqfuzz as one
-// table. Each row is a tool, its arguments and what must hold: the exit
-// code, a text that stderr contains, and optionally that a second run
-// writes the same bytes, that `--jobs 1` and `--jobs 4` print the same
-// bytes, and that stdout is well-formed JSON. A run that fails writes no
-// file. Each run starts in a fresh directory; the binaries' paths
-// (HQ_HQRUN_PATH, HQ_HQSERVE_PATH, HQ_HQFUZZ_PATH) are set by CMake.
+// The command-line contract of the built hqrun, hqserve and hqfuzz as
+// tables of rows, one table per test. Each row is a tool, its arguments
+// and what must hold: the exit code, a text that stderr contains, and
+// optionally that a second run writes the same bytes, that `--jobs 1` and
+// `--jobs 4` print the same bytes, and that stdout is well-formed JSON. A
+// run that fails writes no file. Each run starts in a fresh directory; the
+// binaries' paths (HQ_HQRUN_PATH, HQ_HQSERVE_PATH, HQ_HQFUZZ_PATH) are set
+// by CMake.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -37,8 +39,9 @@ constexpr Tool R = Tool::Hqrun;
 constexpr Tool S = Tool::Hqserve;
 constexpr Tool F = Tool::Hqfuzz;
 
-const Row kRows[] = {
-    // hqrun: malformed and out-of-range values name the flag.
+// hqrun: malformed and out-of-range values name the flag; a flag its run
+// does not read; valid runs.
+const Row kHqrunRows[] = {
     {R, "--chunk -5", 2, "--chunk needs an integer >= 0, got '-5'"},
     {R, "--chunk abc", 2, "--chunk needs an integer >= 0"},
     {R, "--size abc", 2, "--size needs an integer >= 0"},
@@ -47,20 +50,9 @@ const Row kRows[] = {
     {R, "--fault-plan zero --fault-seed abc", 2, "--fault-seed needs"},
     {R, "--fault-plan zero --watchdog-ms -4", 2, "--watchdog-ms needs"},
     {R, "--all-orders --jobs abc", 2, "--jobs needs an integer >= 0"},
-    {R, "--na lots --ns many", 2, "--na needs an integer >= 1, got 'lots'"},
-    {R, "--ns 0", 2, "--ns needs an integer >= 1, got '0'"},
     {R, "--order bad", 2, "--order needs one of fifo|rr|shuffle|rev-fifo"},
     {R, "--device k40", 2, "--device needs one of k20|fermi|single-copy"},
-    {R, "--apps gaussian,blur", 2, "--apps needs a comma list"},
-    {R, "--apps GAUSSIAN", 2, "--apps needs a comma list"},
-    {R, "--apps gaussian,nn,srad", 2, "--apps needs one or two types"},
     {R, "--fault-plan copy-stall-rate=2", 2, "--fault-plan needs a fault plan"},
-    // hqrun: argv grammar.
-    {R, "--functional=yes", 2, "flag '--functional' does not take a value"},
-    {R, "--ns", 2, "option '--ns' needs a value"},
-    {R, "--streams 8", 2, "unknown option '--streams'"},
-    {R, "--na 8 extra", 2, "unexpected positional argument 'extra'"},
-    // hqrun: a flag its run does not read.
     {R, "--all-orders --order rr --trace t.json --power-csv p.csv --timeline",
      2, "--order does not apply to --all-orders"},
     {R, "--all-orders --trace t.json", 2, "--trace does not apply"},
@@ -72,12 +64,38 @@ const Row kRows[] = {
     {R, "--watchdog-ms 5", 2, "--watchdog-ms does not apply"},
     {R, "--journal j", 2, "--journal does not apply to a single run"},
     {R, "--all-orders --resume", 2, "--resume does not apply"},
-    // hqrun: valid runs.
     {R, "--apps needle --na 4 --ns 2 --size 32 --functional --trace t.json", 0,
      "", true},
     {R, "--apps gaussian,nn --na 8 --ns 4 --all-orders", 0, "", false, true},
+};
 
-    // hqserve: a flag outside the mode that reads it.
+// hqrun: argv grammar (a flag given a value, an option missing its value,
+// an unknown spelling, a stray positional).
+const Row kHqrunGrammarRows[] = {
+    {R, "--functional=yes", 2, "flag '--functional' does not take a value"},
+    {R, "--ns", 2, "option '--ns' needs a value"},
+    {R, "--streams 8", 2, "unknown option '--streams'"},
+    {R, "--na 8 extra", 2, "unexpected positional argument 'extra'"},
+};
+
+// hqrun: a count that is not a positive integer leaves its value unset and
+// exits 2 naming the flag.
+const Row kHqrunCountRows[] = {
+    {R, "--na lots --ns many", 2, "--na needs an integer >= 1, got 'lots'"},
+    {R, "--na 8 --ns many", 2, "--ns needs an integer >= 1, got 'many'"},
+    {R, "--ns 0", 2, "--ns needs an integer >= 1, got '0'"},
+};
+
+// hqrun: application names are exact and at most two types run at once.
+const Row kHqrunAppRows[] = {
+    {R, "--apps gaussian,blur", 2, "--apps needs a comma list"},
+    {R, "--apps GAUSSIAN", 2, "--apps needs a comma list"},
+    {R, "--apps gaussian,nn,srad", 2, "--apps needs one or two types"},
+};
+
+// hqserve: a flag outside the mode that reads it, and a fault plan the
+// one-device run cannot honour.
+const Row kHqserveModeRows[] = {
     {S, "--steal", 2, "--steal does not apply to a single-device run"},
     {S, "--placement least-loaded", 2, "--placement does not apply"},
     {S, "--copy-penalty 3", 2, "--copy-penalty does not apply"},
@@ -101,7 +119,10 @@ const Row kRows[] = {
     {S, "--devices 2 --snapshot-file s.jsonl", 2,
      "--snapshot-file and --snapshot-interval must be used together"},
     {S, "--window-ms 10 --fault-plan crash-at-us=3000,seed=1", 3, "fleet"},
-    // hqserve: lists and values hold only what they can.
+};
+
+// hqserve: lists and values hold only what they can; a fleet run.
+const Row kHqserveRows[] = {
     {S, "--sweep-cap -1,0", 2, "--sweep-cap needs a comma list"},
     {S, "--sweep-fleet -1", 2, "--sweep-fleet needs a comma list"},
     {S, "--sweep-fleet 0", 2, "--sweep-fleet needs a comma list"},
@@ -117,19 +138,24 @@ const Row kRows[] = {
      "--spotcheck-rate needs a number in [0, 1]"},
     {S, "--devices 2 --integrity dmr --sdc-blocklist-threshold 0", 2,
      "--sdc-blocklist-threshold needs a number in (0, 1]"},
-    // hqserve: valid runs.
-    {S,
-     "--mix needle,srad --size 96 --window-ms 25 --mean-gap-us 150"
-     " --max-inflight 2 --deadline-us 2000 --sweep-cap 4,8,16,0 --report json",
-     0, "", false, true, true},
     {S,
      "--mix gaussian,needle --size 64 --window-ms 10 --mean-gap-us 150"
      " --streams 2 --max-inflight 2 --queue-cap 8 --devices 2 --steal"
      " --device-breaker --hedge --integrity spotcheck --report json",
      0, "", true, false, true},
+};
 
-    // hqfuzz: rates no iteration reads, several replay seeds, and loop
-    // flags given to a replay.
+// hqserve: a queue-cap sweep prints the same JSON at any job count.
+const Row kHqserveSweepRows[] = {
+    {S,
+     "--mix needle,srad --size 96 --window-ms 25 --mean-gap-us 150"
+     " --max-inflight 2 --deadline-us 2000 --sweep-cap 4,8,16,0 --report json",
+     0, "", false, true, true},
+};
+
+// hqfuzz: rates no iteration reads, several replay seeds, and loop flags
+// given to a replay; a valid run.
+const Row kHqfuzzRows[] = {
     {F, "--case-seed 5 --chaos-rate 0.5", 2, "--chaos-rate does not apply"},
     {F, "--serve-case-seed 5 --sdc-rate 0.5", 2, "--sdc-rate does not apply"},
     {F, "--fleet-case-seed 5 --fault-rate 0.5", 2, "--fault-rate does not"},
@@ -149,7 +175,6 @@ const Row kRows[] = {
     {F, "--fleet-case-seed 5 --verbose", 2, "--verbose does not apply"},
     {F, "--case-seed -1", 2, "--case-seed needs an integer >= 0"},
     {F, "--iters 0", 2, "need --iters, --serve-iters, or --fleet-iters > 0"},
-    // hqfuzz: valid runs.
     {F, "--seed 18446744073709551615 --iters 2 --verbose", 0, "", true, true},
 };
 
@@ -178,13 +203,15 @@ std::pair<int, std::map<std::string, std::string>> run(
   return {outcome.exit_code, files};
 }
 
-void check_rows(Tool tool) {
-  const fs::path dir =
-      fs::current_path() / ("cli_table_" + std::to_string(int(tool)));
-  int checked = 0;
-  for (const Row& row : kRows) {
-    if (row.tool != tool) continue;
-    ++checked;
+/// Runs every row in a directory named after the running test, so tests
+/// that ctest starts in parallel do not share one.
+void check_rows(std::span<const Row> rows) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const fs::path dir = fs::current_path() /
+                       (std::string("cli_table_") + test->test_suite_name() +
+                        "_" + test->name());
+  for (const Row& row : rows) {
+    const Tool tool = row.tool;
     SCOPED_TRACE(row.args);
     // hqserve's rows run one small class unless they name their own mix.
     const std::string args =
@@ -215,12 +242,31 @@ void check_rows(Tool tool) {
           << parallel.second.at("stdout");
     }
   }
-  EXPECT_GT(checked, 0);
 }
 
-TEST(CliTableTest, Hqrun) { check_rows(Tool::Hqrun); }
-TEST(CliTableTest, Hqserve) { check_rows(Tool::Hqserve); }
-TEST(CliTableTest, Hqfuzz) { check_rows(Tool::Hqfuzz); }
+TEST(CliTableTest, Hqrun) { check_rows(kHqrunRows); }
+TEST(CliTableTest, Hqserve) { check_rows(kHqserveRows); }
+TEST(CliTableTest, Hqfuzz) { check_rows(kHqfuzzRows); }
+
+TEST(HqrunCliTest, InvalidFlagCombinationsAreRejected) {
+  check_rows(kHqrunGrammarRows);
+}
+
+TEST(HqrunCliTest, NonNumericCountsSurfaceAsNullopt) {
+  check_rows(kHqrunCountRows);
+}
+
+TEST(HqrunCliTest, UnknownApplicationNamesAreDetectable) {
+  check_rows(kHqrunAppRows);
+}
+
+TEST(HqserveCliGateTest, QueueCapSweepIsByteIdenticalAcrossJobCounts) {
+  check_rows(kHqserveSweepRows);
+}
+
+TEST(HqserveCliGateTest, UnsupportedFlagCombinationsAreHardErrors) {
+  check_rows(kHqserveModeRows);
+}
 
 }  // namespace
 }  // namespace hq::tools
