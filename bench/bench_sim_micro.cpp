@@ -151,25 +151,6 @@ void BM_PerAppLatencyScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PerAppLatencyScan)->Arg(8)->Arg(64);
 
-// Same extraction through a trace::AppIndex built once: one pass over the
-// spans total, then O(own spans) per app — the path the harness uses.
-void BM_PerAppLatencyIndexed(benchmark::State& state) {
-  const int apps = static_cast<int>(state.range(0));
-  const trace::Recorder rec = synthetic_transfer_trace(apps, 64);
-  for (auto _ : state) {
-    const trace::AppIndex index(rec);
-    DurationNs total = 0;
-    for (int a = 0; a < apps; ++a) {
-      total += fw::effective_transfer_latency(index, a,
-                                              trace::SpanKind::MemcpyHtoD)
-                   .value_or(0);
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * apps);
-}
-BENCHMARK(BM_PerAppLatencyIndexed)->Arg(8)->Arg(64);
-
 void BM_HarnessPairRun(benchmark::State& state) {
   // One full {nn, needle} 8-application timing run (the smallest pairing).
   for (auto _ : state) {

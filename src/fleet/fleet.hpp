@@ -159,9 +159,9 @@ struct FleetConfig {
 /// the fleet sweep's grid key hashes.
 std::span<const codec::Field<FleetConfig>> codec_fields(const FleetConfig&);
 
-/// One device's raw outputs (the report is also nested in FleetReport).
+/// One device's raw outputs; its serving report is
+/// FleetReport::devices[d].report.
 struct FleetDeviceResult {
-  serve::ServeReport report;
   check::ServeAccounting accounting;
   std::shared_ptr<trace::Recorder> trace;
   fault::FaultStats fault_stats;

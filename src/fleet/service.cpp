@@ -19,7 +19,7 @@ ServeResult Service::run() {
   fleet::FleetDeviceResult& device = fleet.devices.front();
 
   ServeResult result;
-  result.report = std::move(device.report);
+  result.report = std::move(fleet.report.devices.front().report);
   result.accounting = std::move(device.accounting);
   result.jobs = std::move(fleet.jobs);
   result.trace = std::move(device.trace);

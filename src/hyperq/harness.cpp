@@ -219,29 +219,18 @@ HarnessResult Harness::run(const std::vector<WorkloadItem>& workload) {
 
   if (telemetry != nullptr) telemetry->finalize();
 
-  // One shared index: per-app extraction over NA apps costs O(spans) total
-  // instead of the O(NA * spans) the per-app by_app scans would.
-  const trace::AppIndex index(*stack.recorder);
+  // One pass over the trace gives every app's numbers (app id == workload
+  // index): O(spans) instead of the O(NA * spans) of per-app scans.
+  const std::vector<AppTransferTimes> times =
+      app_transfer_times(*stack.recorder, apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     AppMetrics& m = metrics[i];
-    m.htod_effective_latency =
-        effective_transfer_latency(index, m.app_id,
-                                   trace::SpanKind::MemcpyHtoD)
-            .value_or(0);
-    m.dtoh_effective_latency =
-        effective_transfer_latency(index, m.app_id,
-                                   trace::SpanKind::MemcpyDtoH)
-            .value_or(0);
-    m.htod_own_time =
-        own_transfer_time(index, m.app_id, trace::SpanKind::MemcpyHtoD);
+    m.htod_effective_latency = times[i].htod_latency.value_or(0);
+    m.dtoh_effective_latency = times[i].dtoh_latency.value_or(0);
+    m.htod_own_time = times[i].htod_own_time;
     m.htod_bytes = apps[i]->htod_bytes();
     m.dtoh_bytes = apps[i]->dtoh_bytes();
-    const trace::AppSpans spans = index.spans_for(m.app_id);
-    if (!spans.empty()) {
-      TimeNs first = spans[0].begin;
-      for (const trace::Span& s : spans) first = std::min(first, s.begin);
-      m.first_activity = first;
-    }
+    m.first_activity = times[i].first_activity.value_or(0);
   }
   if (telemetry != nullptr) {
     // attribution() is sorted by app_id == workload index.

@@ -25,30 +25,16 @@ struct LatencyWindow {
   }
 };
 
-void check_direction(trace::SpanKind direction) {
-  HQ_CHECK(direction == trace::SpanKind::MemcpyHtoD ||
-           direction == trace::SpanKind::MemcpyDtoH);
-}
-
 }  // namespace
 
 std::optional<DurationNs> effective_transfer_latency(
     const trace::Recorder& recorder, int app_id, trace::SpanKind direction) {
-  check_direction(direction);
+  HQ_CHECK(direction == trace::SpanKind::MemcpyHtoD ||
+           direction == trace::SpanKind::MemcpyDtoH);
   LatencyWindow window;
   recorder.for_each_app(app_id, [&](const trace::Span& s) {
     if (s.kind == direction) window.observe(s);
   });
-  return window.latency();
-}
-
-std::optional<DurationNs> effective_transfer_latency(
-    const trace::AppIndex& index, int app_id, trace::SpanKind direction) {
-  check_direction(direction);
-  LatencyWindow window;
-  for (const trace::Span& s : index.spans_for(app_id)) {
-    if (s.kind == direction) window.observe(s);
-  }
   return window.latency();
 }
 
@@ -61,13 +47,30 @@ DurationNs own_transfer_time(const trace::Recorder& recorder, int app_id,
   return total;
 }
 
-DurationNs own_transfer_time(const trace::AppIndex& index, int app_id,
-                             trace::SpanKind direction) {
-  DurationNs total = 0;
-  for (const trace::Span& s : index.spans_for(app_id)) {
-    if (s.kind == direction) total += s.duration();
+std::vector<AppTransferTimes> app_transfer_times(
+    const trace::Recorder& recorder, std::size_t num_apps) {
+  std::vector<LatencyWindow> htod(num_apps), dtoh(num_apps);
+  std::vector<AppTransferTimes> out(num_apps);
+  for (const trace::Span s : recorder) {
+    if (s.app_id < 0 || static_cast<std::size_t>(s.app_id) >= num_apps) {
+      continue;
+    }
+    const auto i = static_cast<std::size_t>(s.app_id);
+    AppTransferTimes& app = out[i];
+    app.first_activity =
+        app.first_activity ? std::min(*app.first_activity, s.begin) : s.begin;
+    if (s.kind == trace::SpanKind::MemcpyHtoD) {
+      htod[i].observe(s);
+      app.htod_own_time += s.duration();
+    } else if (s.kind == trace::SpanKind::MemcpyDtoH) {
+      dtoh[i].observe(s);
+    }
   }
-  return total;
+  for (std::size_t i = 0; i < num_apps; ++i) {
+    out[i].htod_latency = htod[i].latency();
+    out[i].dtoh_latency = dtoh[i].latency();
+  }
+  return out;
 }
 
 double improvement(double t_base, double t) {

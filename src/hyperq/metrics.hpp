@@ -24,18 +24,26 @@ namespace hq::fw {
 /// transfers, so spans may be recorded in any order.
 std::optional<DurationNs> effective_transfer_latency(
     const trace::Recorder& recorder, int app_id, trace::SpanKind direction);
-/// Same, over a prebuilt per-app index — O(app's spans) instead of
-/// O(all spans), the non-quadratic path for per-app sweeps.
-std::optional<DurationNs> effective_transfer_latency(
-    const trace::AppIndex& index, int app_id, trace::SpanKind direction);
 
 /// Sum of the application's own transfer service times for a direction (the
 /// latency it would see with exclusive use of the copy engine). Zero when
 /// the app has no transfers of that direction; order-independent.
 DurationNs own_transfer_time(const trace::Recorder& recorder, int app_id,
                              trace::SpanKind direction);
-DurationNs own_transfer_time(const trace::AppIndex& index, int app_id,
-                             trace::SpanKind direction);
+
+/// The per-app numbers a harness run reads from its trace.
+struct AppTransferTimes {
+  std::optional<DurationNs> htod_latency;  ///< Eq. 2, HtoD
+  std::optional<DurationNs> dtoh_latency;  ///< Eq. 2, DtoH
+  DurationNs htod_own_time = 0;
+  std::optional<TimeNs> first_activity;  ///< earliest begin of any span
+};
+
+/// The numbers of apps 0..num_apps-1 in one pass over `recorder`: entry i
+/// equals the per-app scans above for app i. Spans of other app ids
+/// (unattributed -1 included) are skipped.
+std::vector<AppTransferTimes> app_transfer_times(
+    const trace::Recorder& recorder, std::size_t num_apps);
 
 /// The paper's improvement measure, "relative to serialized execution":
 /// (t_base - t) / t_base. Positive = faster than the baseline.

@@ -30,6 +30,25 @@ const char* job_event_kind_name(JobEventKind kind) {
   return "?";
 }
 
+JobEventKind terminal_event(JobState state) {
+  using K = JobEventKind;
+  switch (state) {
+    case JobState::CompletedOk: return K::CompletedOk;
+    case JobState::CompletedLate: return K::CompletedLate;
+    case JobState::ShedQueueFull: return K::ShedQueueFull;
+    case JobState::ShedBreaker: return K::ShedBreaker;
+    case JobState::TimedOutQueued: return K::TimedOutQueued;
+    case JobState::Quarantined: return K::Quarantined;
+    case JobState::ShedNoDevice: return K::ShedNoDevice;
+    case JobState::ShedFailoverExhausted:
+      return K::ShedFailoverExhausted;
+    case JobState::Queued:
+    case JobState::Inflight: break;
+  }
+  HQ_CHECK_MSG(false, "not a terminal job state: " << job_state_name(state));
+  return K::Arrived;
+}
+
 void JobLifecycleTracer::record(int job_id, TimeNs at, JobEventKind kind,
                                 int device, int from_device) {
   HQ_CHECK_MSG(job_id >= 0, "lifecycle tracer: bad job id " << job_id);

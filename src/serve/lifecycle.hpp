@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "serve/job_tally.hpp"
 
 namespace hq::serve {
 
@@ -51,6 +52,10 @@ enum class JobEventKind : std::uint8_t {
 };
 
 const char* job_event_kind_name(JobEventKind kind);
+
+/// The terminal event of the same name as terminal `state`; throws
+/// hq::Error for Queued and Inflight.
+JobEventKind terminal_event(JobState state);
 
 struct JobEvent {
   TimeNs at = 0;

@@ -57,11 +57,17 @@ class ServeSignals final : public gpu::DeviceObserver {
     const auto stalled = stalled_.find(op);
     if (stalled != stalled_.end()) {
       stalled_.erase(stalled);
-      if (app >= 0 && breakers_ != nullptr && !breakers_->empty() &&
-          static_cast<std::size_t>(app) < jobs_->size()) {
-        const std::size_t klass = (*jobs_)[static_cast<std::size_t>(app)].klass;
-        (*breakers_)[klass]->record_failure(now);
-      }
+      record_class_failure(now, app);
+    }
+  }
+
+  /// Attributes one failure signal to app `app`'s class breaker; a no-op
+  /// without breakers or for an app id no job carries.
+  void record_class_failure(TimeNs now, std::int32_t app) {
+    if (app >= 0 && breakers_ != nullptr && !breakers_->empty() &&
+        static_cast<std::size_t>(app) < jobs_->size()) {
+      const std::size_t klass = (*jobs_)[static_cast<std::size_t>(app)].klass;
+      (*breakers_)[klass]->record_failure(now);
     }
   }
 

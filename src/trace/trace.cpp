@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -176,67 +175,6 @@ std::optional<TimeNs> Recorder::max_time() const {
   TimeNs t = 0;
   for (const Span s : *this) t = std::max(t, s.end);
   return t;
-}
-
-AppIndex::AppIndex(const Recorder& recorder) {
-  if (recorder.empty()) {
-    offsets_.push_back(0);
-    return;
-  }
-  std::vector<std::int32_t> apps;
-  apps.reserve(recorder.size());
-  for (const Span s : recorder) apps.push_back(s.app_id);
-
-  // Harness app ids are dense small integers (workload index, plus -1 for
-  // unattributed spans), so a counting scatter over [min, max] is both the
-  // fast path and the common one. A hostile id range (sparse 32-bit ids)
-  // would explode the bucket array, so fall back to a stable sort there.
-  const auto [lo, hi] = std::minmax_element(apps.begin(), apps.end());
-  const std::int64_t min_id = *lo;
-  const std::int64_t range = std::int64_t{*hi} - min_id + 1;
-
-  const std::int64_t kDenseRangeCap = 1 << 20;
-  if (range <= kDenseRangeCap) {
-    std::vector<std::size_t> starts(static_cast<std::size_t>(range), 0);
-    for (const std::int32_t app : apps) {
-      ++starts[static_cast<std::size_t>(app - min_id)];
-    }
-    std::size_t running = 0;
-    for (std::size_t b = 0; b < starts.size(); ++b) {
-      if (starts[b] == 0) continue;
-      ids_.push_back(static_cast<std::int32_t>(min_id + static_cast<std::int64_t>(b)));
-      offsets_.push_back(running);
-      running += std::exchange(starts[b], running);
-    }
-    offsets_.push_back(running);
-    // One pass copies each decoded span into its app's group.
-    spans_.resize(apps.size());
-    for (const Span s : recorder) {
-      spans_[starts[static_cast<std::size_t>(s.app_id - min_id)]++] = s;
-    }
-  } else {
-    spans_.reserve(apps.size());
-    spans_.assign(recorder.begin(), recorder.end());
-    std::stable_sort(spans_.begin(), spans_.end(),
-                     [](const Span& a, const Span& b) {
-                       return a.app_id < b.app_id;
-                     });
-    // offsets_[k] = first index of group k; final entry = total span count.
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      if (i == 0 || spans_[i].app_id != spans_[i - 1].app_id) {
-        ids_.push_back(spans_[i].app_id);
-        offsets_.push_back(i);
-      }
-    }
-    offsets_.push_back(spans_.size());
-  }
-}
-
-AppSpans AppIndex::spans_for(std::int32_t app_id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), app_id);
-  if (it == ids_.end() || *it != app_id) return {};
-  const std::size_t k = static_cast<std::size_t>(it - ids_.begin());
-  return {spans_.data() + offsets_[k], offsets_[k + 1] - offsets_[k]};
 }
 
 }  // namespace hq::trace

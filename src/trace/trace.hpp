@@ -40,7 +40,6 @@
 #include <deque>
 #include <iterator>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -284,35 +283,5 @@ inline void Recorder::Iterator::read() {
   head_.kind = shape.kind;
   head_.name = shape.name;
 }
-
-/// Spans of one app, in recording order.
-using AppSpans = std::span<const Span>;
-
-/// One-pass per-app span index over a flat, sorted layout. Extracting
-/// per-app metrics with Recorder::by_app costs O(apps * spans) plus a copy
-/// of every matching span per query; building this index once costs
-/// O(spans + app-id range) (a counting scatter over the dense app-id range,
-/// falling back to a stable sort for pathological sparse ids) and each
-/// subsequent per-app lookup is a binary search over the distinct ids,
-/// O(log apps). The index holds its own copy of the decoded spans, grouped
-/// by app, so it does not refer back to the recorder.
-class AppIndex {
- public:
-  explicit AppIndex(const Recorder& recorder);
-
-  /// Spans of one app, in recording order; empty for an unknown app (ids
-  /// never seen in the trace, including -1 when every span is attributed).
-  AppSpans spans_for(std::int32_t app_id) const;
-
-  /// Distinct app ids seen, ascending (includes -1 for unattributed spans).
-  const std::vector<std::int32_t>& app_ids() const { return ids_; }
-
-  std::size_t app_count() const { return ids_.size(); }
-
- private:
-  std::vector<std::int32_t> ids_;     ///< distinct app ids, ascending
-  std::vector<std::size_t> offsets_;  ///< ids_.size()+1 bounds into spans_
-  std::vector<Span> spans_;           ///< grouped by app, recording order
-};
 
 }  // namespace hq::trace

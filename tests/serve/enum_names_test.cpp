@@ -36,5 +36,19 @@ TEST(EnumNamesTest, EveryEnumeratorHasItsOwnName) {
       gpu::observed_fault_name);
 }
 
+TEST(EnumNamesTest, TerminalEventOfAStateHasTheStateName) {
+  for (int i = 0; i <= static_cast<int>(serve::JobState::ShedFailoverExhausted);
+       ++i) {
+    const auto state = static_cast<serve::JobState>(i);
+    if (state == serve::JobState::Queued ||
+        state == serve::JobState::Inflight) {
+      EXPECT_THROW(serve::terminal_event(state), Error);
+      continue;
+    }
+    EXPECT_STREQ(serve::job_event_kind_name(serve::terminal_event(state)),
+                 serve::job_state_name(state));
+  }
+}
+
 }  // namespace
 }  // namespace hq

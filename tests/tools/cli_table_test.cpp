@@ -126,6 +126,9 @@ const Row kHqserveRows[] = {
     {S, "--sweep-cap -1,0", 2, "--sweep-cap needs a comma list"},
     {S, "--sweep-fleet -1", 2, "--sweep-fleet needs a comma list"},
     {S, "--sweep-fleet 0", 2, "--sweep-fleet needs a comma list"},
+    {S, "--sweep-fleet 2,1,2", 2, "--sweep-fleet lists a fleet size twice"},
+    {S, "--sweep-fleet 1 --sweep-placement all,round-robin", 2,
+     "--sweep-placement lists a policy twice"},
     {S, "--window-ms 0", 2, "--window-ms needs an integer > 0"},
     {S, "--streams 0", 2, "--streams needs an integer >= 1"},
     {S, "--seed -1", 2, "--seed needs an integer >= 0"},

@@ -120,18 +120,10 @@ void expect_matches(const Recorder& r, const Reference& ref) {
   }
   apps.insert(first_apps.begin(), first_apps.end());
   lanes.insert(first_lanes.begin(), first_lanes.end());
-  const AppIndex index(r);
   for (const std::int32_t app : apps) {
     const std::vector<Span> want =
         filtered(ref, [app](const Span& s) { return s.app_id == app; });
     expect_same_spans(r.by_app(app), want, "by_app");
-    const AppSpans indexed = index.spans_for(app);
-    expect_same_spans(std::vector<Span>(indexed.begin(), indexed.end()), want,
-                      "AppIndex::spans_for");
-    ASSERT_EQ(indexed.size(), want.size());
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_TRUE(same_span(indexed[k], want[k])) << "spans_for()[" << k << "]";
-    }
   }
   for (const std::int32_t lane : lanes) {
     expect_same_spans(
@@ -469,7 +461,7 @@ TEST(SpanStoreTest, ClearedAndMovedFromRecordersAreEmptyAndReusable) {
 TEST(SpanStoreTest, CopiesReadBackLikeTheOriginal) {
   // A recorder is move-only (its name table holds views into itself), so it
   // is copied by recording its spans again: the copy encodes to the same
-  // bytes, digests the same, and outlives the original. An AppIndex holds
+  // bytes, digests the same, and outlives the original.
   // copies of the decoded spans, so it outlives its recorder too.
   auto original = std::make_unique<Recorder>();
   Reference ref;
@@ -479,7 +471,6 @@ TEST(SpanStoreTest, CopiesReadBackLikeTheOriginal) {
     copy.add(s.lane, s.app_id, s.kind, original->name_of(s.name), s.begin,
              s.end);
   }
-  const AppIndex index(*original);
   const std::uint64_t want_digest = digest(*original);
   EXPECT_EQ(copy.storage_bytes(), original->storage_bytes());
   original.reset();
@@ -497,9 +488,7 @@ TEST(SpanStoreTest, CopiesReadBackLikeTheOriginal) {
   for (const std::int32_t app : {-1, 0, 7, kMin32, kMax32}) {
     const std::vector<Span> want =
         filtered(ref, [app](const Span& s) { return s.app_id == app; });
-    const AppSpans got = index.spans_for(app);
-    expect_same_spans(std::vector<Span>(got.begin(), got.end()), want,
-                      "AppIndex after its recorder is gone");
+    expect_same_spans(copy.by_app(app), want, "by_app of the copy");
   }
 }
 

@@ -378,55 +378,5 @@ TEST(DigestTest, StableAcrossProcessRuns) {
   EXPECT_EQ(digest(r), 0x7dae9fc389d8afbdULL);
 }
 
-// -------------------------------------------------------------- AppIndex
-
-TEST(AppIndexTest, UnknownAppAndNegativeAttribution) {
-  // Spans with app_id -1 (unattributed device work) are a first-class
-  // group, and looking up an app the trace never saw returns an empty span
-  // — not a crash, not a nearby group.
-  Recorder r;
-  add_span(r, 0, -1, SpanKind::Kernel, 0, 5, "orphan");
-  add_span(r, 0, 3, SpanKind::Kernel, 5, 10, "k");
-  add_span(r, 1, -1, SpanKind::MemcpyHtoD, 2, 4, "h2d");
-  const AppIndex index(r);
-  EXPECT_EQ(index.app_count(), 2u);
-  EXPECT_EQ(index.app_ids(), (std::vector<std::int32_t>{-1, 3}));
-  ASSERT_EQ(index.spans_for(-1).size(), 2u);
-  EXPECT_EQ(r.name_of(index.spans_for(-1)[0].name), "orphan");
-  EXPECT_EQ(r.name_of(index.spans_for(-1)[1].name), "h2d");
-  // Unknown ids, including ones between/outside the known range.
-  EXPECT_TRUE(index.spans_for(0).empty());
-  EXPECT_TRUE(index.spans_for(2).empty());
-  EXPECT_TRUE(index.spans_for(4).empty());
-  EXPECT_TRUE(index.spans_for(-2).empty());
-}
-
-TEST(AppIndexTest, EmptyRecorderYieldsEmptyIndex) {
-  const Recorder r;
-  const AppIndex index(r);
-  EXPECT_EQ(index.app_count(), 0u);
-  EXPECT_TRUE(index.app_ids().empty());
-  EXPECT_TRUE(index.spans_for(0).empty());
-}
-
-TEST(AppIndexTest, SparseIdsTakeTheSortFallback) {
-  // App ids spread wider than the dense counting-scatter cap (2^20) force
-  // the stable-sort fallback; grouping and recording order must match the
-  // dense path exactly.
-  Recorder r;
-  add_span(r, 0, 5'000'000, SpanKind::Kernel, 0, 1, "far");
-  add_span(r, 0, -3, SpanKind::Kernel, 1, 2, "neg");
-  add_span(r, 0, 5'000'000, SpanKind::Kernel, 2, 3, "far2");
-  add_span(r, 0, 0, SpanKind::Kernel, 3, 4, "zero");
-  const AppIndex index(r);
-  EXPECT_EQ(index.app_ids(), (std::vector<std::int32_t>{-3, 0, 5'000'000}));
-  ASSERT_EQ(index.spans_for(5'000'000).size(), 2u);
-  EXPECT_EQ(index.spans_for(5'000'000)[0].begin, 0);
-  EXPECT_EQ(index.spans_for(5'000'000)[1].begin, 2);
-  EXPECT_EQ(index.spans_for(-3).size(), 1u);
-  EXPECT_EQ(index.spans_for(0).size(), 1u);
-  EXPECT_TRUE(index.spans_for(1'000'000).empty());
-}
-
 }  // namespace
 }  // namespace hq::trace

@@ -49,9 +49,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,56 +100,58 @@ bool parse_class(const std::string& entry, int size,
   return true;
 }
 
-/// Reads an arrival trace: one "<time_us> <class-index>" pair per line;
-/// blank lines and lines starting with '#' are skipped.
-bool read_arrivals(const std::string& path,
-                   std::vector<hq::serve::Arrival>& out, std::string* error) {
+/// Reads the `what` file at `path`: calls `parse(line, where)` for every
+/// line but blank ones and '#' comments, `where` being "<path>:<line>",
+/// and stops at the first line it rejects.
+bool read_lines(
+    const std::string& path, const std::string& what, std::string* error,
+    const std::function<bool(const std::string&, const std::string&)>& parse) {
   std::ifstream in(path);
   if (!in) {
-    *error = "cannot open arrivals file '" + path + "'";
+    *error = "cannot open " + what + " file '" + path + "'";
     return false;
   }
   std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    double time_us = 0;
-    std::size_t klass = 0;
-    if (!(ls >> time_us >> klass) || time_us < 0) {
-      *error = "bad arrival at " + path + ":" + std::to_string(line_no) +
-               " (want '<time_us> <class-index>')";
-      return false;
-    }
-    out.push_back({static_cast<hq::TimeNs>(time_us * 1000.0), klass});
+    if (!parse(line, path + ":" + std::to_string(line_no))) return false;
   }
   return true;
 }
 
+/// Reads an arrival trace: one "<time_us> <class-index>" pair per line.
+bool read_arrivals(const std::string& path,
+                   std::vector<hq::serve::Arrival>& out, std::string* error) {
+  return read_lines(path, "arrivals", error, [&](const std::string& line,
+                                                 const std::string& where) {
+    std::istringstream ls(line);
+    double time_us = 0;
+    std::size_t klass = 0;
+    if (!(ls >> time_us >> klass) || time_us < 0) {
+      *error = "bad arrival at " + where + " (want '<time_us> <class-index>')";
+      return false;
+    }
+    out.push_back({static_cast<hq::TimeNs>(time_us * 1000.0), klass});
+    return true;
+  });
+}
+
 /// Reads a device-spec file: one device per line as a preset name (k20,
 /// fermi, single-copy) followed by optional 'key=value' overrides (name=,
-/// smx=, queues=, copy-engines=). Blank lines and '#' comments are skipped.
+/// smx=, queues=, copy-engines=).
 bool read_device_specs(const std::string& path,
                        std::vector<hq::gpu::DeviceSpec>& out,
                        std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open device-spec file '" + path + "'";
-    return false;
-  }
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
+  const bool read = read_lines(path, "device-spec", error, [&](
+                                   const std::string& line,
+                                   const std::string& where) {
     std::istringstream ls(line);
     std::string preset;
     ls >> preset;
     const auto found = hq::tools::device_preset(preset);
     if (!found) {
-      *error = "unknown device preset '" + preset + "' at " + path + ":" +
-               std::to_string(line_no) + " (want k20, fermi, or single-copy)";
+      *error = "unknown device preset '" + preset + "' at " + where +
+               " (want k20, fermi, or single-copy)";
       return false;
     }
     hq::gpu::DeviceSpec spec = *found;
@@ -158,43 +162,27 @@ bool read_device_specs(const std::string& path,
           eq == std::string::npos ? token : token.substr(0, eq);
       const std::string value =
           eq == std::string::npos ? "" : token.substr(eq + 1);
-      const auto as_int = [&]() -> std::optional<int> {
-        errno = 0;
-        char* end = nullptr;
-        const long v = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || errno != 0 || end == nullptr || *end != '\0' ||
-            v < 1) {
-          return std::nullopt;
-        }
-        return static_cast<int>(v);
-      };
-      bool ok = true;
-      if (key == "name") {
-        ok = !value.empty();
-        if (ok) spec.name = value;
-      } else if (key == "smx") {
-        const auto v = as_int();
-        ok = v.has_value();
-        if (ok) spec.num_smx = *v;
-      } else if (key == "queues") {
-        const auto v = as_int();
-        ok = v.has_value();
-        if (ok) spec.num_work_queues = *v;
-      } else if (key == "copy-engines") {
-        const auto v = as_int();
-        ok = v.has_value();
-        if (ok) spec.num_copy_engines = *v;
+      int* count = key == "smx"            ? &spec.num_smx
+                   : key == "queues"       ? &spec.num_work_queues
+                   : key == "copy-engines" ? &spec.num_copy_engines
+                                           : nullptr;
+      errno = 0;
+      char* end = nullptr;
+      const long v = std::strtol(value.c_str(), &end, 10);
+      if (key == "name" && !value.empty()) {
+        spec.name = value;
+      } else if (count != nullptr && !value.empty() && errno == 0 &&
+                 *end == '\0' && v >= 1) {
+        *count = static_cast<int>(v);
       } else {
-        ok = false;
-      }
-      if (!ok) {
-        *error = "bad device override '" + token + "' at " + path + ":" +
-                 std::to_string(line_no);
+        *error = "bad device override '" + token + "' at " + where;
         return false;
       }
     }
     out.push_back(std::move(spec));
-  }
+    return true;
+  });
+  if (!read) return false;
   if (out.empty()) {
     *error = "device-spec file '" + path + "' declares no devices";
     return false;
@@ -204,31 +192,24 @@ bool read_device_specs(const std::string& path,
 
 /// Reads a per-device fault-plan file: one fault plan per line in the
 /// `key=value,...` syntax of --fault-plan; "disabled" (or "none") gives
-/// that device no faults. Blank lines and '#' comments are skipped. Line i
-/// configures device i, so the file must declare exactly one line per
-/// fleet device.
+/// that device no faults. Line i configures device i, so the file must
+/// declare exactly one line per fleet device.
 bool read_fault_plans(const std::string& path,
                       std::vector<hq::fault::FaultPlan>& out,
                       std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open device-fault-plan file '" + path + "'";
-    return false;
-  }
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
+  const bool read = read_lines(path, "device-fault-plan", error, [&](
+                                   const std::string& line,
+                                   const std::string& where) {
     std::string plan_error;
     const auto plan = hq::fault::parse_fault_plan(line, &plan_error);
     if (!plan) {
-      *error = "bad fault plan at " + path + ":" + std::to_string(line_no) +
-               ": " + plan_error;
+      *error = "bad fault plan at " + where + ": " + plan_error;
       return false;
     }
     out.push_back(*plan);
-  }
+    return true;
+  });
+  if (!read) return false;
   if (out.empty()) {
     *error = "device-fault-plan file '" + path + "' declares no plans";
     return false;
@@ -550,6 +531,16 @@ int main(int argc, char** argv) {
           } else {
             grid.placements.push_back(all[i - 1]);
           }
+        }
+        // A point listed twice would run twice.
+        const auto repeats = [](const auto& v) {
+          return std::set(v.begin(), v.end()).size() != v.size();
+        };
+        if (repeats(grid.fleet_sizes)) {
+          return tools::usage_error("--sweep-fleet lists a fleet size twice");
+        }
+        if (repeats(grid.placements)) {
+          return tools::usage_error("--sweep-placement lists a policy twice");
         }
         exec::GridOptions options;
         options.jobs = jobs;
